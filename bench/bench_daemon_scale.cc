@@ -46,11 +46,13 @@
 #include <vector>
 
 #include "base/clock.h"
+#include "base/macros.h"
 #include "base/status.h"
 #include "bench/bench_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/daemon.h"
+#include "server/fingerprint.h"
 #include "server/queue.h"
 #include "server/transport.h"
 
@@ -71,37 +73,6 @@ std::string FreshDir(const std::string& name) {
   fs::remove_all(dir, ec);
   fs::create_directories(dir, ec);
   return dir.string();
-}
-
-std::string ReadAll(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// Every byte of durable state for the named sessions: CURRENT pointers
-/// plus the files of the generation each one names.
-std::map<std::string, std::string> SnapshotBytes(
-    const std::string& root, const std::vector<std::string>& sessions) {
-  std::map<std::string, std::string> files;
-  for (const std::string& name : sessions) {
-    fs::path dir = fs::path(root) / "sessions" / name;
-    std::string generation = ReadAll(dir / "CURRENT");
-    while (!generation.empty() && (generation.back() == '\n' ||
-                                   generation.back() == ' ')) {
-      generation.pop_back();
-    }
-    files[name + "/CURRENT"] = generation;
-    std::error_code ec;
-    for (const auto& entry :
-         fs::directory_iterator(dir / generation, ec)) {
-      if (!entry.is_regular_file()) continue;
-      files[name + "/" + entry.path().filename().string()] =
-          ReadAll(entry.path());
-    }
-  }
-  return files;
 }
 
 pid_t Spawn(const std::vector<std::string>& args) {
@@ -176,23 +147,33 @@ struct MultiProcessResult {
   double wall_ms = 0.0;
 };
 
-/// Serial reference: one in-process daemon, same wire lines, FIFO-free
-/// fair dispatch — the bytes every distributed run must reproduce.
-std::map<std::string, std::string> SerialReference(
-    const std::string& root) {
+/// The logical replay fingerprint of the two sessions under `root`, read
+/// through an in-process daemon once every writer has exited.
+Result<server::ReplayFingerprint> FingerprintRoot(const std::string& root) {
   server::DaemonOptions options;
   options.root = root;
-  auto daemon = server::PapyrusDaemon::Start(options);
-  if (!daemon.ok()) return {};
-  for (const std::string& line : AlphaLines()) {
-    (void)(*daemon)->HandleLine(line);
+  PAPYRUS_ASSIGN_OR_RETURN(auto daemon, server::PapyrusDaemon::Start(options));
+  return server::FingerprintSessions(daemon.get(), {"alpha", "beta"});
+}
+
+/// Serial reference: one in-process daemon, same wire lines, FIFO-free
+/// fair dispatch — the state every distributed run must reproduce.
+Result<server::ReplayFingerprint> SerialReference(const std::string& root) {
+  {
+    server::DaemonOptions options;
+    options.root = root;
+    PAPYRUS_ASSIGN_OR_RETURN(auto daemon,
+                             server::PapyrusDaemon::Start(options));
+    for (const std::string& line : AlphaLines()) {
+      (void)daemon->HandleLine(line);
+    }
+    for (const std::string& line : BetaLines()) {
+      (void)daemon->HandleLine(line);
+    }
+    PAPYRUS_RETURN_IF_ERROR(daemon->Drain());
+    PAPYRUS_RETURN_IF_ERROR(daemon->Shutdown());
   }
-  for (const std::string& line : BetaLines()) {
-    (void)(*daemon)->HandleLine(line);
-  }
-  if (!(*daemon)->Drain().ok()) return {};
-  if (!(*daemon)->Shutdown().ok()) return {};
-  return SnapshotBytes(root, {"alpha", "beta"});
+  return FingerprintRoot(root);
 }
 
 /// Sends every line, insisting on ok responses. Returns false on any
@@ -217,8 +198,9 @@ MultiProcessResult RunMultiProcess(const std::string& papyrusd) {
   std::string root = FreshDir("multiproc");
   std::string reference_root = FreshDir("multiproc_ref");
   auto reference = SerialReference(reference_root);
-  if (reference.empty()) {
-    std::fprintf(stderr, "serial reference run failed\n");
+  if (!reference.ok()) {
+    std::fprintf(stderr, "serial reference run failed: %s\n",
+                 reference.status().ToString().c_str());
     return r;
   }
 
@@ -283,15 +265,23 @@ MultiProcessResult RunMultiProcess(const std::string& papyrusd) {
   }
 
   // Read the queue's final verdict from disk.
-  ManualClock clock(0);
-  auto queue = server::PersistentQueue::Open(
-      (fs::path(root) / "queue").string(), &clock);
-  if (!queue.ok()) return r;
-  r.done = static_cast<int>((*queue)->DoneCount());
-  r.failed = static_cast<int>((*queue)->FailedCount());
+  {
+    ManualClock clock(0);
+    auto queue = server::PersistentQueue::Open(
+        (fs::path(root) / "queue").string(), &clock);
+    if (!queue.ok()) return r;
+    r.done = static_cast<int>((*queue)->DoneCount());
+    r.failed = static_cast<int>((*queue)->FailedCount());
+  }
 
-  auto bytes = SnapshotBytes(root, {"alpha", "beta"});
-  r.byte_identical = bytes == reference;
+  auto fingerprint = FingerprintRoot(root);
+  std::string diff = fingerprint.ok()
+                         ? server::DiffFingerprints(*reference, *fingerprint)
+                         : fingerprint.status().ToString();
+  if (!diff.empty()) std::fprintf(stderr, "not identical: %s\n", diff.c_str());
+  std::printf("replay fingerprint compares %zu sections + the ADG\n",
+              reference->sections.size());
+  r.byte_identical = diff.empty();
   r.ok = r.done == r.tasks && r.failed == 0 && r.byte_identical;
   return r;
 }

@@ -37,6 +37,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/daemon.h"
+#include "server/fingerprint.h"
 #include "server/queue.h"
 
 namespace papyrus::bench {
@@ -56,13 +57,6 @@ std::string FreshDir(const std::string& name) {
   fs::remove_all(dir, ec);
   fs::create_directories(dir, ec);
   return dir.string();
-}
-
-std::string ReadAll(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// One daemon lifetime spanning injected crashes: the clock, metrics,
@@ -150,28 +144,6 @@ int SubmitWorkload(Harness& h) {
   return 2 * kTasks;
 }
 
-/// Every byte of durable session state: CURRENT pointers plus the files
-/// of the generation each one names.
-std::map<std::string, std::string> SnapshotBytes(const std::string& root) {
-  std::map<std::string, std::string> files;
-  for (const std::string& name : {"alpha", "beta"}) {
-    fs::path dir = fs::path(root) / "sessions" / name;
-    std::string generation = ReadAll(dir / "CURRENT");
-    while (!generation.empty() && (generation.back() == '\n' ||
-                                   generation.back() == ' ')) {
-      generation.pop_back();
-    }
-    files[name + "/CURRENT"] = generation;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir / generation, ec)) {
-      if (!entry.is_regular_file()) continue;
-      files[name + "/" + entry.path().filename().string()] =
-          ReadAll(entry.path());
-    }
-  }
-  return files;
-}
-
 struct SoakResult {
   int workers = 0;
   int tasks = 0;
@@ -190,11 +162,12 @@ struct SoakResult {
 
 /// Runs the workload under a rate-based crash plan (rate 0 = crash-free
 /// reference) and checks the recovery invariants. `reference` is the
-/// crash-free snapshot to compare against, or null for the reference
-/// run itself. `keep` optionally receives the harness for trace dumps.
+/// crash-free replay fingerprint to compare against, or null for the
+/// reference run itself. `keep` optionally receives the harness for
+/// trace dumps.
 SoakResult RunSoak(int workers, double crash_rate, uint64_t seed,
-                   const std::map<std::string, std::string>* reference,
-                   std::map<std::string, std::string>* bytes_out = nullptr,
+                   const server::ReplayFingerprint* reference,
+                   server::ReplayFingerprint* fingerprint_out = nullptr,
                    std::unique_ptr<Harness>* keep = nullptr) {
   auto h = std::make_unique<Harness>(
       FreshDir("w" + std::to_string(workers) + "_r" +
@@ -228,10 +201,20 @@ SoakResult RunSoak(int workers, double crash_rate, uint64_t seed,
                         : 0.0;
   r.exactly_once = r.done == r.tasks && r.failed == 0 &&
                    r.executed + r.deduped == r.tasks;
-  auto bytes = SnapshotBytes(h->root);
-  r.byte_identical = reference == nullptr || bytes == *reference;
-  if (bytes_out != nullptr) *bytes_out = std::move(bytes);
   r.metrics_json = h->metrics.ToJson();
+  auto fingerprint =
+      server::FingerprintSessions(h->daemon.get(), {"alpha", "beta"});
+  std::string diff;
+  if (!fingerprint.ok()) {
+    diff = fingerprint.status().ToString();
+  } else if (reference != nullptr) {
+    diff = server::DiffFingerprints(*reference, *fingerprint);
+  }
+  if (!diff.empty()) std::fprintf(stderr, "not identical: %s\n", diff.c_str());
+  r.byte_identical = diff.empty();
+  if (fingerprint.ok() && fingerprint_out != nullptr) {
+    *fingerprint_out = std::move(*fingerprint);
+  }
   h->plan = nullptr;  // the stack plan dies with this scope
   if (keep != nullptr) *keep = std::move(h);
   return r;
@@ -333,12 +316,15 @@ int main(int argc, char** argv) {
   std::vector<papyrus::bench::SoakResult> rows;
   std::unique_ptr<papyrus::bench::Harness> chaos_harness;
   for (int workers : {1, 4}) {
-    std::map<std::string, std::string> reference_bytes;
+    papyrus::server::ReplayFingerprint reference_fingerprint;
     papyrus::bench::SoakResult reference = papyrus::bench::RunSoak(
-        workers, 0.0, 0, nullptr, &reference_bytes);
+        workers, 0.0, 0, nullptr, &reference_fingerprint);
     rows.push_back(reference);
+    std::printf("workers=%d: replay fingerprint compares %zu sections "
+                "+ the ADG\n",
+                workers, reference_fingerprint.sections.size());
     rows.push_back(papyrus::bench::RunSoak(
-        workers, 0.15, 0xF00D + workers, &reference_bytes, nullptr,
+        workers, 0.15, 0xF00D + workers, &reference_fingerprint, nullptr,
         workers == 4 ? &chaos_harness : nullptr));
   }
   papyrus::bench::PrintTable(rows);

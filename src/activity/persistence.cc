@@ -1,9 +1,6 @@
 #include "activity/persistence.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -12,41 +9,11 @@
 #include "base/macros.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
+#include "storage/journal.h"
 
 namespace papyrus::activity {
 
 namespace {
-
-/// Encoded-string fields carry a '~' prefix so empty strings survive
-/// whitespace-based field splitting.
-std::string EncField(const std::string& v) {
-  return "~" + PercentEncode(v);
-}
-
-std::string DecField(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
-}
-
-int64_t ParseI64(const std::string& s) {
-  int64_t v = 0;
-  (void)ParseInt64(s, &v);
-  return v;
-}
-
-std::string FormatHex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHex(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
 
 // The payload codec itself lives in oct/design_data (EncodePayloadText /
 // ParsePayloadFields) so the content-addressed store and the snapshot
@@ -68,7 +35,7 @@ void AppendObjectList(const char* tag, int owner,
                       const std::vector<oct::ObjectId>& ids,
                       std::ostringstream* out) {
   for (const oct::ObjectId& id : ids) {
-    *out << tag << ' ' << owner << ' ' << EncField(id.name) << ' '
+    *out << tag << ' ' << owner << ' ' << EncodeField(id.name) << ' '
          << id.version << '\n';
   }
 }
@@ -86,108 +53,95 @@ std::string AssembleV2(const std::string& header,
   int64_t count = 0;
   for (const std::string& body : SplitLines(body_text)) {
     if (body.empty()) continue;
-    out << body << " !" << FormatHex(Fnv1a(body)) << '\n';
+    out << FrameLine(body) << '\n';
     stream_text += body;
     stream_text += '\n';
     ++count;
   }
-  out << "end " << count << ' ' << FormatHex(Fnv1a(stream_text)) << '\n';
+  out << "end " << count << ' ' << HexU64(Fnv1a(stream_text)) << '\n';
   return out.str();
-}
-
-/// Splits a v2 record line into its body and checksum and verifies them.
-Result<std::string> CheckLine(const std::string& line) {
-  size_t sp = line.rfind(' ');
-  if (sp == std::string::npos || sp + 2 >= line.size() ||
-      line[sp + 1] != '!') {
-    return Status::InvalidArgument("record line missing checksum");
-  }
-  uint64_t want = 0;
-  if (!ParseHex(line.substr(sp + 2), &want)) {
-    return Status::InvalidArgument("bad checksum field");
-  }
-  std::string body = line.substr(0, sp);
-  if (Fnv1a(body) != want) {
-    return Status::InvalidArgument("checksum mismatch");
-  }
-  return body;
 }
 
 /// Every '~'-prefixed (percent-encoded) field must decode strictly; a
 /// malformed escape in a line that passed its checksum is still damage.
 bool StrictFieldsOk(const std::vector<std::string>& f) {
   for (const std::string& field : f) {
-    if (field.empty() || field[0] != '~') continue;
-    if (!PercentDecodeStrict(std::string_view(field).substr(1)).ok()) {
+    if (!field.empty() && field[0] == '~' && !DecodeFieldStrict(field).ok()) {
       return false;
     }
   }
   return true;
 }
 
-struct V2Scan {
+/// A snapshot's records after the version check. Version 2 and later
+/// keep the longest valid prefix through the shared journal scan (strict
+/// field decoding is one more check a line must pass), then expect the
+/// unframed `end <count> <hex>` trailer; every other non-empty line left
+/// over counts as dropped. Version 1 (no checksums) has no recovery:
+/// every line but the trailer is a record.
+struct SnapshotScan {
+  int64_t version = 0;
   /// Verified record bodies, already field-split.
   std::vector<std::vector<std::string>> records;
-  bool clean = false;   // trailer present and it verified
+  bool clean = true;    // trailer present and it verified
   int64_t dropped = 0;  // record lines lost to damage
+
+  void Report(RestoreStats* stats) const {
+    if (stats == nullptr) return;
+    stats->records_restored += static_cast<int64_t>(records.size());
+    stats->records_dropped += dropped;
+    stats->truncated |= !clean;
+  }
 };
 
-/// Walks a v2 snapshot and keeps the longest valid prefix: stops at the
-/// first line whose checksum (or strict field decoding, or the final
-/// trailer) fails, counting everything after as dropped.
-V2Scan ScanV2(const std::vector<std::string>& lines) {
-  V2Scan scan;
-  std::string stream_text;
-  auto drop_rest = [&](size_t from) {
-    for (size_t k = from; k < lines.size(); ++k) {
-      if (!lines[k].empty() && !StartsWith(lines[k], "end ")) {
-        ++scan.dropped;
-      }
-    }
-  };
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (line.empty()) continue;
-    if (StartsWith(line, "end ")) {
-      std::vector<std::string> f = SplitWhitespace(line);
-      uint64_t want = 0;
-      scan.clean = f.size() == 3 && ParseHex(f[2], &want) &&
-                   ParseI64(f[1]) ==
-                       static_cast<int64_t>(scan.records.size()) &&
-                   want == Fnv1a(stream_text);
-      drop_rest(i + 1);
-      return scan;
-    }
-    auto body = CheckLine(line);
-    std::vector<std::string> f;
-    if (body.ok()) f = SplitWhitespace(*body);
-    if (!body.ok() || f.empty() || !StrictFieldsOk(f)) {
-      drop_rest(i);
-      return scan;
-    }
-    stream_text += *body;
-    stream_text += '\n';
-    scan.records.push_back(std::move(f));
-  }
-  return scan;  // ran off the end without a trailer: truncated
-}
-
-Result<int64_t> SnapshotVersion(const std::vector<std::string>& lines,
-                                const std::string& kind,
-                                int64_t max_version = 2) {
-  if (lines.empty()) {
-    return Status::InvalidArgument("not a " + kind + " snapshot");
-  }
-  std::vector<std::string> head = SplitWhitespace(lines[0]);
+Result<SnapshotScan> ScanSnapshot(std::string_view text,
+                                  const std::string& kind,
+                                  int64_t max_version = 2) {
+  size_t header_end = std::min(text.find('\n'), text.size());
+  std::vector<std::string> head = SplitWhitespace(text.substr(0, header_end));
   if (head.size() != 2 || head[0] != kind) {
     return Status::InvalidArgument("not a " + kind + " snapshot");
   }
-  int64_t version = ParseI64(head[1]);
-  if (version < 1 || version > max_version) {
+  SnapshotScan scan;
+  scan.version = ParseI64(head[1]);
+  if (scan.version < 1 || scan.version > max_version) {
     return Status::InvalidArgument("unsupported " + kind + " version " +
                                    head[1]);
   }
-  return version;
+  std::string_view rest = text.substr(std::min(header_end + 1, text.size()));
+  if (scan.version == 1) {
+    for (const std::string& line : Split(rest, '\n')) {
+      std::vector<std::string> f = SplitWhitespace(line);
+      if (!f.empty() && f[0] != "end") scan.records.push_back(std::move(f));
+    }
+    return scan;
+  }
+  std::string stream_text;
+  storage::JournalScan prefix =
+      storage::ScanJournal(rest, 0, [&](std::string_view body) {
+        std::vector<std::string> f = SplitWhitespace(body);
+        if (f.empty() || !StrictFieldsOk(f)) return false;
+        stream_text.append(body);
+        stream_text += '\n';
+        scan.records.push_back(std::move(f));
+        return true;
+      });
+  rest.remove_prefix(prefix.valid_end);
+  scan.clean = false;
+  if (StartsWith(rest, "end ")) {
+    size_t nl = rest.find('\n');
+    std::vector<std::string> f = SplitWhitespace(rest.substr(0, nl));
+    uint64_t want = 0;
+    scan.clean = f.size() == 3 && ParseHexU64(f[2], &want) &&
+                 ParseI64(f[1]) ==
+                     static_cast<int64_t>(scan.records.size()) &&
+                 want == Fnv1a(stream_text);
+    rest = nl == std::string_view::npos ? "" : rest.substr(nl + 1);
+  }
+  for (const std::string& line : Split(rest, '\n')) {
+    if (!line.empty() && !StartsWith(line, "end ")) ++scan.dropped;
+  }
+  return scan;
 }
 
 Status ApplyDatabaseRecord(const std::vector<std::string>& f,
@@ -199,8 +153,8 @@ Status ApplyDatabaseRecord(const std::vector<std::string>& f,
 
 void AppendObjectLine(const oct::ObjectRecord& rec,
                       std::ostringstream* out) {
-  *out << "object " << EncField(rec.id.name) << ' ' << rec.id.version
-       << ' ' << EncField(rec.creator_tool) << ' ' << rec.created_micros
+  *out << "object " << EncodeField(rec.id.name) << ' ' << rec.id.version
+       << ' ' << EncodeField(rec.creator_tool) << ' ' << rec.created_micros
        << ' ' << rec.last_access_micros << ' ' << rec.size_bytes << ' '
        << rec.visible << ' ' << rec.reclaimed << ' ';
   AppendPayload(rec.payload, out);
@@ -214,7 +168,7 @@ Status ApplyNodeTag(const std::vector<std::string>& f,
                     std::map<NodeId, HistoryNode>* nodes,
                     HistoryNode** cur_slot) {
   auto object_of = [](const std::vector<std::string>& g) {
-    return oct::ObjectId{DecField(g[2]),
+    return oct::ObjectId{DecodeField(g[2]),
                          static_cast<int>(ParseI64(g[3]))};
   };
   const std::string& tag = f[0];
@@ -225,7 +179,7 @@ Status ApplyNodeTag(const std::vector<std::string>& f,
     node.is_junction = f[2] == "1";
     node.appended_micros = ParseI64(f[3]);
     node.last_access_micros = ParseI64(f[4]);
-    node.annotation = DecField(f[5]);
+    node.annotation = DecodeField(f[5]);
     NodeId id = node.id;
     (*nodes)[id] = std::move(node);
     *cur_slot = &(*nodes)[id];
@@ -245,7 +199,7 @@ Status ApplyNodeTag(const std::vector<std::string>& f,
       cur->children.push_back(static_cast<NodeId>(ParseI64(f[k])));
     }
   } else if (tag == "record" && f.size() >= 5) {
-    cur->record.task_name = DecField(f[2]);
+    cur->record.task_name = DecodeField(f[2]);
     cur->record.invoke_micros = ParseI64(f[3]);
     cur->record.commit_micros = ParseI64(f[4]);
     if (f.size() >= 6) {
@@ -265,14 +219,14 @@ Status ApplyNodeTag(const std::vector<std::string>& f,
     cur->record.outputs.push_back(object_of(f));
   } else if (tag == "step" && f.size() >= 10) {
     task::StepRecord step;
-    step.step_name = DecField(f[2]);
-    step.tool = DecField(f[3]);
-    step.invocation = DecField(f[4]);
+    step.step_name = DecodeField(f[2]);
+    step.tool = DecodeField(f[3]);
+    step.invocation = DecodeField(f[4]);
     step.dispatch_micros = ParseI64(f[5]);
     step.completion_micros = ParseI64(f[6]);
     step.host = static_cast<int>(ParseI64(f[7]));
     step.exit_status = static_cast<int>(ParseI64(f[8]));
-    step.message = DecField(f[9]);
+    step.message = DecodeField(f[9]);
     if (f.size() >= 11) {
       step.internal_id = static_cast<int>(ParseI64(f[10]));
     }
@@ -303,7 +257,7 @@ void AppendNodeLines(const HistoryNode& node, std::ostringstream* outp) {
   NodeId id = node.id;
   out << "node " << id << ' ' << node.is_junction << ' '
       << node.appended_micros << ' ' << node.last_access_micros << ' '
-      << EncField(node.annotation) << '\n';
+      << EncodeField(node.annotation) << '\n';
   if (!node.parents.empty()) {
     out << "parents " << id;
     for (NodeId p : node.parents) out << ' ' << p;
@@ -315,7 +269,7 @@ void AppendNodeLines(const HistoryNode& node, std::ostringstream* outp) {
     out << '\n';
   }
   const task::TaskHistoryRecord& rec = node.record;
-  out << "record " << id << ' ' << EncField(rec.task_name) << ' '
+  out << "record " << id << ' ' << EncodeField(rec.task_name) << ' '
       << rec.invoke_micros << ' ' << rec.commit_micros << ' '
       << rec.restarts << ' ' << rec.steps_lost << ' '
       << rec.steps_retried << ' ' << rec.backoff_micros_total << ' '
@@ -323,11 +277,11 @@ void AppendNodeLines(const HistoryNode& node, std::ostringstream* outp) {
   AppendObjectList("rin", id, rec.inputs, &out);
   AppendObjectList("rout", id, rec.outputs, &out);
   for (const task::StepRecord& step : rec.steps) {
-    out << "step " << id << ' ' << EncField(step.step_name) << ' '
-        << EncField(step.tool) << ' ' << EncField(step.invocation) << ' '
+    out << "step " << id << ' ' << EncodeField(step.step_name) << ' '
+        << EncodeField(step.tool) << ' ' << EncodeField(step.invocation) << ' '
         << step.dispatch_micros << ' ' << step.completion_micros << ' '
         << step.host << ' ' << step.exit_status << ' '
-        << EncField(step.message) << ' ' << step.internal_id << ' '
+        << EncodeField(step.message) << ' ' << step.internal_id << ' '
         << step.cache_hit << '\n';
     AppendObjectList("sin", id, step.inputs, &out);
     AppendObjectList("sout", id, step.outputs, &out);
@@ -339,26 +293,58 @@ void AppendNodeLines(const HistoryNode& node, std::ostringstream* outp) {
 void AppendCacheEntryLines(int64_t index, const cache::CacheEntry& entry,
                            std::ostringstream* outp) {
   std::ostringstream& out = *outp;
-  out << "entry " << index << ' ' << EncField(entry.tool) << ' '
-      << EncField(entry.tool_version) << ' '
-      << EncField(entry.canonical_options) << ' '
-      << FormatHex(entry.seed_salt) << ' ' << entry.cost_micros << ' '
+  out << "entry " << index << ' ' << EncodeField(entry.tool) << ' '
+      << EncodeField(entry.tool_version) << ' '
+      << EncodeField(entry.canonical_options) << ' '
+      << HexU64(entry.seed_salt) << ' ' << entry.cost_micros << ' '
       << entry.recorded_micros << '\n';
   AppendObjectList("ein", static_cast<int>(index), entry.inputs, &out);
   for (const cache::CachedOutput& o : entry.outputs) {
-    out << "eout " << index << ' ' << EncField(o.id.name) << ' '
+    out << "eout " << index << ' ' << EncodeField(o.id.name) << ' '
         << o.id.version << '\n';
   }
   // v3: the shared-store content key rides along so a restored daemon
   // session can republish its entries (shared hits restore with no
   // key and are never republished).
   if (!entry.content_key.empty()) {
-    out << "ckey " << index << ' ' << EncField(entry.content_key) << '\n';
+    out << "ckey " << index << ' ' << EncodeField(entry.content_key) << '\n';
   }
 }
 
-/// Accumulates thread-snapshot record lines; shared by the v1 and v2
-/// readers, which differ only in how lines are vetted.
+/// Parses one cache-snapshot line into `*entry`: an `entry` line starts a
+/// new entry (the caller has taken the previous one), `ein`/`eout`/`ckey`
+/// lines add to it. Shared by the cache section and WAL entry readers.
+Status ApplyCacheLine(const std::vector<std::string>& f,
+                      std::optional<cache::CacheEntry>* entry) {
+  const std::string& tag = f[0];
+  if (tag == "entry" && f.size() >= 8) {
+    cache::CacheEntry e;
+    e.tool = DecodeField(f[2]);
+    e.tool_version = DecodeField(f[3]);
+    e.canonical_options = DecodeField(f[4]);
+    if (!ParseHexU64(f[5], &e.seed_salt)) {
+      return Status::InvalidArgument("bad cache salt: " + f[5]);
+    }
+    e.cost_micros = ParseI64(f[6]);
+    e.recorded_micros = ParseI64(f[7]);
+    *entry = std::move(e);
+  } else if (entry->has_value() && (tag == "ein" || tag == "eout") &&
+             f.size() >= 4) {
+    oct::ObjectId id{DecodeField(f[2]), static_cast<int>(ParseI64(f[3]))};
+    if (tag == "ein") {
+      (*entry)->inputs.push_back(std::move(id));
+    } else {
+      (*entry)->outputs.push_back(cache::CachedOutput{std::move(id), true});
+    }
+  } else if (entry->has_value() && tag == "ckey" && f.size() >= 3) {
+    (*entry)->content_key = DecodeField(f[2]);
+  } else {
+    return Status::InvalidArgument("bad cache line: " + Join(f, " "));
+  }
+  return Status::OK();
+}
+
+/// Accumulates thread-snapshot record lines into a thread.
 struct ThreadBuilder {
   std::unique_ptr<DesignThread> thread;
   NodeId cursor = kInitialPoint;
@@ -372,7 +358,7 @@ struct ThreadBuilder {
     if (tag == "meta") {
       if (f.size() < 5) return Status::InvalidArgument("bad meta line");
       thread = std::make_unique<DesignThread>(
-          static_cast<int>(ParseI64(f[1])), DecField(f[2]), clock);
+          static_cast<int>(ParseI64(f[1])), DecodeField(f[2]), clock);
       cursor = static_cast<NodeId>(ParseI64(f[3]));
       thread->set_cache_interval(static_cast<int>(ParseI64(f[4])));
       return Status::OK();
@@ -381,7 +367,7 @@ struct ThreadBuilder {
       return Status::InvalidArgument("thread snapshot missing meta line");
     }
     if (tag == "checkin" && f.size() >= 3) {
-      thread->CheckIn(oct::ObjectId{DecField(f[1]),
+      thread->CheckIn(oct::ObjectId{DecodeField(f[1]),
                                     static_cast<int>(ParseI64(f[2]))});
       return Status::OK();
     }
@@ -417,16 +403,14 @@ struct ThreadBuilder {
   }
 };
 
-}  // namespace
-
-std::string SerializeDatabase(const oct::OctDatabase& db) {
-  std::ostringstream out;
-  // Collect and emit in (name, version) order so restore sees versions
-  // sequentially.
+/// The `papyrus-db 2` text of the records `for_each` yields, emitted in
+/// (name, version) order: restore sees each name's versions sequentially,
+/// and the bytes are independent of hash-map iteration order.
+template <typename ForEach>
+std::string SerializeRecords(ForEach for_each) {
   std::map<oct::ObjectId, const oct::ObjectRecord*> ordered;
-  db.ForEach([&](const oct::ObjectRecord& rec) {
-    ordered[rec.id] = &rec;
-  });
+  for_each([&](const oct::ObjectRecord& rec) { ordered[rec.id] = &rec; });
+  std::ostringstream out;
   for (const auto& [id, rec] : ordered) {
     AppendObjectLine(*rec, &out);
     out << '\n';
@@ -434,33 +418,22 @@ std::string SerializeDatabase(const oct::OctDatabase& db) {
   return AssembleV2("papyrus-db 2", out.str());
 }
 
+}  // namespace
+
+std::string SerializeDatabase(const oct::OctDatabase& db) {
+  return SerializeRecords([&](const auto& visit) { db.ForEach(visit); });
+}
+
 Status RestoreDatabaseInto(const std::string& text, oct::OctDatabase* db,
                            RestoreStats* stats) {
-  std::vector<std::string> lines = SplitLines(text);
-  PAPYRUS_ASSIGN_OR_RETURN(int64_t version,
-                           SnapshotVersion(lines, "papyrus-db"));
-  if (version == 1) {
-    // Legacy snapshots have no checksums: read strictly, no recovery.
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::vector<std::string> f = SplitWhitespace(lines[i]);
-      if (f.empty() || f[0] == "end") continue;
-      PAPYRUS_RETURN_IF_ERROR(ApplyDatabaseRecord(f, db));
-      if (stats != nullptr) ++stats->records_restored;
-    }
-    return Status::OK();
-  }
-  V2Scan scan = ScanV2(lines);
+  PAPYRUS_ASSIGN_OR_RETURN(SnapshotScan scan,
+                           ScanSnapshot(text, "papyrus-db"));
   for (const std::vector<std::string>& f : scan.records) {
     // The line passed its checksum, so a parse failure here is a format
     // error in intact data — fail loudly rather than "recover".
     PAPYRUS_RETURN_IF_ERROR(ApplyDatabaseRecord(f, db));
   }
-  if (stats != nullptr) {
-    stats->records_restored +=
-        static_cast<int64_t>(scan.records.size());
-    stats->records_dropped += scan.dropped;
-    stats->truncated |= !scan.clean;
-  }
+  scan.Report(stats);
   return Status::OK();
 }
 
@@ -473,11 +446,11 @@ Result<std::unique_ptr<oct::OctDatabase>> RestoreDatabase(
 
 std::string SerializeThread(const DesignThread& thread) {
   std::ostringstream out;
-  out << "meta " << thread.id() << ' ' << EncField(thread.name())
+  out << "meta " << thread.id() << ' ' << EncodeField(thread.name())
       << ' ' << thread.current_cursor() << ' ' << thread.cache_interval()
       << '\n';
   for (const oct::ObjectId& id : thread.checkins()) {
-    out << "checkin " << EncField(id.name) << ' ' << id.version
+    out << "checkin " << EncodeField(id.name) << ' ' << id.version
         << '\n';
   }
   for (const auto& [id, node] : thread.nodes()) {
@@ -488,20 +461,9 @@ std::string SerializeThread(const DesignThread& thread) {
 
 Result<std::unique_ptr<DesignThread>> RestoreThread(
     const std::string& text, Clock* clock, RestoreStats* stats) {
-  std::vector<std::string> lines = SplitLines(text);
-  PAPYRUS_ASSIGN_OR_RETURN(int64_t version,
-                           SnapshotVersion(lines, "papyrus-thread"));
+  PAPYRUS_ASSIGN_OR_RETURN(SnapshotScan scan,
+                           ScanSnapshot(text, "papyrus-thread"));
   ThreadBuilder builder;
-  if (version == 1) {
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::vector<std::string> f = SplitWhitespace(lines[i]);
-      if (f.empty() || f[0] == "end") continue;
-      PAPYRUS_RETURN_IF_ERROR(builder.Apply(f, clock));
-      if (stats != nullptr) ++stats->records_restored;
-    }
-    return builder.Finish();
-  }
-  V2Scan scan = ScanV2(lines);
   for (const std::vector<std::string>& f : scan.records) {
     PAPYRUS_RETURN_IF_ERROR(builder.Apply(f, clock));
   }
@@ -510,11 +472,7 @@ Result<std::unique_ptr<DesignThread>> RestoreThread(
     // links so the recovered stream is self-consistent.
     builder.PruneDanglingLinks();
   }
-  if (stats != nullptr) {
-    stats->records_restored = static_cast<int64_t>(scan.records.size());
-    stats->records_dropped = scan.dropped;
-    stats->truncated = !scan.clean;
-  }
+  scan.Report(stats);
   return builder.Finish();
 }
 
@@ -533,57 +491,23 @@ std::string SerializeDerivationCache(const cache::DerivationCache& cache) {
 Status RestoreDerivationCache(const std::string& text,
                               cache::DerivationCache* cache,
                               RestoreStats* stats) {
-  std::vector<std::string> lines = SplitLines(text);
   PAPYRUS_ASSIGN_OR_RETURN(
-      int64_t version,
-      SnapshotVersion(lines, "papyrus-cache", /*max_version=*/3));
+      SnapshotScan scan,
+      ScanSnapshot(text, "papyrus-cache", /*max_version=*/3));
   // v2 entries simply lack `ckey` lines: they restore with an empty
   // content key (usable locally, never republished to a shared store).
-  V2Scan scan = ScanV2(lines);
   std::optional<cache::CacheEntry> pending;
-  auto flush = [&]() {
-    if (pending.has_value()) {
-      (void)cache->Restore(std::move(*pending));
-      pending.reset();
-    }
-  };
   for (const std::vector<std::string>& f : scan.records) {
-    if (f[0] == "entry" && f.size() >= 8) {
-      flush();
-      cache::CacheEntry entry;
-      entry.tool = DecField(f[2]);
-      entry.tool_version = DecField(f[3]);
-      entry.canonical_options = DecField(f[4]);
-      uint64_t salt = 0;
-      if (!ParseHex(f[5], &salt)) {
-        return Status::InvalidArgument("bad cache salt: " + f[5]);
-      }
-      entry.seed_salt = salt;
-      entry.cost_micros = ParseI64(f[6]);
-      entry.recorded_micros = ParseI64(f[7]);
-      pending = std::move(entry);
-    } else if (f[0] == "ein" && f.size() >= 4 && pending.has_value()) {
-      pending->inputs.push_back(
-          oct::ObjectId{DecField(f[2]),
-                        static_cast<int>(ParseI64(f[3]))});
-    } else if (f[0] == "eout" && f.size() >= 4 && pending.has_value()) {
-      pending->outputs.push_back(cache::CachedOutput{
-          oct::ObjectId{DecField(f[2]),
-                        static_cast<int>(ParseI64(f[3]))},
-          true});
-    } else if (f[0] == "ckey" && f.size() >= 3 && version >= 3 &&
-               pending.has_value()) {
-      pending->content_key = DecField(f[2]);
-    } else {
+    if (f[0] == "ckey" && scan.version < 3) {
       return Status::InvalidArgument("bad cache line: " + Join(f, " "));
     }
+    if (f[0] == "entry" && pending.has_value()) {
+      (void)cache->Restore(std::move(*pending));
+    }
+    PAPYRUS_RETURN_IF_ERROR(ApplyCacheLine(f, &pending));
   }
-  flush();
-  if (stats != nullptr) {
-    stats->records_restored = static_cast<int64_t>(scan.records.size());
-    stats->records_dropped = scan.dropped;
-    stats->truncated = !scan.clean;
-  }
+  if (pending.has_value()) (void)cache->Restore(std::move(*pending));
+  scan.Report(stats);
   return Status::OK();
 }
 
@@ -601,9 +525,9 @@ Result<oct::ObjectRecord> ParseObjectRecord(
     return Status::InvalidArgument("bad database line: " + Join(f, " "));
   }
   oct::ObjectRecord rec;
-  rec.id.name = DecField(f[1]);
+  rec.id.name = DecodeField(f[1]);
   rec.id.version = static_cast<int>(ParseI64(f[2]));
-  rec.creator_tool = DecField(f[3]);
+  rec.creator_tool = DecodeField(f[3]);
   rec.created_micros = ParseI64(f[4]);
   rec.last_access_micros = ParseI64(f[5]);
   rec.size_bytes = ParseI64(f[6]);
@@ -614,19 +538,8 @@ Result<oct::ObjectRecord> ParseObjectRecord(
 }
 
 std::string SerializeDatabaseShard(const oct::OctDatabase& db, int shard) {
-  std::ostringstream out;
-  // (name, version) order, like the whole-database serializer: restore
-  // sees each name's versions sequentially, and the section bytes are
-  // independent of hash-map iteration order.
-  std::map<oct::ObjectId, const oct::ObjectRecord*> ordered;
-  db.ForEachShard(shard, [&](const oct::ObjectRecord& rec) {
-    ordered[rec.id] = &rec;
-  });
-  for (const auto& [id, rec] : ordered) {
-    AppendObjectLine(*rec, &out);
-    out << '\n';
-  }
-  return AssembleV2("papyrus-db 2", out.str());
+  return SerializeRecords(
+      [&](const auto& visit) { db.ForEachShard(shard, visit); });
 }
 
 std::string EncodeNodeBlock(const HistoryNode& node) {
@@ -656,45 +569,16 @@ std::string EncodeCacheEntry(const cache::CacheEntry& entry) {
 }
 
 Result<cache::CacheEntry> DecodeCacheEntry(const std::string& block) {
+  const Status one_entry = Status::InvalidArgument(
+      "cache-entry block must carry exactly one entry");
   std::optional<cache::CacheEntry> entry;
   for (const std::string& line : SplitLines(block)) {
     std::vector<std::string> f = SplitWhitespace(line);
     if (f.empty()) continue;
-    if (f[0] == "entry" && f.size() >= 8) {
-      if (entry.has_value()) {
-        return Status::InvalidArgument(
-            "cache-entry block must carry exactly one entry");
-      }
-      cache::CacheEntry e;
-      e.tool = DecField(f[2]);
-      e.tool_version = DecField(f[3]);
-      e.canonical_options = DecField(f[4]);
-      uint64_t salt = 0;
-      if (!ParseHex(f[5], &salt)) {
-        return Status::InvalidArgument("bad cache salt: " + f[5]);
-      }
-      e.seed_salt = salt;
-      e.cost_micros = ParseI64(f[6]);
-      e.recorded_micros = ParseI64(f[7]);
-      entry = std::move(e);
-    } else if (f[0] == "ein" && f.size() >= 4 && entry.has_value()) {
-      entry->inputs.push_back(oct::ObjectId{
-          DecField(f[2]), static_cast<int>(ParseI64(f[3]))});
-    } else if (f[0] == "eout" && f.size() >= 4 && entry.has_value()) {
-      entry->outputs.push_back(cache::CachedOutput{
-          oct::ObjectId{DecField(f[2]),
-                        static_cast<int>(ParseI64(f[3]))},
-          true});
-    } else if (f[0] == "ckey" && f.size() >= 3 && entry.has_value()) {
-      entry->content_key = DecField(f[2]);
-    } else {
-      return Status::InvalidArgument("bad cache line: " + Join(f, " "));
-    }
+    if (f[0] == "entry" && entry.has_value()) return one_entry;
+    PAPYRUS_RETURN_IF_ERROR(ApplyCacheLine(f, &entry));
   }
-  if (!entry.has_value()) {
-    return Status::InvalidArgument(
-        "cache-entry block must carry exactly one entry");
-  }
+  if (!entry.has_value()) return one_entry;
   return std::move(*entry);
 }
 

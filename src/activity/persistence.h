@@ -24,15 +24,17 @@ namespace papyrus::activity {
 /// demand).
 ///
 /// Format version 2 (the current writer) makes snapshots
-/// corruption-tolerant: every record line carries a trailing ` !<hex>`
-/// FNV-1a checksum of its body, and the file ends with a
+/// corruption-tolerant: every record line is FrameLine-framed (a trailing
+/// ` !<hex>` FNV-1a checksum of its body), and the file ends with a
 /// `end <count> <hex>` trailer covering the whole record stream. Restore
-/// recovers the longest valid prefix of a damaged snapshot — a truncated
-/// tail or a checksummed line that no longer matches drops that line and
+/// recovers the longest valid prefix of a damaged snapshot with the same
+/// scan as every journal (storage::ScanJournal) — a truncated tail or a
+/// checksummed line that no longer matches drops that line and
 /// everything after it, reported through `RestoreStats`. Version-1
 /// snapshots (no checksums) remain readable.
 
-/// What restore had to do to a (possibly damaged) snapshot.
+/// What restore had to do to a (possibly damaged) snapshot. The restore
+/// functions add to it, so one report can span several snapshots.
 struct RestoreStats {
   int64_t records_restored = 0;  // record lines parsed and applied
   int64_t records_dropped = 0;   // record lines lost to damage

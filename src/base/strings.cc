@@ -74,6 +74,11 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   return true;
 }
 
+int64_t ParseI64(std::string_view s) {
+  int64_t v = 0;
+  return ParseInt64(s, &v) ? v : 0;
+}
+
 std::string PercentEncode(std::string_view s) {
   static const char* kHex = "0123456789ABCDEF";
   std::string out;
@@ -149,6 +154,75 @@ uint64_t Fnv1a(std::string_view s) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::string HexU64(uint64_t v) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kHex[v & 0xf];
+  return out;
+}
+
+bool ParseHexU64(std::string_view s, uint64_t* out) {
+  if (s.empty() || s.size() > 16) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    int d = HexValue(c);
+    if (d < 0) return false;
+    v = (v << 4) | static_cast<uint64_t>(d);
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseU64(std::string_view s, uint64_t* out) {
+  if (s.empty()) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    uint64_t next = v * 10 + static_cast<uint64_t>(c - '0');
+    if (next / 10 != v) return false;  // overflow
+    v = next;
+  }
+  *out = v;
+  return true;
+}
+
+std::string FrameLine(std::string_view body) {
+  std::string out;
+  out.reserve(body.size() + 18);
+  out.append(body);
+  out += " !";
+  out += HexU64(Fnv1a(body));
+  return out;
+}
+
+bool UnframeLine(std::string_view line, std::string_view* body) {
+  size_t sp = line.rfind(' ');
+  uint64_t want = 0;
+  if (sp == std::string_view::npos || sp + 1 >= line.size() ||
+      line[sp + 1] != '!' || !ParseHexU64(line.substr(sp + 2), &want) ||
+      Fnv1a(line.substr(0, sp)) != want) {
+    return false;
+  }
+  *body = line.substr(0, sp);
+  return true;
+}
+
+std::string EncodeField(std::string_view s) {
+  std::string out = "~";
+  out += PercentEncode(s);
+  return out;
+}
+
+std::string DecodeField(std::string_view token) {
+  if (!token.empty() && token.front() == '~') token.remove_prefix(1);
+  return PercentDecode(token);
+}
+
+Result<std::string> DecodeFieldStrict(std::string_view token) {
+  if (!token.empty() && token.front() == '~') token.remove_prefix(1);
+  return PercentDecodeStrict(token);
 }
 
 }  // namespace papyrus

@@ -28,6 +28,8 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Parses a base-10 signed integer; rejects trailing garbage.
 bool ParseInt64(std::string_view s, int64_t* out);
+/// ParseInt64's value, or 0 when `s` is malformed.
+int64_t ParseI64(std::string_view s);
 
 /// 64-bit FNV-1a hash; used by the mock CAD tools for deterministic
 /// pseudo-random transformations.
@@ -45,6 +47,32 @@ std::string PercentDecode(std::string_view s);
 /// uses this so corrupted snapshots are detected rather than silently
 /// mis-decoded.
 Result<std::string> PercentDecodeStrict(std::string_view s);
+
+// --- durable line codec ----------------------------------------------------
+// Every line-oriented durable file (write-ahead log, generation manifest,
+// queue and CAS journals and checkpoints, v2 snapshots) frames a record as
+// `<body> !<hex FNV-1a of body>` and carries free-form strings as
+// `~<percent-encoded>` fields, so an empty string still occupies a token.
+
+/// `v` as 16 lowercase hex digits.
+std::string HexU64(uint64_t v);
+/// Parses 1-16 hex digits and nothing else.
+bool ParseHexU64(std::string_view s, uint64_t* out);
+/// Parses a base-10 unsigned integer; rejects signs and trailing garbage.
+bool ParseU64(std::string_view s, uint64_t* out);
+
+/// `body` + " !" + HexU64(Fnv1a(body)). `body` must not contain '\n'.
+std::string FrameLine(std::string_view body);
+/// Points `body` at the framed line's body when its checksum verifies.
+/// The parsed values are compared, so unpadded checksums verify too.
+bool UnframeLine(std::string_view line, std::string_view* body);
+
+/// "~" + PercentEncode(s).
+std::string EncodeField(std::string_view s);
+/// Inverse of EncodeField; the '~' is optional, invalid escapes pass.
+std::string DecodeField(std::string_view token);
+/// Like DecodeField, but a malformed escape is InvalidArgument.
+Result<std::string> DecodeFieldStrict(std::string_view token);
 
 }  // namespace papyrus
 

@@ -167,16 +167,21 @@ void DerivationCache::set_observability(const obs::Observability& sinks) {
         nullptr;
     return;
   }
-  auto bind = [&sinks](const char* name, int64_t accumulated) {
+  // Registry counters are shared (a daemon's spans every session): a
+  // newly bound registry gets this cache's totals added to it.
+  auto bind = [&sinks](obs::Counter* current, const char* name,
+                       int64_t accumulated) {
     obs::Counter* c = sinks.metrics->FindOrCreateCounter(name);
-    c->Increment(accumulated - c->value());
+    if (c != current) c->Increment(accumulated);
     return c;
   };
-  c_hits_ = bind(obs::kCacheHits, stats_.hits);
-  c_misses_ = bind(obs::kCacheMisses, stats_.misses);
-  c_recorded_ = bind(obs::kCacheRecorded, stats_.recorded);
-  c_invalidated_ = bind(obs::kCacheInvalidated, stats_.invalidated);
-  c_micros_saved_ = bind(obs::kCacheMicrosSaved, stats_.micros_saved);
+  c_hits_ = bind(c_hits_, obs::kCacheHits, stats_.hits);
+  c_misses_ = bind(c_misses_, obs::kCacheMisses, stats_.misses);
+  c_recorded_ = bind(c_recorded_, obs::kCacheRecorded, stats_.recorded);
+  c_invalidated_ =
+      bind(c_invalidated_, obs::kCacheInvalidated, stats_.invalidated);
+  c_micros_saved_ =
+      bind(c_micros_saved_, obs::kCacheMicrosSaved, stats_.micros_saved);
 }
 
 const CacheEntry* DerivationCache::Probe(const std::string& key) {

@@ -1,9 +1,7 @@
 #include "core/papyrus.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "activity/persistence.h"
 #include "base/macros.h"
@@ -14,19 +12,6 @@
 namespace papyrus {
 
 namespace {
-
-// WAL record fields that may contain whitespace (names, whole serialized
-// node/entry blocks) ride as '~'-prefixed percent-encoded tokens, the
-// same convention the snapshot formats use.
-std::string WalField(const std::string& v) {
-  return "~" + PercentEncode(v);
-}
-
-std::string WalUnfield(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
-}
 
 std::string DbSectionName(int shard) {
   return "db/" + std::to_string(shard);
@@ -40,9 +25,7 @@ constexpr char kCacheSection[] = "cache";
 constexpr char kStateSection[] = "state";
 
 int ParseIntField(const std::string& s) {
-  int64_t v = 0;
-  (void)ParseInt64(s, &v);
-  return static_cast<int>(v);
+  return static_cast<int>(ParseI64(s));
 }
 
 }  // namespace
@@ -161,129 +144,28 @@ Status Papyrus::MoveCursor(int thread_id, activity::NodeId point,
   return activity_->MoveCursor(thread_id, point, erase);
 }
 
-Status Papyrus::SaveSession(const std::string& directory) {
-  trace_.Begin(obs::kSessionPid, 0, "snapshot_save", "snapshot",
-               {obs::TraceArg::Str("directory", directory)});
-  Status st = SaveSessionImpl(directory);
-  trace_.End(obs::kSessionPid, 0, {obs::TraceArg::Bool("ok", st.ok())});
-  if (st.ok()) {
-    metrics_.FindOrCreateCounter(obs::kSnapshotSaves)->Increment();
-  }
-  return st;
-}
-
-Status Papyrus::SaveSessionImpl(const std::string& directory) {
-  base::AssertEngineThread("Papyrus::SaveSessionImpl");
+Status Papyrus::LoadLegacySnapshot(const std::string& directory) {
+  // The whole-file formats are the section formats, so the files map
+  // straight onto sections: the database is one big "db" section.
+  const std::filesystem::path dir(directory);
+  std::map<std::string, std::string> sections;
+  PAPYRUS_ASSIGN_OR_RETURN(sections["db/all"],
+                           storage::ReadFile(dir / "database.pdb"));
   std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return Status::Internal("cannot create " + directory + ": " +
-                            ec.message());
-  }
-  // Write-to-temp + fsync + atomic rename (storage::AtomicWriteFile): a
-  // crash mid-save leaves either the old snapshot or the new one, never a
-  // torn file.
-  auto write_file = [&](const std::string& name,
-                        const std::string& content) -> Status {
-    return storage::AtomicWriteFile(
-        (std::filesystem::path(directory) / name).string(), content);
-  };
-  PAPYRUS_RETURN_IF_ERROR(
-      write_file("database.pdb", activity::SerializeDatabase(*db_)));
-  PAPYRUS_RETURN_IF_ERROR(write_file(
-      "cache.pdc", activity::SerializeDerivationCache(*step_cache_)));
-  for (int id : activity_->ThreadIds()) {
-    auto thread = activity_->GetThread(id);
-    if (!thread.ok()) continue;
-    PAPYRUS_RETURN_IF_ERROR(
-        write_file("thread_" + std::to_string(id) + ".pth",
-                   activity::SerializeThread(**thread)));
-  }
-  return Status::OK();
-}
-
-Status Papyrus::LoadSession(const std::string& directory) {
-  trace_.Begin(obs::kSessionPid, 0, "snapshot_load", "snapshot",
-               {obs::TraceArg::Str("directory", directory)});
-  Status st = LoadSessionImpl(directory);
-  trace_.End(obs::kSessionPid, 0, {obs::TraceArg::Bool("ok", st.ok())});
-  if (st.ok()) {
-    metrics_.FindOrCreateCounter(obs::kSnapshotLoads)->Increment();
-  }
-  return st;
-}
-
-Status Papyrus::LoadSessionImpl(const std::string& directory) {
-  base::AssertEngineThread("Papyrus::LoadSessionImpl");
-  if (db_->TotalVersionCount() != 0 || !activity_->ThreadIds().empty()) {
-    return Status::FailedPrecondition(
-        "LoadSession requires a fresh session");
-  }
-  auto read_file = [&](const std::filesystem::path& path)
-      -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::NotFound("cannot read " + path.string());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  last_restore_stats_ = activity::RestoreStats();
-  auto accumulate = [this](const activity::RestoreStats& s) {
-    last_restore_stats_.records_restored += s.records_restored;
-    last_restore_stats_.records_dropped += s.records_dropped;
-    last_restore_stats_.truncated |= s.truncated;
-  };
-  PAPYRUS_ASSIGN_OR_RETURN(
-      std::string db_text,
-      read_file(std::filesystem::path(directory) / "database.pdb"));
-  activity::RestoreStats db_stats;
-  PAPYRUS_ASSIGN_OR_RETURN(
-      auto restored_db,
-      activity::RestoreDatabase(db_text, &clock_, &db_stats));
-  accumulate(db_stats);
-  // Copy records into the session's own database so every subsystem keeps
-  // its pointer. ForEach yields each name's versions in order, which is
-  // what RestoreRecord requires.
-  Status copy_status;
-  restored_db->ForEach([&](const oct::ObjectRecord& rec) {
-    if (!copy_status.ok()) return;
-    copy_status = db_->RestoreRecord(rec);
-  });
-  PAPYRUS_RETURN_IF_ERROR(copy_status);
-
-  std::error_code ec;
-  std::vector<std::filesystem::path> thread_files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(directory, ec)) {
-    if (entry.path().extension() == ".pth") {
-      thread_files.push_back(entry.path());
-    }
-  }
-  if (ec) {
-    return Status::NotFound("cannot read session directory " + directory);
-  }
-  std::sort(thread_files.begin(), thread_files.end());
-  for (const auto& path : thread_files) {
-    PAPYRUS_ASSIGN_OR_RETURN(std::string text, read_file(path));
-    activity::RestoreStats thread_stats;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.path().extension() != ".pth") continue;
     PAPYRUS_ASSIGN_OR_RETURN(
-        auto thread,
-        activity::RestoreThread(text, &clock_, &thread_stats));
-    accumulate(thread_stats);
-    PAPYRUS_RETURN_IF_ERROR(activity_->AdoptThread(std::move(thread)));
+        sections["thread/" + entry.path().filename().string()],
+        storage::ReadFile(entry.path()));
   }
-  // The derivation cache is optional in a session directory (pre-cache
-  // snapshots restore fine without it) but must come after the database:
-  // restoring entries re-validates and re-pins their output versions.
-  auto cache_text =
-      read_file(std::filesystem::path(directory) / "cache.pdc");
-  if (cache_text.ok()) {
-    activity::RestoreStats cache_stats;
-    PAPYRUS_RETURN_IF_ERROR(activity::RestoreDerivationCache(
-        *cache_text, step_cache_.get(), &cache_stats));
-    accumulate(cache_stats);
+  // Optional: pre-cache snapshots and non-daemon sessions lack these.
+  auto cache = storage::ReadFile(dir / "cache.pdc");
+  if (cache.ok()) sections[kCacheSection] = std::move(*cache);
+  if (!state_hooks_.legacy_file.empty()) {
+    auto state = storage::ReadFile(dir / state_hooks_.legacy_file);
+    if (state.ok()) sections[kStateSection] = std::move(*state);
   }
-  return Status::OK();
+  return RestoreEngineSections(sections);
 }
 
 Status Papyrus::OpenStorage(const std::string& directory) {
@@ -321,16 +203,7 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
       // legacy reader; the next SaveGeneration writes every section (none
       // are in the — empty — engine manifest) and the directory is native
       // from then on.
-      PAPYRUS_RETURN_IF_ERROR(LoadSessionImpl(opened.legacy_dir));
-      if (!state_hooks_.legacy_file.empty() && state_hooks_.restore) {
-        std::ifstream in(std::filesystem::path(opened.legacy_dir) /
-                         state_hooks_.legacy_file);
-        if (in) {
-          std::stringstream buffer;
-          buffer << in.rdbuf();
-          PAPYRUS_RETURN_IF_ERROR(state_hooks_.restore(buffer.str()));
-        }
-      }
+      PAPYRUS_RETURN_IF_ERROR(LoadLegacySnapshot(opened.legacy_dir));
       break;
   }
   // Baselines are captured *before* the WAL tail replays so the sections
@@ -366,33 +239,24 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
 
 Status Papyrus::RestoreEngineSections(
     const std::map<std::string, std::string>& sections) {
-  auto accumulate = [this](const activity::RestoreStats& s) {
-    last_restore_stats_.records_restored += s.records_restored;
-    last_restore_stats_.records_dropped += s.records_dropped;
-    last_restore_stats_.truncated |= s.truncated;
-  };
   // Database shards first; threads and the cache reference its versions.
+  // Every restore adds its report to last_restore_stats_.
   for (const auto& [name, text] : sections) {
     if (!StartsWith(name, "db/")) continue;
-    activity::RestoreStats stats;
-    PAPYRUS_RETURN_IF_ERROR(
-        activity::RestoreDatabaseInto(text, db_.get(), &stats));
-    accumulate(stats);
+    PAPYRUS_RETURN_IF_ERROR(activity::RestoreDatabaseInto(
+        text, db_.get(), &last_restore_stats_));
   }
   for (const auto& [name, text] : sections) {
     if (!StartsWith(name, "thread/")) continue;
-    activity::RestoreStats stats;
     PAPYRUS_ASSIGN_OR_RETURN(
-        auto thread, activity::RestoreThread(text, &clock_, &stats));
-    accumulate(stats);
+        auto thread,
+        activity::RestoreThread(text, &clock_, &last_restore_stats_));
     PAPYRUS_RETURN_IF_ERROR(activity_->AdoptThread(std::move(thread)));
   }
   auto cache_it = sections.find(kCacheSection);
   if (cache_it != sections.end()) {
-    activity::RestoreStats stats;
     PAPYRUS_RETURN_IF_ERROR(activity::RestoreDerivationCache(
-        cache_it->second, step_cache_.get(), &stats));
-    accumulate(stats);
+        cache_it->second, step_cache_.get(), &last_restore_stats_));
   }
   auto state_it = sections.find(kStateSection);
   if (state_it != sections.end()) {
@@ -423,19 +287,19 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
   }
   if (tag == "cput" && f.size() >= 2) {
     PAPYRUS_ASSIGN_OR_RETURN(cache::CacheEntry entry,
-                             activity::DecodeCacheEntry(WalUnfield(f[1])));
+                             activity::DecodeCacheEntry(DecodeField(f[1])));
     // Like snapshot restore, entries whose output versions did not
     // survive are skipped — they could only have missed.
     (void)step_cache_->Restore(std::move(entry));
     return Status::OK();
   }
   if (tag == "cdel" && f.size() >= 2) {
-    step_cache_->ForgetEntry(WalUnfield(f[1]));
+    step_cache_->ForgetEntry(DecodeField(f[1]));
     return Status::OK();
   }
   if (tag == "thrnew" && f.size() >= 4) {
     auto thread = std::make_unique<activity::DesignThread>(
-        ParseIntField(f[1]), WalUnfield(f[2]), &clock_);
+        ParseIntField(f[1]), DecodeField(f[2]), &clock_);
     thread->set_cache_interval(ParseIntField(f[3]));
     return activity_->AdoptThread(std::move(thread));
   }
@@ -448,14 +312,14 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
     PAPYRUS_ASSIGN_OR_RETURN(activity::DesignThread * thread,
                              activity_->GetThread(ParseIntField(f[1])));
     if (tag == "thr") {
-      return activity::ApplyNodeBlock(WalUnfield(f[2]), thread);
+      return activity::ApplyNodeBlock(DecodeField(f[2]), thread);
     }
     if (tag == "thrdel") {
       return thread->ForgetNode(ParseIntField(f[2]));
     }
     if (tag == "thrchk" && f.size() >= 4) {
       thread->CheckIn(
-          oct::ObjectId{WalUnfield(f[2]), ParseIntField(f[3])});
+          oct::ObjectId{DecodeField(f[2]), ParseIntField(f[3])});
       return Status::OK();
     }
     if (tag == "thrmeta" && f.size() >= 5) {
@@ -492,22 +356,28 @@ Status Papyrus::CommitWal() {
     if (!thread_or.ok()) continue;
     activity::DesignThread* t = *thread_or;
     const std::string tid = std::to_string(id);
-    if (known_threads_.count(id) == 0) {
-      // First commit of a new thread: journal it whole.
-      store_->AppendWal("thrnew " + tid + " " + WalField(t->name()) + " " +
-                        std::to_string(t->cache_interval()));
-      for (const auto& [node_id, node] : t->nodes()) {
-        store_->AppendWal("thr " + tid + " " +
-                          WalField(activity::EncodeNodeBlock(node)));
-      }
-      for (const oct::ObjectId& obj : t->checkins()) {
-        store_->AppendWal("thrchk " + tid + " " + WalField(obj.name) + " " +
-                          std::to_string(obj.version));
-      }
+    auto journal_node = [&](const activity::HistoryNode& node) {
+      store_->AppendWal("thr " + tid + " " +
+                        EncodeField(activity::EncodeNodeBlock(node)));
+    };
+    auto journal_checkin = [&](const oct::ObjectId& obj) {
+      store_->AppendWal("thrchk " + tid + " " + EncodeField(obj.name) + " " +
+                        std::to_string(obj.version));
+    };
+    // Last in a thread's batch so the cursor's node exists when it replays.
+    auto journal_meta = [&] {
       store_->AppendWal("thrmeta " + tid + " " +
                         std::to_string(t->current_cursor()) + " " +
                         std::to_string(t->cache_interval()) + " " +
                         std::to_string(t->next_node_id()));
+    };
+    if (known_threads_.count(id) == 0) {
+      // First commit of a new thread: journal it whole.
+      store_->AppendWal("thrnew " + tid + " " + EncodeField(t->name()) + " " +
+                        std::to_string(t->cache_interval()));
+      for (const auto& [node_id, node] : t->nodes()) journal_node(node);
+      for (const oct::ObjectId& obj : t->checkins()) journal_checkin(obj);
+      journal_meta();
       t->DiscardWalDirt();
       known_threads_.insert(id);
       continue;
@@ -519,30 +389,19 @@ Status Papyrus::CommitWal() {
     }
     for (activity::NodeId node_id : dirt.upserts) {
       auto node = t->GetNode(node_id);
-      if (!node.ok()) continue;
-      store_->AppendWal("thr " + tid + " " +
-                        WalField(activity::EncodeNodeBlock(**node)));
+      if (node.ok()) journal_node(**node);
     }
-    for (const oct::ObjectId& obj : dirt.checkins) {
-      store_->AppendWal("thrchk " + tid + " " + WalField(obj.name) + " " +
-                        std::to_string(obj.version));
-    }
-    if (dirt.meta) {
-      // Last in the batch so the cursor's node exists when it replays.
-      store_->AppendWal("thrmeta " + tid + " " +
-                        std::to_string(t->current_cursor()) + " " +
-                        std::to_string(t->cache_interval()) + " " +
-                        std::to_string(t->next_node_id()));
-    }
+    for (const oct::ObjectId& obj : dirt.checkins) journal_checkin(obj);
+    if (dirt.meta) journal_meta();
   }
   step_cache_->DrainWalDirt(
       [&](const std::string& key) {
-        store_->AppendWal("cdel " + WalField(key));
+        store_->AppendWal("cdel " + EncodeField(key));
       },
       [&](const std::string& key, const cache::CacheEntry& entry) {
         (void)key;  // replay recomputes it from the entry's components
         store_->AppendWal("cput " +
-                          WalField(activity::EncodeCacheEntry(entry)));
+                          EncodeField(activity::EncodeCacheEntry(entry)));
       });
   if (state_hooks_.drain) {
     for (const std::string& state_body : state_hooks_.drain()) {

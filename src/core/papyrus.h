@@ -125,33 +125,19 @@ class Papyrus {
   Result<oct::ObjectId> CheckInObject(const std::string& path,
                                       oct::DesignPayload payload);
 
-  // --- session persistence (§5.3 crash recovery) --------------------------
+  // --- storage engine (§5.3 crash recovery) --------------------------------
+  //
+  // Mutations journal into a write-ahead log (CommitWal, a group commit
+  // per task batch) and SaveGeneration periodically compacts only the
+  // dirtied sections behind a manifest swap. Recovery replays manifest
+  // sections + the WAL tail and is byte-identical to the pre-crash state
+  // at any crash point.
 
-  /// Writes the database and every design thread to `directory`
-  /// (database.pdb + thread_<id>.pth).
-  Status SaveSession(const std::string& directory);
-
-  /// Restores a previously saved session into this one. Requires a fresh
-  /// session (empty database, no threads). Metadata inference state is
-  /// not persisted; re-deriving it is a matter of re-observing history
-  /// records if needed. Damaged snapshot files restore their longest
-  /// valid prefix; `last_restore_stats()` reports what was dropped.
-  Status LoadSession(const std::string& directory);
-
-  /// Aggregate recovery report of the most recent LoadSession or
-  /// OpenStorage, summed across the database and every thread file.
+  /// Aggregate recovery report of the most recent OpenStorage, summed
+  /// across every restored section and the replayed WAL tail.
   const activity::RestoreStats& last_restore_stats() const {
     return last_restore_stats_;
   }
-
-  // --- storage engine (WAL + compacted delta snapshots) -------------------
-  //
-  // The successor of SaveSession/LoadSession: instead of rewriting every
-  // file per snapshot, mutations journal into a write-ahead log
-  // (CommitWal, a group commit per task batch) and SaveGeneration
-  // periodically compacts only the dirtied sections behind a manifest
-  // swap. Recovery replays manifest sections + the WAL tail and is
-  // byte-identical to the pre-crash state at any crash point.
 
   /// Extension point for an embedding layer (papyrusd's ManagedSession)
   /// to ride the session's durability train: its state journals into the
@@ -247,8 +233,10 @@ class Papyrus {
   obs::Observability observability() { return {&trace_, &metrics_}; }
 
  private:
-  Status SaveSessionImpl(const std::string& directory);
-  Status LoadSessionImpl(const std::string& directory);
+  /// Reads a pre-engine whole-file snapshot directory (database.pdb,
+  /// thread_<id>.pth, cache.pdc, the embedder's legacy state file) for
+  /// OpenStorage's one-time migration.
+  Status LoadLegacySnapshot(const std::string& directory);
   Status OpenStorageImpl(const std::string& directory);
   Status SaveGenerationImpl();
   Status RestoreEngineSections(

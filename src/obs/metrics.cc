@@ -83,7 +83,6 @@ const std::vector<MetricInfo>& MetricCatalogue() {
        "Payload bytes of all non-reclaimed versions."},
       {kFaultTransientInjections, kC,
        "Tool runs turned into transient failures by the fault plan."},
-      {kSnapshotSaves, kC, "Session snapshots written."},
       {kSnapshotLoads, kC, "Session snapshots restored."},
       {kSnapshotGenerations, kC,
        "Compacted delta-snapshot generations committed (manifest "

@@ -136,7 +136,6 @@ inline constexpr char kOctReclaimed[] = "papyrus.oct.reclaimed";
 inline constexpr char kOctLiveBytes[] = "papyrus.oct.live_bytes";
 inline constexpr char kFaultTransientInjections[] =
     "papyrus.fault.transient_injections";
-inline constexpr char kSnapshotSaves[] = "papyrus.snapshot.saves";
 inline constexpr char kSnapshotLoads[] = "papyrus.snapshot.loads";
 inline constexpr char kSnapshotGenerations[] =
     "papyrus.snapshot.generations";

@@ -27,10 +27,12 @@ OctDatabase::OctDatabase(Clock* clock) : clock_(clock) {}
 void OctDatabase::set_observability(const obs::Observability& sinks) {
   obs_ = sinks;
   if (obs_.metrics != nullptr) {
-    c_versions_created_ =
+    // Registry counters are shared (a daemon's spans every session), so
+    // a newly bound registry gets this database's total added to it.
+    obs::Counter* created =
         obs_.metrics->FindOrCreateCounter(obs::kOctVersionsCreated);
-    c_versions_created_->Increment(total_versions_ -
-                                   c_versions_created_->value());
+    if (created != c_versions_created_) created->Increment(total_versions_);
+    c_versions_created_ = created;
     c_reclaimed_ = obs_.metrics->FindOrCreateCounter(obs::kOctReclaimed);
     g_live_bytes_ = obs_.metrics->FindOrCreateGauge(obs::kOctLiveBytes);
     g_live_bytes_->Set(TotalLiveBytes());

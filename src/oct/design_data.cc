@@ -1,6 +1,5 @@
 #include "oct/design_data.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -95,49 +94,24 @@ DesignDomain PayloadDomain(const DesignPayload& p) {
 
 namespace {
 
-// The codec helpers mirror activity/persistence.cc conventions exactly:
-// snapshot payload fields and CAS blob bytes must stay byte-identical.
-std::string EncField(const std::string& v) {
-  return "~" + PercentEncode(v);
-}
-
-std::string DecField(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
-}
-
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
-int64_t FieldI64(const std::string& s) {
-  int64_t v = 0;
-  (void)ParseInt64(s, &v);
-  return v;
-}
-
 /// Payload seeds are full-range uint64 values (tool-derived hashes
-/// routinely exceed INT64_MAX), so they cannot go through FieldI64.
+/// routinely exceed INT64_MAX), so they cannot go through ParseI64.
 /// A seed the field cannot hold is a load error, never a silent 0:
 /// restoring a different seed would make every derived artifact
 /// diverge from the history that produced it.
 Result<uint64_t> FieldU64(const std::string& s) {
-  if (s.empty() || s[0] == '-') {
-    return Status::InvalidArgument("malformed payload seed: '" + s + "'");
+  uint64_t v = 0;
+  if (!ParseU64(s, &v)) {
+    return Status::InvalidArgument("payload seed is not a uint64: '" + s +
+                                   "'");
   }
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::InvalidArgument("payload seed overflows uint64: " + s);
-  }
-  if (errno != 0 || end != s.c_str() + s.size()) {
-    return Status::InvalidArgument("malformed payload seed: '" + s + "'");
-  }
-  return static_cast<uint64_t>(v);
+  return v;
 }
 
 }  // namespace
@@ -156,10 +130,10 @@ std::string EncodePayloadText(const DesignPayload& p) {
         << FormatDouble(l->delay_ns) << ' ' << FormatDouble(l->power_mw)
         << ' ' << FormatDouble(l->wire_length) << ' ' << l->has_pads << ' '
         << l->routed << ' ' << l->compacted << ' ' << l->has_abstraction
-        << ' ' << EncField(l->style) << ' ' << static_cast<int>(l->format)
+        << ' ' << EncodeField(l->style) << ' ' << static_cast<int>(l->format)
         << ' ' << l->seed;
   } else if (const auto* t = std::get_if<TextData>(&p)) {
-    out << "text " << EncField(t->text);
+    out << "text " << EncodeField(t->text);
   } else {
     out << "none";
   }
@@ -175,28 +149,28 @@ Result<DesignPayload> ParsePayloadFields(const std::vector<std::string>& f,
   if (tag == "behavioral") {
     if (!need(4)) return Status::InvalidArgument("short behavioral");
     BehavioralSpec b;
-    b.num_inputs = static_cast<int>(FieldI64(f[at + 1]));
-    b.num_outputs = static_cast<int>(FieldI64(f[at + 2]));
-    b.complexity = static_cast<int>(FieldI64(f[at + 3]));
+    b.num_inputs = static_cast<int>(ParseI64(f[at + 1]));
+    b.num_outputs = static_cast<int>(ParseI64(f[at + 2]));
+    b.complexity = static_cast<int>(ParseI64(f[at + 3]));
     PAPYRUS_ASSIGN_OR_RETURN(b.seed, FieldU64(f[at + 4]));
     return DesignPayload{b};
   }
   if (tag == "logic") {
     if (!need(7)) return Status::InvalidArgument("short logic");
     LogicNetwork n;
-    n.num_inputs = static_cast<int>(FieldI64(f[at + 1]));
-    n.num_outputs = static_cast<int>(FieldI64(f[at + 2]));
-    n.minterms = static_cast<int>(FieldI64(f[at + 3]));
-    n.literals = static_cast<int>(FieldI64(f[at + 4]));
-    n.levels = static_cast<int>(FieldI64(f[at + 5]));
-    n.format = static_cast<DesignFormat>(FieldI64(f[at + 6]));
+    n.num_inputs = static_cast<int>(ParseI64(f[at + 1]));
+    n.num_outputs = static_cast<int>(ParseI64(f[at + 2]));
+    n.minterms = static_cast<int>(ParseI64(f[at + 3]));
+    n.literals = static_cast<int>(ParseI64(f[at + 4]));
+    n.levels = static_cast<int>(ParseI64(f[at + 5]));
+    n.format = static_cast<DesignFormat>(ParseI64(f[at + 6]));
     PAPYRUS_ASSIGN_OR_RETURN(n.seed, FieldU64(f[at + 7]));
     return DesignPayload{n};
   }
   if (tag == "layout") {
     if (!need(12)) return Status::InvalidArgument("short layout");
     Layout l;
-    l.num_cells = static_cast<int>(FieldI64(f[at + 1]));
+    l.num_cells = static_cast<int>(ParseI64(f[at + 1]));
     l.area = std::strtod(f[at + 2].c_str(), nullptr);
     l.delay_ns = std::strtod(f[at + 3].c_str(), nullptr);
     l.power_mw = std::strtod(f[at + 4].c_str(), nullptr);
@@ -205,14 +179,14 @@ Result<DesignPayload> ParsePayloadFields(const std::vector<std::string>& f,
     l.routed = f[at + 7] == "1";
     l.compacted = f[at + 8] == "1";
     l.has_abstraction = f[at + 9] == "1";
-    l.style = DecField(f[at + 10]);
-    l.format = static_cast<DesignFormat>(FieldI64(f[at + 11]));
+    l.style = DecodeField(f[at + 10]);
+    l.format = static_cast<DesignFormat>(ParseI64(f[at + 11]));
     PAPYRUS_ASSIGN_OR_RETURN(l.seed, FieldU64(f[at + 12]));
     return DesignPayload{l};
   }
   if (tag == "text") {
     if (!need(1)) return Status::InvalidArgument("short text");
-    return DesignPayload{TextData{DecField(f[at + 1])}};
+    return DesignPayload{TextData{DecodeField(f[at + 1])}};
   }
   return Status::InvalidArgument("unknown payload tag: " + tag);
 }

@@ -135,26 +135,15 @@ Result<std::unique_ptr<PapyrusDaemon>> PapyrusDaemon::Start(
   daemon->obs_.trace->SetProcessName(obs::kServerPid, "papyrusd");
   daemon->obs_.trace->SetThreadName(obs::kServerPid, 0, "queue");
   // The daemon-wide artifact store: one per root, shared by every hosted
-  // session, surviving restarts (Open recovers + garbage-collects).
+  // session and every sibling worker process, surviving restarts (Open
+  // recovers + garbage-collects under the store's own lock).
   storage::CasOptions cas_options;
   cas_options.size_budget_bytes = options.cas_budget_bytes;
-  {
-    // Opening the store recovers and garbage-collects it; in shared
-    // mode, serialize that against sibling workers starting up.
-    std::unique_ptr<storage::FileLock> cas_lock;
-    if (options.shared_queue) {
-      PAPYRUS_ASSIGN_OR_RETURN(
-          cas_lock,
-          storage::FileLock::Acquire(
-              (std::filesystem::path(options.root) / "cas.lock")
-                  .string()));
-    }
-    PAPYRUS_ASSIGN_OR_RETURN(
-        daemon->shared_store_,
-        storage::ContentStore::Open(
-            (std::filesystem::path(options.root) / "cas").string(),
-            cas_options));
-  }
+  PAPYRUS_ASSIGN_OR_RETURN(
+      daemon->shared_store_,
+      storage::ContentStore::Open(
+          (std::filesystem::path(options.root) / "cas").string(),
+          cas_options));
   daemon->shared_store_->set_observability(daemon->obs_);
   if (daemon->queue_->recovered() > 0) {
     // Unresolved claims mean the previous incarnation died hot.

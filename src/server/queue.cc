@@ -7,7 +7,6 @@
 #include "base/macros.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
-#include "storage/atomic_file.h"
 
 namespace papyrus::server {
 
@@ -16,41 +15,7 @@ namespace {
 constexpr char kJournalFile[] = "queue.pjq";
 constexpr char kCheckpointFile[] = "queue.pjc";
 constexpr char kLockFile[] = "queue.lock";
-constexpr char kEpochFile[] = "queue.pjg";
 constexpr char kCheckpointHeader[] = "papyrus-queue v1";
-
-std::string HexHash(std::string_view body) {
-  std::ostringstream out;
-  out << std::hex << Fnv1a(body);
-  return out.str();
-}
-
-/// Appends the ` !<hex>` line checksum the v2 snapshot format uses.
-std::string Stamp(const std::string& body) {
-  return body + " !" + HexHash(body);
-}
-
-/// Validates and strips a line checksum; false on damage.
-bool Unstamp(const std::string& line, std::string* body) {
-  size_t mark = line.rfind(" !");
-  if (mark == std::string::npos) return false;
-  *body = line.substr(0, mark);
-  return HexHash(*body) == line.substr(mark + 2);
-}
-
-/// String fields ride as `~<percent-encoded>` so an empty value still
-/// occupies a whitespace-delimited token (bare `~`), same as the v2
-/// snapshot format.
-std::string EncField(const std::string& s) {
-  return "~" + PercentEncode(s);
-}
-
-std::string DecField(const std::string& token) {
-  if (!token.empty() && token[0] == '~') {
-    return PercentDecode(token.substr(1));
-  }
-  return PercentDecode(token);
-}
 
 const char* StateCode(TaskState s) {
   switch (s) {
@@ -75,18 +40,6 @@ bool ParseStateCode(const std::string& code, TaskState* out) {
   return true;
 }
 
-/// The checkpoint epoch: bumped (atomically, under the queue lock) every
-/// time a checkpoint truncates the journal. Shared-mode workers compare
-/// it against the epoch they last synced at — a mismatch means their
-/// journal byte offset refers to a journal that no longer exists, so
-/// they rebuild from the checkpoint instead of tail-replaying.
-int64_t ReadEpochFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  int64_t epoch = 0;
-  if (in) in >> epoch;
-  return epoch;
-}
-
 }  // namespace
 
 const char* TaskStateName(TaskState state) {
@@ -103,18 +56,10 @@ const char* TaskStateName(TaskState state) {
   return "unknown";
 }
 
-PersistentQueue::PersistentQueue(std::string directory, ManualClock* clock,
+PersistentQueue::PersistentQueue(ManualClock* clock,
                                  const obs::Observability& obs,
                                  const QueueOptions& options)
-    : directory_(std::move(directory)),
-      journal_path_(
-          (std::filesystem::path(directory_) / kJournalFile).string()),
-      checkpoint_path_(
-          (std::filesystem::path(directory_) / kCheckpointFile).string()),
-      lock_path_((std::filesystem::path(directory_) / kLockFile).string()),
-      clock_(clock),
-      obs_(obs),
-      options_(options) {
+    : clock_(clock), obs_(obs), options_(options) {
   if (obs_.metrics != nullptr) {
     c_enqueued_ = obs_.metrics->FindOrCreateCounter(obs::kQueueEnqueued);
     c_claimed_ = obs_.metrics->FindOrCreateCounter(obs::kQueueClaimed);
@@ -151,28 +96,41 @@ Result<std::unique_ptr<PersistentQueue>> PersistentQueue::Open(
                             ": " + ec.message());
   }
   std::unique_ptr<PersistentQueue> queue(
-      new PersistentQueue(directory, clock, obs, options));
-  if (options.shared) {
-    // Serialize the initial load against live workers; their claims are
-    // real leases, not orphans, so nothing is re-pended here. A worker
-    // that died mid-claim is reaped later by lease expiry.
-    PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                             storage::FileLock::Acquire(queue->lock_path_));
-    queue->epoch_seen_ = ReadEpochFile(queue->EpochPath());
-    PAPYRUS_RETURN_IF_ERROR(queue->LoadCheckpoint());
-    PAPYRUS_RETURN_IF_ERROR(queue->ReplayJournalTail());
-    queue->UpdateDepthGauge();
-    return queue;
-  }
-  PAPYRUS_RETURN_IF_ERROR(queue->LoadCheckpoint());
-  PAPYRUS_RETURN_IF_ERROR(queue->ReplayJournalTail());
-  // Recovery invariant: a claim that was never resolved belongs to a
-  // dead incarnation. Its lease holder cannot come back (owners are
-  // per-incarnation tokens), so the task returns to pending for
-  // re-dispatch. The daemon's applied-task ledger dedupes the re-run if
-  // the previous incarnation crashed after the commit landed.
-  for (auto& [id, task] : queue->tasks_) {
-    if (task.state == TaskState::kClaimed) {
+      new PersistentQueue(clock, obs, options));
+  std::filesystem::path dir(directory);
+  storage::Journal::Options journal;
+  journal.path = (dir / kJournalFile).string();
+  journal.checkpoint_path = (dir / kCheckpointFile).string();
+  journal.checkpoint_header = kCheckpointHeader;
+  // Shared mode loads under the lock; live workers' claims are real
+  // leases, not orphans, and a worker that died mid-claim is reaped
+  // later by lease expiry.
+  if (options.shared) journal.lock_path = (dir / kLockFile).string();
+  PersistentQueue* q = queue.get();
+  auto apply = [q](std::string_view body) {
+    base::AssertEngineThread("PersistentQueue replay");
+    q->ApplyLine(body);
+    return true;
+  };
+  auto reload = [q] {
+    base::AssertEngineThread("PersistentQueue reload");
+    q->tasks_.clear();
+    q->pending_by_session_.clear();
+    q->claimed_by_session_.clear();
+    q->next_id_ = 1;
+  };
+  PAPYRUS_ASSIGN_OR_RETURN(
+      std::unique_ptr<storage::FileLock> lock,
+      queue->journal_.Open(std::move(journal), apply, reload));
+  (void)lock;
+  if (!options.shared) {
+    // Recovery invariant: a claim that was never resolved belongs to a
+    // dead incarnation. Its lease holder cannot come back (owners are
+    // per-incarnation tokens), so the task returns to pending for
+    // re-dispatch. The daemon's applied-task ledger dedupes the re-run
+    // if the previous incarnation crashed after the commit landed.
+    for (auto& [id, task] : queue->tasks_) {
+      if (task.state != TaskState::kClaimed) continue;
       queue->Index(task, -1);
       task.state = TaskState::kPending;
       task.lease_deadline_micros = 0;
@@ -181,115 +139,76 @@ Result<std::unique_ptr<PersistentQueue>> PersistentQueue::Open(
       if (queue->c_recovered_ != nullptr) queue->c_recovered_->Increment();
     }
   }
-  queue->journal_.open(queue->journal_path_,
-                       std::ios::app | std::ios::binary);
-  if (!queue->journal_) {
-    return Status::Internal("cannot open journal " + queue->journal_path_);
-  }
   queue->UpdateDepthGauge();
   return queue;
 }
 
-std::string PersistentQueue::EpochPath() const {
-  return (std::filesystem::path(directory_) / kEpochFile).string();
-}
-
-Status PersistentQueue::LoadCheckpoint() {
-  std::ifstream in(checkpoint_path_, std::ios::binary);
-  if (!in) return Status::OK();  // fresh queue
-  std::string line;
-  if (!std::getline(in, line) || line != kCheckpointHeader) {
-    return Status::Internal("bad queue checkpoint header in " +
-                            checkpoint_path_);
+void PersistentQueue::ApplyLine(std::string_view line) {
+  // Checkpoint lines (now/next/t) and journal lines share one vocabulary
+  // keyed by the first token; replaying a journal over a newer checkpoint
+  // is idempotent.
+  std::vector<std::string> f = SplitWhitespace(line);
+  int64_t id = 0;  // a task id, or the value of a now/next line
+  if (f.size() < 2 || !ParseInt64(f[1], &id)) return;
+  if (f[0] == "now" && f.size() == 2) {
+    if (clock_->NowMicros() < id) clock_->SetMicros(id);
+    return;
   }
-  while (std::getline(in, line)) {
-    std::string body;
-    if (!Unstamp(line, &body)) break;  // damaged tail: keep the prefix
-    std::vector<std::string> f = SplitWhitespace(body);
-    if (f.empty()) continue;
-    if (f[0] == "now" && f.size() == 2) {
-      int64_t now = 0;
-      if (ParseInt64(f[1], &now) && clock_->NowMicros() < now) {
-        clock_->SetMicros(now);
-      }
-    } else if (f[0] == "next" && f.size() == 2) {
-      int64_t next = 0;
-      if (ParseInt64(f[1], &next)) next_id_ = std::max(next_id_, next);
-    } else if (f[0] == "t" && f.size() == 10) {
-      QueueTask task;
-      int64_t attempts = 0;
-      if (!ParseInt64(f[1], &task.id) || !ParseStateCode(f[2], &task.state) ||
-          !ParseInt64(f[3], &attempts) ||
-          !ParseInt64(f[4], &task.enqueue_micros) ||
-          !ParseInt64(f[5], &task.lease_deadline_micros)) {
-        continue;
-      }
-      task.attempts = static_cast<int>(attempts);
-      task.session = DecField(f[6]);
-      task.owner = DecField(f[7]);
-      task.description = DecField(f[8]);
-      task.failure = DecField(f[9]);
-      next_id_ = std::max(next_id_, task.id + 1);
-      auto [it, inserted] = tasks_.insert_or_assign(task.id, std::move(task));
-      if (inserted) Index(it->second, +1);
+  if (f[0] == "next" && f.size() == 2) {
+    next_id_ = std::max(next_id_, id);
+    return;
+  }
+  if (f[0] == "t" && f.size() == 10) {
+    QueueTask task;
+    task.id = id;
+    int64_t attempts = 0;
+    if (!ParseStateCode(f[2], &task.state) || !ParseInt64(f[3], &attempts) ||
+        !ParseInt64(f[4], &task.enqueue_micros) ||
+        !ParseInt64(f[5], &task.lease_deadline_micros)) {
+      return;
     }
+    task.attempts = static_cast<int>(attempts);
+    task.session = DecodeField(f[6]);
+    task.owner = DecodeField(f[7]);
+    task.description = DecodeField(f[8]);
+    task.failure = DecodeField(f[9]);
+    next_id_ = std::max(next_id_, id + 1);
+    auto [it, inserted] = tasks_.insert_or_assign(id, std::move(task));
+    if (inserted) Index(it->second, +1);
+    return;
   }
-  return Status::OK();
-}
-
-Status PersistentQueue::ReplayJournalTail() {
-  std::ifstream in(journal_path_, std::ios::binary);
-  if (!in) return Status::OK();
-  if (journal_offset_ > 0) in.seekg(journal_offset_);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string body;
-    // A torn or corrupted line ends the valid prefix; everything after
-    // it never durably happened.
-    if (!Unstamp(line, &body)) break;
-    PAPYRUS_RETURN_IF_ERROR(ApplyJournalLine(body));
-    journal_offset_ += static_cast<int64_t>(line.size()) + 1;
-  }
-  return Status::OK();
-}
-
-Status PersistentQueue::ApplyJournalLine(const std::string& body) {
-  std::vector<std::string> f = SplitWhitespace(body);
-  if (f.empty()) return Status::OK();
-  int64_t id = 0;
-  if (f.size() < 2 || !ParseInt64(f[1], &id)) return Status::OK();
   if (f[0] == "e" && f.size() == 5) {
     // Replay over a newer checkpoint can re-see an enqueue; the
     // checkpointed task wins.
     next_id_ = std::max(next_id_, id + 1);
-    if (tasks_.count(id) != 0) return Status::OK();
+    if (tasks_.count(id) != 0) return;
     QueueTask task;
     task.id = id;
-    if (!ParseInt64(f[2], &task.enqueue_micros)) return Status::OK();
-    task.session = DecField(f[3]);
-    task.description = DecField(f[4]);
+    if (!ParseInt64(f[2], &task.enqueue_micros)) return;
+    task.session = DecodeField(f[3]);
+    task.description = DecodeField(f[4]);
     auto [it, inserted] = tasks_.emplace(id, std::move(task));
     if (inserted) Index(it->second, +1);
-    return Status::OK();
+    return;
   }
   auto it = tasks_.find(id);
-  if (it == tasks_.end()) return Status::OK();
+  if (it == tasks_.end()) return;
   QueueTask& task = it->second;
   // Terminal states never regress, whatever a stale journal says.
   if (task.state == TaskState::kDone || task.state == TaskState::kFailed) {
-    return Status::OK();
+    return;
   }
   if (f[0] == "c" && f.size() == 5) {
     int64_t attempt = 0;
     int64_t deadline = 0;
     if (!ParseInt64(f[2], &attempt) || !ParseInt64(f[3], &deadline)) {
-      return Status::OK();
+      return;
     }
     Index(task, -1);
     task.state = TaskState::kClaimed;
     task.attempts = static_cast<int>(attempt);
     task.lease_deadline_micros = deadline;
-    task.owner = DecField(f[4]);
+    task.owner = DecodeField(f[4]);
     Index(task, +1);
   } else if (f[0] == "r" || f[0] == "x") {
     Index(task, -1);
@@ -302,68 +221,18 @@ Status PersistentQueue::ApplyJournalLine(const std::string& body) {
   } else if (f[0] == "f" && f.size() >= 3) {
     Index(task, -1);
     task.state = TaskState::kFailed;
-    task.failure = DecField(f[2]);
+    task.failure = DecodeField(f[2]);
   }
-  return Status::OK();
 }
 
-Status PersistentQueue::AppendJournal(const std::string& body) {
-  std::string line = Stamp(body);
-  if (options_.shared) {
-    // Shared mode appends through a fresh stream each time: a sibling's
-    // checkpoint swaps the journal inode, and a held-open stream would
-    // keep writing to the orphaned file. Callers hold the queue flock
-    // across SyncShared() + this append, so O_APPEND lands the line at a
-    // stable EOF and the offset stays exact.
-    std::ofstream out(journal_path_, std::ios::app | std::ios::binary);
-    out << line << '\n';
-    out.flush();
-    if (!out) {
-      return Status::Internal("cannot append to journal " + journal_path_);
-    }
-    journal_offset_ += static_cast<int64_t>(line.size()) + 1;
-    return Status::OK();
-  }
-  journal_ << line << '\n';
-  journal_.flush();
-  if (!journal_) {
-    return Status::Internal("cannot append to journal " + journal_path_);
-  }
-  journal_offset_ += static_cast<int64_t>(line.size()) + 1;
-  return Status::OK();
-}
-
-Result<std::unique_ptr<storage::FileLock>> PersistentQueue::SyncShared() {
-  if (!options_.shared) return std::unique_ptr<storage::FileLock>();
+Result<std::unique_ptr<storage::FileLock>> PersistentQueue::Lock() {
   PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           storage::FileLock::Acquire(lock_path_));
-  int64_t epoch = ReadEpochFile(EpochPath());
-  if (epoch != epoch_seen_) {
-    PAPYRUS_RETURN_IF_ERROR(ReloadFromDisk());
-    epoch_seen_ = epoch;
-  } else {
-    PAPYRUS_RETURN_IF_ERROR(ReplayJournalTail());
-  }
-  UpdateDepthGauge();
+                           journal_.Sync());
+  if (options_.shared) UpdateDepthGauge();
   return lock;
 }
 
-Status PersistentQueue::ReloadFromDisk() {
-  tasks_.clear();
-  pending_by_session_.clear();
-  claimed_by_session_.clear();
-  next_id_ = 1;
-  journal_offset_ = 0;
-  PAPYRUS_RETURN_IF_ERROR(LoadCheckpoint());
-  return ReplayJournalTail();
-}
-
-Status PersistentQueue::Refresh() {
-  PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
-  (void)lock;
-  return Status::OK();
-}
+Status PersistentQueue::Refresh() { return Lock().status(); }
 
 void PersistentQueue::Index(const QueueTask& task, int delta) {
   if (task.state == TaskState::kPending) {
@@ -386,15 +255,15 @@ void PersistentQueue::Index(const QueueTask& task, int delta) {
 Result<int64_t> PersistentQueue::Enqueue(const std::string& session,
                                          const std::string& description) {
   PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
+                           Lock());
   (void)lock;
   int64_t id = next_id_;
   std::ostringstream body;
   body << "e " << id << ' ' << clock_->NowMicros() << ' '
-       << EncField(session) << ' ' << EncField(description);
+       << EncodeField(session) << ' ' << EncodeField(description);
   // Journal first: the task exists once this line is on disk, and only
   // then. A crash right after Enqueue returns cannot lose it.
-  PAPYRUS_RETURN_IF_ERROR(AppendJournal(body.str()));
+  PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine(body.str()));
   next_id_ = id + 1;
   QueueTask task;
   task.id = id;
@@ -463,7 +332,7 @@ Result<std::optional<QueueTask>> PersistentQueue::Claim(
     const std::string& owner, int64_t lease_micros,
     const ClaimPolicy& policy) {
   PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
+                           Lock());
   (void)lock;
   QueueTask* picked = nullptr;
   if (policy.fair) {
@@ -495,8 +364,8 @@ Result<std::optional<QueueTask>> PersistentQueue::Claim(
   int64_t deadline = clock_->NowMicros() + lease_micros;
   std::ostringstream body;
   body << "c " << task.id << ' ' << (task.attempts + 1) << ' ' << deadline
-       << ' ' << EncField(owner);
-  PAPYRUS_RETURN_IF_ERROR(AppendJournal(body.str()));
+       << ' ' << EncodeField(owner);
+  PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine(body.str()));
   Index(task, -1);
   task.state = TaskState::kClaimed;
   ++task.attempts;
@@ -508,10 +377,8 @@ Result<std::optional<QueueTask>> PersistentQueue::Claim(
   return std::optional<QueueTask>(task);
 }
 
-Status PersistentQueue::Complete(int64_t id, const std::string& owner) {
-  PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
-  (void)lock;
+Result<QueueTask*> PersistentQueue::Leased(int64_t id,
+                                           const std::string& owner) {
   auto it = tasks_.find(id);
   if (it == tasks_.end()) {
     return Status::NotFound("no queued task " + std::to_string(id));
@@ -527,14 +394,20 @@ Status PersistentQueue::Complete(int64_t id, const std::string& owner) {
         "task " + std::to_string(id) + " is leased to \"" + task.owner +
         "\", not \"" + owner + "\"");
   }
-  std::ostringstream body;
-  body << "d " << id << ' ' << clock_->NowMicros();
-  PAPYRUS_RETURN_IF_ERROR(AppendJournal(body.str()));
-  Index(task, -1);
-  task.state = TaskState::kDone;
+  return &task;
+}
+
+Status PersistentQueue::Complete(int64_t id, const std::string& owner) {
+  PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
+                           Lock());
+  PAPYRUS_ASSIGN_OR_RETURN(QueueTask * task, Leased(id, owner));
+  PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine(
+      "d " + std::to_string(id) + ' ' + std::to_string(clock_->NowMicros())));
+  Index(*task, -1);
+  task->state = TaskState::kDone;
   if (c_completed_ != nullptr) c_completed_->Increment();
   if (h_wait_ != nullptr) {
-    h_wait_->Observe(clock_->NowMicros() - task.enqueue_micros);
+    h_wait_->Observe(clock_->NowMicros() - task->enqueue_micros);
   }
   UpdateDepthGauge();
   return Status::OK();
@@ -543,24 +416,13 @@ Status PersistentQueue::Complete(int64_t id, const std::string& owner) {
 Status PersistentQueue::Fail(int64_t id, const std::string& owner,
                              const std::string& reason) {
   PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
-  (void)lock;
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
-    return Status::NotFound("no queued task " + std::to_string(id));
-  }
-  QueueTask& task = it->second;
-  if (task.state != TaskState::kClaimed || task.owner != owner) {
-    return Status::FailedPrecondition(
-        "task " + std::to_string(id) + " is not leased to \"" + owner +
-        "\"");
-  }
-  std::ostringstream body;
-  body << "f " << id << ' ' << EncField(reason);
-  PAPYRUS_RETURN_IF_ERROR(AppendJournal(body.str()));
-  Index(task, -1);
-  task.state = TaskState::kFailed;
-  task.failure = reason;
+                           Lock());
+  PAPYRUS_ASSIGN_OR_RETURN(QueueTask * task, Leased(id, owner));
+  PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine(
+      "f " + std::to_string(id) + ' ' + EncodeField(reason)));
+  Index(*task, -1);
+  task->state = TaskState::kFailed;
+  task->failure = reason;
   if (c_failed_ != nullptr) c_failed_->Increment();
   UpdateDepthGauge();
   return Status::OK();
@@ -568,103 +430,59 @@ Status PersistentQueue::Fail(int64_t id, const std::string& owner,
 
 Status PersistentQueue::Release(int64_t id, const std::string& owner) {
   PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
-  (void)lock;
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
-    return Status::NotFound("no queued task " + std::to_string(id));
-  }
-  QueueTask& task = it->second;
-  if (task.state != TaskState::kClaimed || task.owner != owner) {
-    return Status::FailedPrecondition(
-        "task " + std::to_string(id) + " is not leased to \"" + owner +
-        "\"");
-  }
-  std::ostringstream body;
-  body << "r " << id;
-  PAPYRUS_RETURN_IF_ERROR(AppendJournal(body.str()));
-  Index(task, -1);
-  task.state = TaskState::kPending;
-  task.lease_deadline_micros = 0;
-  Index(task, +1);
+                           Lock());
+  PAPYRUS_ASSIGN_OR_RETURN(QueueTask * task, Leased(id, owner));
+  PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine("r " + std::to_string(id)));
+  Index(*task, -1);
+  task->state = TaskState::kPending;
+  task->lease_deadline_micros = 0;
+  Index(*task, +1);
   if (c_requeued_ != nullptr) c_requeued_->Increment();
   return Status::OK();
 }
 
 int PersistentQueue::ExpireLeases() {
-  Result<std::unique_ptr<storage::FileLock>> lock = SyncShared();
+  Result<std::unique_ptr<storage::FileLock>> lock = Lock();
   if (!lock.ok()) return 0;
-  int reaped = 0;
   int64_t now = clock_->NowMicros();
+  std::vector<QueueTask*> expired;
   for (auto& [id, task] : tasks_) {
     if (task.state != TaskState::kClaimed ||
         task.lease_deadline_micros > now) {
       continue;
     }
-    std::ostringstream body;
-    body << "x " << id;
-    if (!AppendJournal(body.str()).ok()) continue;
-    Index(task, -1);
-    task.state = TaskState::kPending;
-    task.lease_deadline_micros = 0;
-    Index(task, +1);
-    ++reaped;
+    journal_.Append("x " + std::to_string(id));
+    expired.push_back(&task);
+  }
+  // One commit (one fsync) for the whole sweep.
+  if (expired.empty() || !journal_.Commit().ok()) return 0;
+  for (QueueTask* task : expired) {
+    Index(*task, -1);
+    task->state = TaskState::kPending;
+    task->lease_deadline_micros = 0;
+    Index(*task, +1);
     if (c_lease_expired_ != nullptr) c_lease_expired_->Increment();
   }
-  return reaped;
+  return static_cast<int>(expired.size());
 }
 
 Status PersistentQueue::Checkpoint() {
   PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<storage::FileLock> lock,
-                           SyncShared());
-  (void)lock;
-  std::ostringstream out;
-  out << kCheckpointHeader << '\n';
-  {
-    std::ostringstream body;
-    body << "now " << clock_->NowMicros();
-    out << Stamp(body.str()) << '\n';
-  }
-  {
-    std::ostringstream body;
-    body << "next " << next_id_;
-    out << Stamp(body.str()) << '\n';
-  }
+                           Lock());
+  std::vector<std::string> lines = {
+      "now " + std::to_string(clock_->NowMicros()),
+      "next " + std::to_string(next_id_)};
   for (const auto& [id, task] : tasks_) {
     std::ostringstream body;
     body << "t " << id << ' ' << StateCode(task.state) << ' '
          << task.attempts << ' ' << task.enqueue_micros << ' '
          << task.lease_deadline_micros << ' '
-         << EncField(task.session) << ' ' << EncField(task.owner)
-         << ' ' << EncField(task.description) << ' '
-         << EncField(task.failure);
-    out << Stamp(body.str()) << '\n';
+         << EncodeField(task.session) << ' ' << EncodeField(task.owner)
+         << ' ' << EncodeField(task.description) << ' '
+         << EncodeField(task.failure);
+    lines.push_back(body.str());
   }
-  // Checkpoint lands atomically first; only then is the journal
-  // truncated. A crash in between replays the stale journal over the new
-  // checkpoint, which is idempotent by construction.
-  PAPYRUS_RETURN_IF_ERROR(
-      storage::AtomicWriteFile(checkpoint_path_, out.str()));
-  if (options_.shared) {
-    // Bump the epoch before swapping the journal so siblings whose byte
-    // offsets point into the old inode rebuild from the checkpoint. A
-    // crash in between leaves the old journal in place, which replays
-    // idempotently over the new checkpoint either way.
-    PAPYRUS_RETURN_IF_ERROR(storage::AtomicWriteFile(
-        EpochPath(), std::to_string(epoch_seen_ + 1) + "\n"));
-    epoch_seen_ += 1;
-    PAPYRUS_RETURN_IF_ERROR(storage::AtomicWriteFile(journal_path_, ""));
-    journal_offset_ = 0;
-    if (c_checkpoints_ != nullptr) c_checkpoints_->Increment();
-    return Status::OK();
-  }
-  journal_.close();
-  PAPYRUS_RETURN_IF_ERROR(storage::AtomicWriteFile(journal_path_, ""));
-  journal_offset_ = 0;
-  journal_.open(journal_path_, std::ios::app | std::ios::binary);
-  if (!journal_) {
-    return Status::Internal("cannot reopen journal " + journal_path_);
-  }
+  PAPYRUS_RETURN_IF_ERROR(journal_.Checkpoint(lines));
   if (c_checkpoints_ != nullptr) c_checkpoints_->Increment();
   return Status::OK();
 }
@@ -673,35 +491,9 @@ int64_t PersistentQueue::depth() const {
   return PendingCount() + ClaimedCount();
 }
 
-int64_t PersistentQueue::PendingCount() const {
+int64_t PersistentQueue::CountIn(TaskState state) const {
   int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kPending) ++n;
-  }
-  return n;
-}
-
-int64_t PersistentQueue::ClaimedCount() const {
-  int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kClaimed) ++n;
-  }
-  return n;
-}
-
-int64_t PersistentQueue::DoneCount() const {
-  int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kDone) ++n;
-  }
-  return n;
-}
-
-int64_t PersistentQueue::FailedCount() const {
-  int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kFailed) ++n;
-  }
+  for (const auto& [id, t] : tasks_) n += t.state == state ? 1 : 0;
   return n;
 }
 

@@ -2,7 +2,6 @@
 #define PAPYRUS_SERVER_QUEUE_H_
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "base/thread_annotations.h"
 #include "obs/observability.h"
 #include "storage/file_lock.h"
+#include "storage/journal.h"
 
 namespace papyrus::server {
 
@@ -90,13 +90,13 @@ struct QueueOptions {
 
 /// The crash-surviving task queue behind papyrusd.
 ///
-/// Durability = an append-only journal (`queue.pjq`) replayed over the
-/// last atomic checkpoint (`queue.pjc`). Every state transition is
-/// journaled *before* it takes effect in memory: a task is on disk from
-/// the moment Enqueue returns, and a claim, completion, or failure that
-/// was acknowledged survives any later crash. Journal lines carry the
-/// same ` !<hex>` FNV-1a line checksums as the v2 snapshot format; replay
-/// stops at the first damaged line, recovering the longest valid prefix.
+/// Durability = a storage::Journal: an append-only log (`queue.pjq`)
+/// replayed over the last atomic checkpoint (`queue.pjc`). Every state
+/// transition is journaled and fsynced *before* it takes effect in
+/// memory: a task is on disk from the moment Enqueue returns, and a
+/// claim, completion, or failure that was acknowledged survives any later
+/// crash, OS crashes included. Replay keeps the longest valid prefix of
+/// checksummed lines and truncates a torn tail.
 ///
 /// Leases make dispatch crash-safe without distributed coordination: a
 /// claim holds a virtual-time lease, and a lease that expires (or is
@@ -106,9 +106,9 @@ struct QueueOptions {
 ///
 /// In shared mode (QueueOptions::shared) many worker processes open the
 /// same directory: the journal becomes the coordination medium — each
-/// operation serializes on an flock, replays the other workers' appended
-/// lines, then appends its own — so claim/lease/stale-owner semantics
-/// span processes with no daemon-to-daemon channel.
+/// operation serializes on the `queue.lock` flock, replays the other
+/// workers' appended lines, then appends its own — so claim/lease/
+/// stale-owner semantics span processes with no daemon-to-daemon channel.
 ///
 /// Single-threaded like the rest of the engine: every journal- or
 /// state-mutating call carries PAPYRUS_REQUIRES(base::engine_thread) —
@@ -177,10 +177,10 @@ class PersistentQueue {
 
   /// Tasks not yet done or failed.
   int64_t depth() const;
-  int64_t PendingCount() const;
-  int64_t ClaimedCount() const;
-  int64_t DoneCount() const;
-  int64_t FailedCount() const;
+  int64_t PendingCount() const { return CountIn(TaskState::kPending); }
+  int64_t ClaimedCount() const { return CountIn(TaskState::kClaimed); }
+  int64_t DoneCount() const { return CountIn(TaskState::kDone); }
+  int64_t FailedCount() const { return CountIn(TaskState::kFailed); }
   /// Claimed tasks re-pended while reopening after a crash.
   int64_t recovered() const { return recovered_; }
 
@@ -189,26 +189,29 @@ class PersistentQueue {
   std::vector<QueueTask> Tasks() const;
   /// Every claim this queue instance granted, in grant order.
   const std::vector<ClaimRecord>& claim_log() const { return claim_log_; }
+  /// Journal commits and fsyncs made by this instance.
+  const storage::Journal::Stats& journal_stats() const {
+    return journal_.stats();
+  }
 
  private:
-  PersistentQueue(std::string directory, ManualClock* clock,
-                  const obs::Observability& obs,
+  PersistentQueue(ManualClock* clock, const obs::Observability& obs,
                   const QueueOptions& options);
 
-  std::string EpochPath() const;
-  Status LoadCheckpoint() PAPYRUS_REQUIRES(base::engine_thread);
-  /// Replays journal lines from `journal_offset_` to EOF.
-  Status ReplayJournalTail() PAPYRUS_REQUIRES(base::engine_thread);
-  Status ApplyJournalLine(const std::string& body)
+  int64_t CountIn(TaskState state) const;
+  /// The task `id` when `owner` holds its lease: NotFound, or
+  /// FailedPrecondition (not claimed), or PermissionDenied (stale owner —
+  /// reaped and re-claimed — so two workers never both resolve it).
+  Result<QueueTask*> Leased(int64_t id, const std::string& owner)
       PAPYRUS_REQUIRES(base::engine_thread);
-  Status AppendJournal(const std::string& body)
+  /// Applies one checkpoint or journal line (replay and catch-up).
+  void ApplyLine(std::string_view line)
       PAPYRUS_REQUIRES(base::engine_thread);
-  /// Shared mode: flock the queue and fold in other workers' appends.
+  /// Shared mode: flocks the queue and folds in other workers' lines.
   /// Returns the lock (null in exclusive mode); holding it spans the
   /// caller's own journal append.
-  Result<std::unique_ptr<storage::FileLock>> SyncShared()
+  Result<std::unique_ptr<storage::FileLock>> Lock()
       PAPYRUS_REQUIRES(base::engine_thread);
-  Status ReloadFromDisk() PAPYRUS_REQUIRES(base::engine_thread);
   /// Picks the session to serve next under weighted round-robin.
   const std::string* PickFairSession(const ClaimPolicy& policy)
       PAPYRUS_REQUIRES(base::engine_thread);
@@ -218,10 +221,6 @@ class PersistentQueue {
       PAPYRUS_REQUIRES(base::engine_thread);
   void UpdateDepthGauge() PAPYRUS_REQUIRES(base::engine_thread);
 
-  std::string directory_;
-  std::string journal_path_;
-  std::string checkpoint_path_;
-  std::string lock_path_;
   ManualClock* clock_;
   obs::Observability obs_;
   QueueOptions options_;
@@ -233,11 +232,7 @@ class PersistentQueue {
   std::map<std::string, int64_t> claimed_by_session_;
   int64_t next_id_ = 1;
   int64_t recovered_ = 0;
-  std::ofstream journal_;
-  /// Bytes of the journal already folded into memory.
-  int64_t journal_offset_ = 0;
-  /// Shared mode: checkpoint epoch this queue last synced at.
-  int64_t epoch_seen_ = 0;
+  storage::Journal journal_;
 
   /// Weighted-round-robin cursor: the session served last, and how many
   /// more consecutive claims its weight still allows.

@@ -28,7 +28,7 @@ namespace papyrus::server {
 /// restart (the CRISTAL-style description-driven queue).
 
 /// Percent-encodes whitespace, control characters, '%', and the wire's
-/// structural characters ('~', '=', ','). PercentDecode inverts it.
+/// structural characters ('~', '=', ','). PercentDecodeStrict inverts it.
 std::string WireEscape(std::string_view s);
 
 /// One parsed wire line: a verb plus ordered key=value fields.

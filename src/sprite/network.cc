@@ -28,21 +28,24 @@ void Network::set_observability(const obs::Observability& sinks) {
   base::AssertEngineThread("Network::set_observability");
   obs_ = sinks;
   if (obs_.metrics != nullptr) {
-    auto bind = [this](const char* name, int64_t accumulated) {
+    auto bind = [this](obs::Counter* current, const char* name,
+                       int64_t accumulated) {
       obs::Counter* c = obs_.metrics->FindOrCreateCounter(name);
-      // Mirror what already happened so the registry view matches the
-      // network's own statistics from this point on.
-      c->Increment(accumulated - c->value());
+      // Registry counters are shared (a daemon's spans every session):
+      // a newly bound registry gets what already happened added to it.
+      if (c != current) c->Increment(accumulated);
       return c;
     };
-    c_spawns_ = bind(obs::kSpriteSpawns, total_spawns_);
-    c_migrations_ = bind(obs::kSpriteMigrations, total_migrations_);
+    c_spawns_ = bind(c_spawns_, obs::kSpriteSpawns, total_spawns_);
+    c_migrations_ =
+        bind(c_migrations_, obs::kSpriteMigrations, total_migrations_);
     c_migration_failures_ =
-        bind(obs::kSpriteMigrationFailures, total_migration_failures_);
-    c_evictions_ = bind(obs::kSpriteEvictions, total_evictions_);
-    c_crashes_ = bind(obs::kSpriteCrashes, total_crashes_);
-    c_reboots_ = bind(obs::kSpriteReboots, 0);
-    c_lost_ = bind(obs::kSpriteLostProcesses, total_lost_);
+        bind(c_migration_failures_, obs::kSpriteMigrationFailures,
+             total_migration_failures_);
+    c_evictions_ = bind(c_evictions_, obs::kSpriteEvictions, total_evictions_);
+    c_crashes_ = bind(c_crashes_, obs::kSpriteCrashes, total_crashes_);
+    c_reboots_ = bind(c_reboots_, obs::kSpriteReboots, 0);
+    c_lost_ = bind(c_lost_, obs::kSpriteLostProcesses, total_lost_);
   } else {
     c_spawns_ = c_migrations_ = c_migration_failures_ = c_evictions_ =
         c_crashes_ = c_reboots_ = c_lost_ = nullptr;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <system_error>
 
 #ifndef _WIN32
@@ -122,6 +123,13 @@ Status AtomicWriteFiles(const std::vector<PendingWrite>& files) {
     (void)FsyncPath(parent, /*directory=*/true);
   }
   return Status::OK();
+}
+
+Result<std::string> ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot read " + path.string());
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace papyrus::storage

@@ -1,9 +1,11 @@
 #ifndef PAPYRUS_STORAGE_ATOMIC_FILE_H_
 #define PAPYRUS_STORAGE_ATOMIC_FILE_H_
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "base/result.h"
 #include "base/status.h"
 
 namespace papyrus::storage {
@@ -44,6 +46,9 @@ struct PendingWrite {
 /// targets replaced and others not. Callers sequence a manifest swap
 /// after the batch so partially written generations are never referenced.
 Status AtomicWriteFiles(const std::vector<PendingWrite>& files);
+
+/// The whole content of `path`; NotFound when it cannot be opened.
+Result<std::string> ReadFile(const std::filesystem::path& path);
 
 }  // namespace papyrus::storage
 

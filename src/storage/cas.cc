@@ -1,8 +1,5 @@
 #include "storage/cas.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -17,53 +14,11 @@ namespace {
 
 constexpr char kStateFile[] = "cas.state";
 constexpr char kJournalFile[] = "cas.journal";
+constexpr char kLockFile[] = "cas.lock";
 constexpr char kStateHeader[] = "papyrus-cas v1";
 /// Trace track under the session process group (0 = session, 1 = oct
 /// database, 2 = fault injector).
 constexpr int64_t kCasTrackTid = 3;
-
-std::string HexHash(std::string_view body) {
-  std::ostringstream out;
-  out << std::hex << Fnv1a(body);
-  return out.str();
-}
-
-/// Appends the ` !<hex>` line checksum the v2 snapshot format uses.
-std::string Stamp(const std::string& body) {
-  return body + " !" + HexHash(body);
-}
-
-/// Validates and strips a line checksum; false on damage.
-bool Unstamp(const std::string& line, std::string* body) {
-  size_t mark = line.rfind(" !");
-  if (mark == std::string::npos) return false;
-  *body = line.substr(0, mark);
-  return HexHash(*body) == line.substr(mark + 2);
-}
-
-std::string EncField(const std::string& s) {
-  return "~" + PercentEncode(s);
-}
-
-std::string DecField(const std::string& token) {
-  if (!token.empty() && token[0] == '~') {
-    return PercentDecode(token.substr(1));
-  }
-  return PercentDecode(token);
-}
-
-std::string FormatHex64(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHex64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
 
 /// A well-formed blob hash as produced by Sha256Hex.
 bool LooksLikeHash(const std::string& s) {
@@ -72,17 +27,6 @@ bool LooksLikeHash(const std::string& s) {
     if (!(('0' <= c && c <= '9') || ('a' <= c && c <= 'f'))) return false;
   }
   return true;
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("cannot read " + path);
-  }
-  return buf.str();
 }
 
 }  // namespace
@@ -103,23 +47,22 @@ Result<std::unique_ptr<ContentStore>> ContentStore::Open(
   }
   std::unique_ptr<ContentStore> store(new ContentStore(root, options));
   base::MutexLock lock(store->mu_);
-  PAPYRUS_RETURN_IF_ERROR(store->LoadCheckpoint());
-  PAPYRUS_RETURN_IF_ERROR(store->ReplayJournal());
-
-  // Ref-counts are derived from the recovered entry index, never trusted
-  // from disk: counts cannot be inconsistent with the entries that exist.
-  store->blobs_.clear();
-  store->total_bytes_ = 0;
-  for (const auto& [key, entry] : store->entries_) {
-    for (const CasOutput& out : entry.outputs) {
-      Blob& blob = store->blobs_[out.blob_hash];
-      if (blob.refs == 0) {
-        blob.size_bytes = out.size_bytes;
-        store->total_bytes_ += out.size_bytes;
-      }
-      ++blob.refs;
-    }
-  }
+  std::filesystem::path dir(root);
+  Journal::Options journal;
+  journal.path = (dir / kJournalFile).string();
+  journal.checkpoint_path = (dir / kStateFile).string();
+  journal.checkpoint_header = kStateHeader;
+  // Always shared: every papyrusd worker on a root opens the same store.
+  journal.lock_path = (dir / kLockFile).string();
+  ContentStore* raw = store.get();
+  auto apply = [raw](std::string_view body) {
+    raw->ReplayLine(body);
+    return true;
+  };
+  auto reload = [raw] { raw->ClearIndex(); };
+  PAPYRUS_ASSIGN_OR_RETURN(
+      std::unique_ptr<FileLock> flock,
+      store->journal_.Open(std::move(journal), apply, reload));
 
   // An entry whose blob file vanished (partial crash, manual damage) can
   // never be fetched; drop it now so the index matches the disk.
@@ -140,7 +83,7 @@ Result<std::unique_ptr<ContentStore>> ContentStore::Open(
 
   // Checkpoint the recovered state: the journal restarts empty and the
   // orphan collection above becomes durable.
-  PAPYRUS_RETURN_IF_ERROR(store->WriteCheckpoint());
+  PAPYRUS_RETURN_IF_ERROR(store->Compact());
   return store;
 }
 
@@ -152,108 +95,71 @@ std::string ContentStore::BlobPath(const std::string& hash) const {
 std::string ContentStore::PutRecord(const std::string& key,
                                     const Entry& entry) {
   std::ostringstream body;
-  body << "put " << EncField(key) << ' ' << EncField(entry.meta.tool) << ' '
-       << EncField(entry.meta.tool_version) << ' '
-       << EncField(entry.meta.canonical_options) << ' '
-       << FormatHex64(entry.meta.seed_salt) << ' ' << entry.meta.cost_micros
+  body << "put " << EncodeField(key) << ' ' << EncodeField(entry.meta.tool)
+       << ' ' << EncodeField(entry.meta.tool_version) << ' '
+       << EncodeField(entry.meta.canonical_options) << ' '
+       << HexU64(entry.meta.seed_salt) << ' ' << entry.meta.cost_micros
        << ' ' << entry.lru_seq << ' ' << entry.outputs.size();
   for (const CasOutput& out : entry.outputs) {
-    body << ' ' << EncField(out.name_hint) << ' ' << (out.visible ? 1 : 0)
+    body << ' ' << EncodeField(out.name_hint) << ' ' << (out.visible ? 1 : 0)
          << ' ' << out.blob_hash << ' ' << out.size_bytes;
   }
   return body.str();
 }
 
-Status ContentStore::ApplyJournalLine(const std::vector<std::string>& f) {
-  if (f.empty()) return Status::OK();
+void ContentStore::ReplayLine(std::string_view line) {
+  std::vector<std::string> f = SplitWhitespace(line);
+  if (f.empty()) return;
   if (f[0] == "seq" && f.size() == 2) {
     int64_t seq = 0;
-    if (ParseInt64(f[1], &seq)) {
-      next_lru_seq_ = std::max(next_lru_seq_, seq);
-    }
-    return Status::OK();
-  }
-  if (f[0] == "put" && f.size() >= 9) {
+    if (ParseInt64(f[1], &seq)) next_lru_seq_ = std::max(next_lru_seq_, seq);
+  } else if (f[0] == "put" && f.size() >= 9) {
     Entry entry;
-    std::string key = DecField(f[1]);
-    entry.meta.tool = DecField(f[2]);
-    entry.meta.tool_version = DecField(f[3]);
-    entry.meta.canonical_options = DecField(f[4]);
-    uint64_t salt = 0;
-    if (!ParseHex64(f[5], &salt)) return Status::OK();
-    entry.meta.seed_salt = salt;
-    if (!ParseInt64(f[6], &entry.meta.cost_micros) ||
-        !ParseInt64(f[7], &entry.lru_seq)) {
-      return Status::OK();
-    }
+    std::string key = DecodeField(f[1]);
+    entry.meta.tool = DecodeField(f[2]);
+    entry.meta.tool_version = DecodeField(f[3]);
+    entry.meta.canonical_options = DecodeField(f[4]);
     int64_t nout = 0;
-    if (!ParseInt64(f[8], &nout) || nout < 0 ||
-        f.size() < 9 + 4 * static_cast<size_t>(nout)) {
-      return Status::OK();
+    if (!ParseHexU64(f[5], &entry.meta.seed_salt) ||
+        !ParseInt64(f[6], &entry.meta.cost_micros) ||
+        !ParseInt64(f[7], &entry.lru_seq) || !ParseInt64(f[8], &nout) ||
+        nout < 0 || f.size() < 9 + 4 * static_cast<size_t>(nout)) {
+      return;
     }
     for (int64_t i = 0; i < nout; ++i) {
       size_t at = 9 + 4 * static_cast<size_t>(i);
       CasOutput out;
-      out.name_hint = DecField(f[at]);
+      out.name_hint = DecodeField(f[at]);
       out.visible = f[at + 1] == "1";
       out.blob_hash = f[at + 2];
       if (!LooksLikeHash(out.blob_hash) ||
           !ParseInt64(f[at + 3], &out.size_bytes)) {
-        return Status::OK();
+        return;
       }
       entry.outputs.push_back(std::move(out));
     }
     next_lru_seq_ = std::max(next_lru_seq_, entry.lru_seq + 1);
-    entries_[key] = std::move(entry);
-    return Status::OK();
-  }
-  if (f[0] == "del" && f.size() == 2) {
-    entries_.erase(DecField(f[1]));
-    return Status::OK();
-  }
-  if (f[0] == "touch" && f.size() == 3) {
+    // A sibling's publication must not hide behind a negative entry.
+    negative_.erase(key);
+    (void)DropEntry(key, /*journal=*/false);
+    IndexEntry(key, std::move(entry));
+  } else if (f[0] == "del" && f.size() == 2) {
+    (void)DropEntry(DecodeField(f[1]), /*journal=*/false);
+  } else if (f[0] == "touch" && f.size() == 3) {
     int64_t seq = 0;
-    auto it = entries_.find(DecField(f[1]));
+    auto it = entries_.find(DecodeField(f[1]));
     if (it != entries_.end() && ParseInt64(f[2], &seq)) {
       it->second.lru_seq = seq;
       next_lru_seq_ = std::max(next_lru_seq_, seq + 1);
     }
-    return Status::OK();
   }
-  return Status::OK();  // unknown records are skipped, not fatal
+  // Unknown records are skipped, not fatal.
 }
 
-Status ContentStore::LoadCheckpoint() {
-  std::string path =
-      (std::filesystem::path(root_) / kStateFile).string();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::OK();  // fresh store
-  std::string line;
-  if (!std::getline(in, line) || line != kStateHeader) {
-    return Status::Internal("bad CAS checkpoint header in " + path);
-  }
-  while (std::getline(in, line)) {
-    std::string body;
-    if (!Unstamp(line, &body)) break;  // damaged tail: keep the prefix
-    PAPYRUS_RETURN_IF_ERROR(ApplyJournalLine(SplitWhitespace(body)));
-  }
-  return Status::OK();
-}
-
-Status ContentStore::ReplayJournal() {
-  std::string path =
-      (std::filesystem::path(root_) / kJournalFile).string();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::OK();
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string body;
-    // A torn or corrupted line ends the valid prefix; everything after
-    // it never durably happened.
-    if (!Unstamp(line, &body)) break;
-    PAPYRUS_RETURN_IF_ERROR(ApplyJournalLine(SplitWhitespace(body)));
-  }
-  return Status::OK();
+void ContentStore::ClearIndex() {
+  entries_.clear();
+  blobs_.clear();
+  total_bytes_ = 0;
 }
 
 Status ContentStore::CollectOrphans() {
@@ -276,52 +182,20 @@ Status ContentStore::CollectOrphans() {
   return Status::OK();
 }
 
-Status ContentStore::AppendJournal(const std::string& body) {
-  journal_ << Stamp(body) << '\n';
-  journal_.flush();
-  if (!journal_) {
-    return Status::Internal("cannot append to CAS journal under " + root_);
-  }
-  ++journal_appends_;
-  return Status::OK();
-}
-
-Status ContentStore::WriteCheckpoint() {
-  std::ostringstream out;
-  out << kStateHeader << '\n';
-  {
-    std::ostringstream seq;
-    seq << "seq " << next_lru_seq_;
-    out << Stamp(seq.str()) << '\n';
-  }
+Status ContentStore::Compact() {
+  std::vector<std::string> lines = {"seq " + std::to_string(next_lru_seq_)};
   for (const auto& [key, entry] : entries_) {
-    out << Stamp(PutRecord(key, entry)) << '\n';
+    lines.push_back(PutRecord(key, entry));
   }
-  std::string state_path =
-      (std::filesystem::path(root_) / kStateFile).string();
-  std::string journal_path =
-      (std::filesystem::path(root_) / kJournalFile).string();
-  PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(state_path, out.str()));
-  // The journal restarts empty only after the checkpoint that covers it
-  // landed; a crash in between replays stale records over the new
-  // checkpoint, which Apply makes idempotent.
-  journal_.close();
-  PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(journal_path, ""));
-  journal_.clear();
-  journal_.open(journal_path, std::ios::app | std::ios::binary);
-  if (!journal_) {
-    return Status::Internal("cannot reopen CAS journal under " + root_);
-  }
-  journal_appends_ = 0;
-  return Status::OK();
+  return journal_.Checkpoint(lines);
 }
 
 Status ContentStore::MaybeCheckpoint() {
   if (options_.checkpoint_interval <= 0 ||
-      journal_appends_ < options_.checkpoint_interval) {
+      journal_.lines() < options_.checkpoint_interval) {
     return Status::OK();
   }
-  return WriteCheckpoint();
+  return Compact();
 }
 
 void ContentStore::IndexEntry(const std::string& key, Entry entry) {
@@ -339,9 +213,8 @@ void ContentStore::IndexEntry(const std::string& key, Entry entry) {
 int64_t ContentStore::DropEntry(const std::string& key, bool journal) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return 0;
-  if (journal) {
-    (void)AppendJournal("del " + EncField(key));
-  }
+  // Journal before effect: the drop is durable before any file goes.
+  if (journal) (void)journal_.CommitLine("del " + EncodeField(key));
   int64_t freed = 0;
   std::error_code ec;
   for (const CasOutput& out : it->second.outputs) {
@@ -352,7 +225,7 @@ int64_t ContentStore::DropEntry(const std::string& key, bool journal) {
       // ref'd by any other entry is never reclaimed.
       freed += bit->second.size_bytes;
       total_bytes_ -= bit->second.size_bytes;
-      std::filesystem::remove(BlobPath(out.blob_hash), ec);
+      if (journal) std::filesystem::remove(BlobPath(out.blob_hash), ec);
       blobs_.erase(bit);
     }
   }
@@ -409,6 +282,7 @@ Status ContentStore::Publish(const std::string& key,
                              const CasEntryMeta& meta,
                              const std::vector<CasPublishOutput>& outputs) {
   base::MutexLock lock(mu_);
+  PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<FileLock> flock, journal_.Sync());
   // The key is about to exist: a stale negative entry must never mask it.
   negative_.erase(key);
   Entry entry;
@@ -438,8 +312,8 @@ Status ContentStore::Publish(const std::string& key,
       stats_.dedup_bytes += entry_bytes;
       if (c_dedup_bytes_ != nullptr) c_dedup_bytes_->Increment(entry_bytes);
       existing->second.lru_seq = entry.lru_seq;
-      (void)AppendJournal("touch " + EncField(key) + ' ' +
-                          std::to_string(entry.lru_seq));
+      PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine(
+          "touch " + EncodeField(key) + ' ' + std::to_string(entry.lru_seq)));
       RefreshGauges();
       return MaybeCheckpoint();
     }
@@ -470,7 +344,7 @@ Status ContentStore::Publish(const std::string& key,
       c_bytes_written_->Increment(stored.size_bytes);
     }
   }
-  PAPYRUS_RETURN_IF_ERROR(AppendJournal(PutRecord(key, entry)));
+  PAPYRUS_RETURN_IF_ERROR(journal_.CommitLine(PutRecord(key, entry)));
   IndexEntry(key, std::move(entry));
   ++stats_.published;
   if (c_published_ != nullptr) c_published_->Increment();
@@ -481,6 +355,7 @@ Status ContentStore::Publish(const std::string& key,
 
 Result<CasFetchResult> ContentStore::Fetch(const std::string& key) {
   base::MutexLock lock(mu_);
+  PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<FileLock> flock, journal_.Sync());
   if (NegativeHit(key)) {
     ++stats_.misses;
     if (c_misses_ != nullptr) c_misses_->Increment();
@@ -496,7 +371,7 @@ Result<CasFetchResult> ContentStore::Fetch(const std::string& key) {
   CasFetchResult result;
   result.meta = it->second.meta;
   for (const CasOutput& out : it->second.outputs) {
-    auto bytes = ReadFileBytes(BlobPath(out.blob_hash));
+    auto bytes = ReadFile(BlobPath(out.blob_hash));
     if (!bytes.ok() || Sha256Hex(*bytes) != out.blob_hash) {
       // Bit rot (or a missing file): never hand out unverified bytes.
       // Dropping the entry makes the caller re-run the tool and
@@ -520,8 +395,8 @@ Result<CasFetchResult> ContentStore::Fetch(const std::string& key) {
     result.outputs.push_back(std::move(fetched));
   }
   it->second.lru_seq = next_lru_seq_++;
-  (void)AppendJournal("touch " + EncField(key) + ' ' +
-                      std::to_string(it->second.lru_seq));
+  (void)journal_.CommitLine("touch " + EncodeField(key) + ' ' +
+                            std::to_string(it->second.lru_seq));
   ++stats_.hits;
   if (c_hits_ != nullptr) c_hits_->Increment();
   (void)MaybeCheckpoint();
@@ -530,7 +405,7 @@ Result<CasFetchResult> ContentStore::Fetch(const std::string& key) {
 
 bool ContentStore::Contains(const std::string& key) {
   base::MutexLock lock(mu_);
-  if (NegativeHit(key)) return false;
+  if (!journal_.Sync().ok() || NegativeHit(key)) return false;
   if (entries_.count(key) != 0) return true;
   RememberAbsent(key);
   return false;
@@ -538,7 +413,8 @@ bool ContentStore::Contains(const std::string& key) {
 
 Status ContentStore::Checkpoint() {
   base::MutexLock lock(mu_);
-  return WriteCheckpoint();
+  PAPYRUS_ASSIGN_OR_RETURN(std::unique_ptr<FileLock> flock, journal_.Sync());
+  return Compact();
 }
 
 CasStats ContentStore::stats() {
@@ -557,6 +433,7 @@ CasStats ContentStore::stats() {
   }
   snapshot.total_bytes = total_bytes_;
   snapshot.neg_entries = static_cast<int64_t>(negative_.size());
+  snapshot.journal_syncs = journal_.stats().syncs;
   return snapshot;
 }
 

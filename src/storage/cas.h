@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,6 +13,7 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "obs/observability.h"
+#include "storage/journal.h"
 
 namespace papyrus::storage {
 
@@ -72,6 +72,8 @@ struct CasStats {
   int64_t neg_hits = 0;        // lookups short-circuited by the
                                // negative-entry cache (known-absent keys)
   int64_t neg_entries = 0;     // keys currently negative-cached
+  int64_t journal_syncs = 0;   // journal commits made durable (one fsync
+                               // each) by this instance
   // Current store shape:
   int64_t entries = 0;
   int64_t blobs = 0;
@@ -85,26 +87,34 @@ struct CasOptions {
   /// budget (0 = unlimited). Blobs are deleted only when no surviving
   /// entry references them.
   int64_t size_budget_bytes = 0;
-  /// Compact the journal into the checkpoint after this many appends.
+  /// Compact the journal into the checkpoint once it holds this many
+  /// lines (every process's appends count).
   int64_t checkpoint_interval = 256;
 };
 
 /// Concurrency-safe, ref-counted, content-addressed store for derivation
 /// outputs, shared across sessions, users, and daemon restarts.
 ///
-/// On-disk layout under `root`:
+/// On-disk layout under `root` (a storage::Journal plus blob files):
 ///   cas.state            atomic checkpoint (write-rename-fsync)
 ///   cas.journal          checksummed append-only journal over the
 ///                        checkpoint (put/del/touch records)
+///   cas.lock             flock serializing processes that share `root`
 ///   blobs/<hh>/<sha256>  one file per unique output payload
 ///
 /// Durability protocol: blob files land first (each written atomically),
-/// then the journal line that makes the entry exist is appended. A crash
-/// between the two leaves orphan blobs, which Open() garbage-collects
-/// after recovering the index from checkpoint + longest-valid journal
-/// prefix. Blob ref-counts are derived state — an entry's `put` / `del`
-/// journal records ARE the journaled ref-count updates — so the store can
-/// never recover an inconsistent count.
+/// then the journal line that makes the entry exist is appended and
+/// fsynced. A crash between the two leaves orphan blobs, which Open()
+/// garbage-collects after recovering the index from checkpoint +
+/// longest-valid journal prefix. Blob ref-counts are derived state — an
+/// entry's `put` / `del` journal records ARE the journaled ref-count
+/// updates — so the store can never recover an inconsistent count.
+///
+/// Several processes (papyrusd `--worker` siblings) may open one root:
+/// every operation takes the flock and folds in the records siblings
+/// appended — rebuilding from the checkpoint after a sibling compacted —
+/// before it reads or appends, so no process's compaction drops another's
+/// entries and no orphan sweep takes a blob another process references.
 ///
 /// Thread contract: all public methods lock the internal mutex; Fetch
 /// copies blob bytes out under the lock, so concurrent eviction can never
@@ -167,20 +177,23 @@ class ContentStore {
 
   ContentStore(std::string root, const CasOptions& options);
 
-  Status LoadCheckpoint() PAPYRUS_REQUIRES(mu_);
-  Status ReplayJournal() PAPYRUS_REQUIRES(mu_);
-  Status ApplyJournalLine(const std::vector<std::string>& f)
-      PAPYRUS_REQUIRES(mu_);
+  /// Journal visitor: applies one checkpoint or journal line (put/del/
+  /// touch/seq) to the index. Runs inside journal_ calls made under mu_.
+  void ReplayLine(std::string_view line) PAPYRUS_NO_THREAD_SAFETY_ANALYSIS;
+  /// Journal reload hook: a sibling checkpointed; forget the index.
+  void ClearIndex() PAPYRUS_NO_THREAD_SAFETY_ANALYSIS;
   Status CollectOrphans() PAPYRUS_REQUIRES(mu_);
-  Status AppendJournal(const std::string& body) PAPYRUS_REQUIRES(mu_);
-  Status WriteCheckpoint() PAPYRUS_REQUIRES(mu_);
+  /// Writes the index as the checkpoint and resets the journal.
+  Status Compact() PAPYRUS_REQUIRES(mu_);
   Status MaybeCheckpoint() PAPYRUS_REQUIRES(mu_);
 
   /// Inserts `entry` under `key` into the in-memory index, bumping blob
   /// refs. The caller has already durably journaled it.
   void IndexEntry(const std::string& key, Entry entry) PAPYRUS_REQUIRES(mu_);
-  /// Removes an entry, dropping blob refs and deleting unreferenced blob
-  /// files. Returns the blob bytes freed.
+  /// Removes an entry, dropping blob refs. With `journal` (this process
+  /// decides the drop) it is journaled first and blob files whose last
+  /// reference went are deleted; replay (false) only adjusts the index.
+  /// Returns the blob bytes freed.
   int64_t DropEntry(const std::string& key, bool journal)
       PAPYRUS_REQUIRES(mu_);
   /// Evicts LRU entries until `total_bytes_` fits the budget; `keep` is
@@ -212,8 +225,7 @@ class ContentStore {
   std::deque<std::string> negative_fifo_ PAPYRUS_GUARDED_BY(mu_);
   int64_t total_bytes_ PAPYRUS_GUARDED_BY(mu_) = 0;
   int64_t next_lru_seq_ PAPYRUS_GUARDED_BY(mu_) = 1;
-  int64_t journal_appends_ PAPYRUS_GUARDED_BY(mu_) = 0;
-  std::ofstream journal_ PAPYRUS_GUARDED_BY(mu_);
+  Journal journal_ PAPYRUS_GUARDED_BY(mu_);
   CasStats stats_ PAPYRUS_GUARDED_BY(mu_);
 
   obs::Observability obs_ PAPYRUS_GUARDED_BY(mu_);

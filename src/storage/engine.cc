@@ -1,10 +1,6 @@
 #include "storage/engine.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -18,33 +14,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string FormatHex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHexU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-Result<std::string> ReadFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot read " + path.string());
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 /// Section names may contain '/'; their files flatten it to '_' and tag
 /// the generation that wrote them.
 std::string SectionFileName(const std::string& section, uint64_t gen) {
@@ -53,14 +22,6 @@ std::string SectionFileName(const std::string& section, uint64_t gen) {
     if (c == '/') c = '_';
   }
   return flat + ".g" + std::to_string(gen);
-}
-
-std::string EncF(const std::string& v) { return "~" + PercentEncode(v); }
-
-std::string DecF(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
 }
 
 }  // namespace
@@ -84,7 +45,11 @@ Status SessionStore::LoadManifest(const std::string& manifest_file,
   bool saw_end = false;
   for (const std::string& line : lines) {
     if (line.empty()) continue;
-    PAPYRUS_ASSIGN_OR_RETURN(std::string body, CheckChecksummedLine(line));
+    std::string_view framed;
+    if (!UnframeLine(line, &framed)) {
+      return Status::InvalidArgument("manifest line fails its checksum");
+    }
+    std::string body(framed);
     std::vector<std::string> f = SplitWhitespace(body);
     if (f.empty()) continue;
     if (!saw_header) {
@@ -104,11 +69,11 @@ Status SessionStore::LoadManifest(const std::string& manifest_file,
       }
     } else if (f[0] == "section" && f.size() == 4) {
       SectionFile sf;
-      sf.file = DecF(f[2]);
+      sf.file = DecodeField(f[2]);
       if (!ParseHexU64(f[3], &sf.checksum)) {
         return Status::InvalidArgument("bad section checksum: " + body);
       }
-      current_[DecF(f[1])] = sf;
+      current_[DecodeField(f[1])] = sf;
       ++section_lines;
     } else if (f[0] == "end" && f.size() == 2) {
       uint64_t count = 0;
@@ -124,13 +89,7 @@ Status SessionStore::LoadManifest(const std::string& manifest_file,
     return Status::InvalidArgument("incomplete manifest " + manifest_file);
   }
   for (const auto& [name, sf] : current_) {
-    PAPYRUS_ASSIGN_OR_RETURN(std::string section_text,
-                             ReadFile(fs::path(dir_) / sf.file));
-    if (Fnv1a(section_text) != sf.checksum) {
-      return Status::InvalidArgument("section " + name +
-                                     " fails its manifest checksum");
-    }
-    out->sections[name] = std::move(section_text);
+    PAPYRUS_ASSIGN_OR_RETURN(out->sections[name], ReadSection(name));
   }
   out->generation = generation_;
   return Status::OK();
@@ -225,15 +184,15 @@ Status SessionStore::SaveGeneration(
   // allocated sequence number.
   uint64_t base = wal_.next_seq() - 1;
   std::ostringstream m;
-  m << ChecksumLine("papyrus-manifest 1") << '\n';
-  m << ChecksumLine("gen " + std::to_string(gen)) << '\n';
-  m << ChecksumLine("walbase " + std::to_string(base)) << '\n';
+  m << FrameLine("papyrus-manifest 1") << '\n';
+  m << FrameLine("gen " + std::to_string(gen)) << '\n';
+  m << FrameLine("walbase " + std::to_string(base)) << '\n';
   for (const auto& [name, sf] : next) {
-    m << ChecksumLine("section " + EncF(name) + ' ' + EncF(sf.file) +
-                      ' ' + FormatHex(sf.checksum))
+    m << FrameLine("section " + EncodeField(name) + ' ' +
+                   EncodeField(sf.file) + ' ' + HexU64(sf.checksum))
       << '\n';
   }
-  m << ChecksumLine("end " + std::to_string(next.size())) << '\n';
+  m << FrameLine("end " + std::to_string(next.size())) << '\n';
   std::string manifest_file = "manifest." + std::to_string(gen);
   PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(
       (fs::path(dir_) / manifest_file).string(), m.str()));

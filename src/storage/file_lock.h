@@ -12,8 +12,9 @@ namespace papyrus::storage {
 /// An advisory whole-file lock (flock) used to coordinate independent
 /// papyrusd processes sharing one daemon root:
 ///
-///   * the persistent queue takes the lock around every journal append
-///     so concurrent workers serialize their state transitions, and
+///   * a shared storage::Journal (the persistent queue, the artifact
+///     store) takes the lock around every operation so concurrent
+///     workers serialize their appends and checkpoints, and
 ///   * each worker holds a session's lock for as long as it hosts the
 ///     session, so exactly one process ever writes its snapshots.
 ///

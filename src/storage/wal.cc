@@ -1,17 +1,5 @@
 #include "storage/wal.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "base/macros.h"
 #include "base/strings.h"
 #include "storage/atomic_file.h"
@@ -20,153 +8,59 @@ namespace papyrus::storage {
 
 namespace {
 
-std::string FormatHex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHex(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 std::string HeaderLine(uint64_t base_seq) {
-  return ChecksumLine("papyrus-wal 1 " + std::to_string(base_seq)) + "\n";
+  return FrameLine("papyrus-wal 1 " + std::to_string(base_seq)) + "\n";
 }
 
 }  // namespace
 
-std::string ChecksumLine(std::string_view body) {
-  std::string out(body);
-  out += " !";
-  out += FormatHex(Fnv1a(body));
-  return out;
-}
-
-Result<std::string> CheckChecksummedLine(std::string_view line) {
-  size_t sp = line.rfind(' ');
-  if (sp == std::string_view::npos || sp + 2 >= line.size() ||
-      line[sp + 1] != '!') {
-    return Status::InvalidArgument("line missing checksum");
-  }
-  uint64_t want = 0;
-  if (!ParseHex(std::string(line.substr(sp + 2)), &want)) {
-    return Status::InvalidArgument("bad checksum field");
-  }
-  std::string body(line.substr(0, sp));
-  if (Fnv1a(body) != want) {
-    return Status::InvalidArgument("checksum mismatch");
-  }
-  return body;
-}
-
-WriteAheadLog::~WriteAheadLog() { Close(); }
-
 Result<WalReplay> WriteAheadLog::Scan(const std::string& path) {
   WalReplay replay;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return replay;  // missing log = empty log
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  size_t pos = 0;
+  Result<std::string> read = ReadFile(path);
+  if (!read.ok()) return replay;  // missing log = empty log
+  const std::string& text = *read;
   bool saw_header = false;
   uint64_t last_seq = 0;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      // A line cut mid-write: the classic torn tail.
-      replay.truncated = true;
-      break;
-    }
-    std::string_view line(text.data() + pos, nl - pos);
-    auto body = CheckChecksummedLine(line);
-    if (!body.ok()) {
-      replay.truncated = true;
-      break;
-    }
-    std::vector<std::string> f = SplitWhitespace(*body);
+  JournalScan scan = ScanJournal(text, 0, [&](std::string_view body) {
     if (!saw_header) {
-      uint64_t base = 0;
-      if (f.size() != 3 || f[0] != "papyrus-wal" || f[1] != "1" ||
-          !ParseU64(f[2], &base)) {
-        return Status::InvalidArgument("not a papyrus-wal file: " + path);
-      }
-      replay.base_seq = base;
-      last_seq = base;
-      saw_header = true;
-      pos = nl + 1;
-      replay.valid_bytes = pos;
-      continue;
+      std::vector<std::string> f = SplitWhitespace(body);
+      saw_header = f.size() == 3 && f[0] == "papyrus-wal" && f[1] == "1" &&
+                   ParseU64(f[2], &replay.base_seq);
+      last_seq = replay.base_seq;
+      return saw_header;
     }
+    // "w <seq> <body>"; a regressing sequence ends the valid prefix.
+    size_t sp = body.find(' ', 2);
     uint64_t seq = 0;
-    if (f.size() < 2 || f[0] != "w" || !ParseU64(f[1], &seq) ||
+    if (body.substr(0, 2) != "w " ||
+        !ParseU64(body.substr(2, sp == std::string_view::npos ? sp : sp - 2),
+                  &seq) ||
         seq <= last_seq) {
-      replay.truncated = true;
-      break;
+      return false;
     }
-    // The body is everything after "w <seq> ".
-    size_t body_at = body->find(' ', body->find(' ') + 1);
-    WalRecord rec;
-    rec.seq = seq;
-    if (body_at != std::string::npos) rec.body = body->substr(body_at + 1);
-    replay.records.push_back(std::move(rec));
+    replay.records.push_back(
+        {seq, std::string(sp == std::string_view::npos ? ""
+                                                       : body.substr(sp + 1))});
     last_seq = seq;
-    pos = nl + 1;
-    replay.valid_bytes = pos;
-  }
+    return true;
+  });
   if (!saw_header && !text.empty()) {
     return Status::InvalidArgument("not a papyrus-wal file: " + path);
   }
-  replay.dropped_bytes =
-      static_cast<int64_t>(text.size() - replay.valid_bytes);
+  replay.valid_bytes = scan.valid_end;
+  replay.truncated = scan.torn;
+  replay.dropped_bytes = static_cast<int64_t>(text.size() - scan.valid_end);
   replay.next_seq = last_seq + 1;
   return replay;
 }
 
 Result<WalReplay> WriteAheadLog::Open(const std::string& path) {
-  Close();
-  path_ = path;
-  bool existed = std::filesystem::exists(path);
-  WalReplay replay;
-  if (existed) {
-    PAPYRUS_ASSIGN_OR_RETURN(replay, Scan(path));
-  } else {
-    PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(path, HeaderLine(0)));
-    replay.valid_bytes = HeaderLine(0).size();
-  }
-#ifndef _WIN32
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd_ < 0) return Status::Internal("cannot open wal: " + path);
+  PAPYRUS_ASSIGN_OR_RETURN(WalReplay replay, Scan(path));
+  PAPYRUS_RETURN_IF_ERROR(log_.OpenLog(path, HeaderLine(0)));
   if (replay.truncated) {
-    if (::ftruncate(fd_, static_cast<off_t>(replay.valid_bytes)) != 0) {
-      Close();
-      return Status::Internal("cannot truncate torn wal tail: " + path);
-    }
-    if (::fsync(fd_) != 0) {
-      Close();
-      return Status::Internal("cannot fsync wal: " + path);
-    }
+    PAPYRUS_RETURN_IF_ERROR(log_.Truncate(replay.valid_bytes));
   }
-  if (::lseek(fd_, 0, SEEK_END) < 0) {
-    Close();
-    return Status::Internal("cannot seek wal: " + path);
-  }
-#else
-  return Status::Internal("wal unsupported on this platform");
-#endif
   next_seq_ = replay.next_seq;
-  buffer_.clear();
-  buffered_count_ = 0;
   return replay;
 }
 
@@ -174,60 +68,14 @@ uint64_t WriteAheadLog::Append(std::string_view body) {
   uint64_t seq = next_seq_++;
   std::string line = "w " + std::to_string(seq) + " ";
   line.append(body.data(), body.size());
-  buffer_ += ChecksumLine(line);
-  buffer_ += '\n';
-  ++buffered_count_;
-  ++stats_.records_appended;
+  log_.Append(line);
   return seq;
 }
 
-Result<int64_t> WriteAheadLog::Commit() {
-  if (buffered_count_ == 0) return static_cast<int64_t>(0);
-  if (fd_ < 0) return Status::FailedPrecondition("wal not open");
-#ifndef _WIN32
-  size_t off = 0;
-  while (off < buffer_.size()) {
-    ssize_t n = ::write(fd_, buffer_.data() + off, buffer_.size() - off);
-    if (n < 0) return Status::Internal("wal write failed: " + path_);
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
-    return Status::Internal("wal fsync failed: " + path_);
-  }
-#endif
-  int64_t bytes = static_cast<int64_t>(buffer_.size());
-  stats_.bytes_written += bytes;
-  ++stats_.commits;
-  ++stats_.syncs;
-  buffer_.clear();
-  buffered_count_ = 0;
-  return bytes;
-}
-
 Status WriteAheadLog::Reset(uint64_t base_seq) {
-  if (fd_ < 0) return Status::FailedPrecondition("wal not open");
-#ifndef _WIN32
-  ::close(fd_);
-  fd_ = -1;
-  PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(path_, HeaderLine(base_seq)));
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd_ < 0) return Status::Internal("cannot reopen wal: " + path_);
-  if (::lseek(fd_, 0, SEEK_END) < 0) {
-    return Status::Internal("cannot seek wal: " + path_);
-  }
-#endif
-  buffer_.clear();
-  buffered_count_ = 0;
+  PAPYRUS_RETURN_IF_ERROR(log_.Reset(HeaderLine(base_seq)));
   next_seq_ = base_seq + 1;
-  ++stats_.resets;
   return Status::OK();
-}
-
-void WriteAheadLog::Close() {
-#ifndef _WIN32
-  if (fd_ >= 0) ::close(fd_);
-#endif
-  fd_ = -1;
 }
 
 }  // namespace papyrus::storage

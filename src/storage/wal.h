@@ -8,21 +8,9 @@
 
 #include "base/result.h"
 #include "base/status.h"
+#include "storage/journal.h"
 
 namespace papyrus::storage {
-
-// --- checksummed line framing --------------------------------------------
-// The storage engine frames every durable line the way the v2 snapshot
-// format does: `<body> !<16-hex FNV-1a of body>`. These helpers are shared
-// by the WAL, the generation manifest, and the tests that chop them.
-
-/// `body` + " !<hex>". `body` must not contain '\n'.
-std::string ChecksumLine(std::string_view body);
-
-/// Splits a framed line into its body, verifying the checksum.
-Result<std::string> CheckChecksummedLine(std::string_view line);
-
-// --- write-ahead log ------------------------------------------------------
 
 /// One journaled mutation: an opaque single-line body under a
 /// monotonically increasing sequence number. Bodies are written by the
@@ -43,10 +31,10 @@ struct WalReplay {
   bool truncated = false;          // tail damage was detected
 };
 
-/// The checksummed append-only write-ahead log.
+/// The checksummed append-only write-ahead log, on a storage::Journal.
 ///
 /// Layout: one `papyrus-wal 1 <base_seq>` header line, then one
-/// `w <seq> <body>` line per record, every line checksum-framed. Recovery
+/// `w <seq> <body>` line per record, every line FrameLine-framed. Recovery
 /// keeps the longest valid prefix: the first line whose checksum fails,
 /// whose sequence regresses, or that is cut mid-line ends the replay, and
 /// Open truncates the torn tail so new appends extend a valid log.
@@ -61,12 +49,6 @@ struct WalReplay {
 /// internal locking.
 class WriteAheadLog {
  public:
-  WriteAheadLog() = default;
-  ~WriteAheadLog();
-
-  WriteAheadLog(const WriteAheadLog&) = delete;
-  WriteAheadLog& operator=(const WriteAheadLog&) = delete;
-
   /// Scans `path` without opening it for writing. A missing file is an
   /// empty replay. Never modifies the file.
   static Result<WalReplay> Scan(const std::string& path);
@@ -75,7 +57,7 @@ class WriteAheadLog {
   /// positions at the end. Creates the file (base 0) when missing.
   Result<WalReplay> Open(const std::string& path);
 
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return log_.is_open(); }
 
   /// Buffers one record; returns its sequence number. Bodies must be
   /// single-line.
@@ -84,35 +66,25 @@ class WriteAheadLog {
   /// Writes everything buffered since the last Commit and fsyncs once.
   /// No-op (no write, no sync) when nothing is buffered. Returns the
   /// number of bytes made durable.
-  Result<int64_t> Commit();
+  Result<int64_t> Commit() { return log_.Commit(); }
 
   /// Atomically replaces the log with a fresh header carrying
   /// `base_seq`: records with seq <= base_seq now live in a snapshot
   /// generation. Discards anything buffered. The log stays open.
   Status Reset(uint64_t base_seq);
 
-  void Close();
+  void Close() { log_.Close(); }
 
   uint64_t next_seq() const { return next_seq_; }
-  size_t buffered_records() const { return buffered_count_; }
+  size_t buffered_records() const { return log_.buffered(); }
 
   /// Lifetime totals (the glue layer mirrors them into papyrus.wal.*).
-  struct Stats {
-    int64_t records_appended = 0;
-    int64_t commits = 0;
-    int64_t syncs = 0;
-    int64_t bytes_written = 0;
-    int64_t resets = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  using Stats = Journal::Stats;
+  const Stats& stats() const { return log_.stats(); }
 
  private:
-  std::string path_;
-  int fd_ = -1;
+  Journal log_;
   uint64_t next_seq_ = 1;
-  std::string buffer_;
-  size_t buffered_count_ = 0;
-  Stats stats_;
 };
 
 }  // namespace papyrus::storage

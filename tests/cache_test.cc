@@ -500,6 +500,7 @@ TEST(DerivationCachePersistenceTest, SaveLoadRoundTripServesHits) {
   size_t saved_entries = 0;
   {
     Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir.string()).ok());
     auto spec = session.database().CreateVersion(
         "spec", BehavioralSpec{8, 8, 12, 77});
     auto cmds = session.database().CreateVersion("sim.cmd",
@@ -509,11 +510,11 @@ TEST(DerivationCachePersistenceTest, SaveLoadRoundTripServesHits) {
     cmds_id = *cmds;
     saved_entries = session.step_cache().size();
     ASSERT_GT(saved_entries, 0u);
-    ASSERT_TRUE(session.SaveSession(dir.string()).ok());
+    ASSERT_TRUE(session.SaveGeneration().ok());
   }
 
   Papyrus fresh;
-  ASSERT_TRUE(fresh.LoadSession(dir.string()).ok());
+  ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
   EXPECT_EQ(fresh.step_cache().size(), saved_entries);
   // The restored cache serves the flow entirely from the snapshot.
   FlowRun warm = RunFlow(fresh, spec_id, cmds_id);

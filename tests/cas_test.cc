@@ -335,6 +335,56 @@ TEST(ContentStoreTest, RecoveryIsConsistentAtEveryJournalTruncationPoint) {
   }
 }
 
+TEST(ContentStoreTest, EveryPublishReachesAnFsync) {
+  std::string root = FreshDir("fsync");
+  auto store = ContentStore::Open(root);
+  ASSERT_TRUE(store.ok());
+  int64_t syncs = (*store)->stats().journal_syncs;
+  ASSERT_TRUE((*store)->Publish("k1", Meta("misII"), OneOutput("a")).ok());
+  EXPECT_EQ((*store)->stats().journal_syncs, syncs + 1) << "publish";
+  ASSERT_TRUE((*store)->Publish("k1", Meta("misII"), OneOutput("a")).ok());
+  EXPECT_EQ((*store)->stats().journal_syncs, syncs + 2) << "republish";
+  ASSERT_TRUE((*store)->Publish("k2", Meta("wolfe"), OneOutput("b")).ok());
+  EXPECT_EQ((*store)->stats().journal_syncs, syncs + 3) << "publish";
+}
+
+TEST(ContentStoreTest, TwoWritersOnOneRootKeepEachOthersEntries) {
+  // Two stores on one root behave like two papyrusd workers: B publishes
+  // before and after A's compaction, and neither of B's entries (nor
+  // their blobs) may be lost to A's checkpoint or orphan sweep.
+  std::string root = FreshDir("two_writers");
+  CasOptions options;
+  options.checkpoint_interval = 4;
+  auto a = ContentStore::Open(root, options);
+  auto b = ContentStore::Open(root, options);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      (*b)->Publish("b-before", Meta("padp"), OneOutput("b before")).ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE((*a)->Publish("a" + std::to_string(i), Meta("misII"),
+                              OneOutput("a bytes " + std::to_string(i)))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      (*b)->Publish("b-after", Meta("padp"), OneOutput("b after")).ok());
+  // Each writer sees the other's entries.
+  EXPECT_TRUE((*a)->Fetch("b-after").ok());
+  EXPECT_TRUE((*b)->Fetch("a5").ok());
+  a->reset();
+  b->reset();
+
+  auto reopened = ContentStore::Open(root, options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->stats().orphans_collected, 0);
+  EXPECT_EQ((*reopened)->stats().entries, 8);
+  for (const char* key : {"b-before", "b-after"}) {
+    auto fetched = (*reopened)->Fetch(key);
+    EXPECT_TRUE(fetched.ok()) << key << ": " << fetched.status().message();
+  }
+  EXPECT_TRUE(fs::exists(BlobFile(root, "b before")));
+  EXPECT_TRUE(fs::exists(BlobFile(root, "b after")));
+}
+
 // ---------------------------------------------------------------------------
 // Eviction
 // ---------------------------------------------------------------------------
@@ -646,29 +696,31 @@ TEST(SharedStoreSessionTest, CorruptBlobFallsBackToRerunning) {
 }
 
 TEST(SharedStoreSessionTest, SessionCacheSnapshotCarriesContentKeys) {
-  // cache.pdc v3 round-trips the content key, so a restored session can
-  // republish its entries into a shared store.
+  // The v3 cache section round-trips the content key, so a restored
+  // session can republish its entries into a shared store.
   std::string store_dir = FreshDir("snapshot_keys");
   std::string snap_dir = FreshDir("snapshot_keys_snap");
   SessionOptions options;
   options.shared_store_path = store_dir;
   {
     Papyrus session(options);
+    ASSERT_TRUE(session.OpenStorage(snap_dir).ok());
     auto spec = session.database().CreateVersion(
         "spec", BehavioralSpec{8, 8, 12, 77});
     auto cmds =
         session.database().CreateVersion("sim.cmd", TextData{"run 100"});
     ASSERT_TRUE(RunFlow(session, *spec, *cmds).committed);
-    ASSERT_TRUE(session.SaveSession(snap_dir).ok());
+    ASSERT_TRUE(session.SaveGeneration().ok());
+    auto pdc = session.store()->ReadSection("cache");
+    ASSERT_TRUE(pdc.ok());
+    EXPECT_EQ(pdc->rfind("papyrus-cache 3", 0), 0u);
+    EXPECT_NE(pdc->find("\nckey "), std::string::npos);
   }
-  std::string pdc = ReadAll(fs::path(snap_dir) / "cache.pdc");
-  EXPECT_EQ(pdc.rfind("papyrus-cache 3", 0), 0u);
-  EXPECT_NE(pdc.find("\nckey "), std::string::npos);
 
   // Wipe the store; restoring the session republishes all entries.
   fs::remove_all(store_dir);
   Papyrus restored(options);
-  ASSERT_TRUE(restored.LoadSession(snap_dir).ok());
+  ASSERT_TRUE(restored.OpenStorage(snap_dir).ok());
   EXPECT_GE(restored.shared_store()->stats().entries, 6);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "core/papyrus.h"
 #include "meta/retrace.h"
@@ -123,7 +124,7 @@ TEST_F(RetraceTest, SkipsInvocationsWithReclaimedInputs) {
   EXPECT_GT(result->invocations_skipped, 0);
 }
 
-// --- Session save / load ------------------------------------------------------
+// --- Session persistence through the storage engine -------------------------
 
 class SessionPersistenceTest : public ::testing::Test {
  protected:
@@ -140,6 +141,7 @@ TEST_F(SessionPersistenceTest, SaveAndReloadFullSession) {
   int p2_point = 0;
   {
     Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir_.string()).ok());
     int t1 = session.CreateThread("Shifter");
     auto p1 = session.Invoke(t1, "Create_Logic_Description", {},
                              {"s.logic"});
@@ -152,11 +154,11 @@ TEST_F(SessionPersistenceTest, SaveAndReloadFullSession) {
     ASSERT_TRUE(
         session.Invoke(t2, "Create_Logic_Description", {}, {"a.logic"})
             .ok());
-    ASSERT_TRUE(session.SaveSession(dir_.string()).ok());
-  }  // "crash"
+    ASSERT_TRUE(session.CommitWal().ok());
+  }  // "crash": only the WAL commit is durable
 
   Papyrus recovered;
-  ASSERT_TRUE(recovered.LoadSession(dir_.string()).ok());
+  ASSERT_TRUE(recovered.OpenStorage(dir_.string()).ok());
   ASSERT_EQ(recovered.activity().ThreadIds().size(), 2u);
   auto thread = recovered.activity().GetThread(1);
   ASSERT_TRUE(thread.ok());
@@ -174,17 +176,22 @@ TEST_F(SessionPersistenceTest, SaveAndReloadFullSession) {
 TEST_F(SessionPersistenceTest, LoadRequiresFreshSession) {
   {
     Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir_.string()).ok());
     (void)session.CreateThread("T");
-    ASSERT_TRUE(session.SaveSession(dir_.string()).ok());
+    ASSERT_TRUE(session.SaveGeneration().ok());
   }
   Papyrus dirty;
   (void)dirty.CheckInObject("/x", LogicNetwork{});
-  EXPECT_TRUE(dirty.LoadSession(dir_.string()).IsFailedPrecondition());
+  EXPECT_TRUE(dirty.OpenStorage(dir_.string()).IsFailedPrecondition());
 }
 
 TEST_F(SessionPersistenceTest, LoadFromMissingDirectoryFails) {
+  // A directory that is missing and cannot be created (its parent is a
+  // regular file) is an error, not a fresh session.
+  std::filesystem::create_directories(dir_);
+  std::ofstream(dir_ / "file") << "not a directory";
   Papyrus session;
-  EXPECT_FALSE(session.LoadSession("/no/such/dir").ok());
+  EXPECT_FALSE(session.OpenStorage((dir_ / "file" / "sub").string()).ok());
 }
 
 // --- Progress view -------------------------------------------------------------

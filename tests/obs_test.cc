@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "activity/persistence.h"
 #include "core/papyrus.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
@@ -347,12 +348,12 @@ TEST(ObsIntegrationTest, HeadlessCaptureWritesTraceAndMetrics) {
 // Parallel-executor determinism at the session level
 
 /// Everything a worker count could conceivably perturb, rendered to
-/// comparable strings: full task histories, the ADG, and the raw snapshot
-/// bytes SaveSession wrote.
+/// comparable strings: full task histories, the ADG, and the serialized
+/// database and derivation-cache snapshots.
 struct SessionFingerprint {
   std::string histories;
   std::string adg;
-  std::map<std::string, std::string> snapshot;  // file name -> bytes
+  std::map<std::string, std::string> snapshot;  // snapshot -> bytes
   int64_t steps_pool = 0;
   int64_t steps_inline = 0;
 };
@@ -414,8 +415,6 @@ constexpr char kSoakTemplate[] =
 /// InvokeMany — in a fresh session with `workers` executor threads, feeds
 /// the metadata engine, and snapshots the session.
 SessionFingerprint RunSessionWorkload(int workers) {
-  std::string dir =
-      ::testing::TempDir() + "/det_w" + std::to_string(workers);
   SessionOptions opts;
   opts.worker_threads = workers;
   Papyrus session(opts);
@@ -466,14 +465,9 @@ SessionFingerprint RunSessionWorkload(int workers) {
   }
   fp.adg = adg.str();
 
-  EXPECT_TRUE(session.SaveSession(dir).ok());
-  for (const char* name : {"database.pdb", "cache.pdc"}) {
-    std::ifstream in(dir + "/" + name, std::ios::binary);
-    EXPECT_TRUE(in.good()) << name;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    fp.snapshot[name] = buf.str();
-  }
+  fp.snapshot["database"] = activity::SerializeDatabase(session.database());
+  fp.snapshot["cache"] =
+      activity::SerializeDerivationCache(session.step_cache());
   fp.steps_pool =
       session.metrics().FindOrCreateCounter(kExecStepsPool)->value();
   fp.steps_inline =

@@ -380,20 +380,23 @@ TEST(AtomicSaveTest, SaveLeavesNoTempFilesAndRoundTrips) {
   fs::remove_all(dir);
 
   Papyrus session;
+  ASSERT_TRUE(session.OpenStorage(dir.string()).ok());
   int tid = session.CreateThread("saved");
   auto p1 =
       session.Invoke(tid, "Create_Logic_Description", {}, {"a.logic"});
   ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(session.SaveSession(dir.string()).ok());
-  // Save again over the existing snapshot: the rename path must handle
-  // replacement, and no *.tmp litter may remain.
-  ASSERT_TRUE(session.SaveSession(dir.string()).ok());
+  ASSERT_TRUE(session.SaveGeneration().ok());
+  // Save again over the existing generation: the rename path must handle
+  // replacement, and no temp-file litter may remain.
+  ASSERT_TRUE(session.SaveGeneration().ok());
   for (const auto& entry : fs::directory_iterator(dir)) {
-    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << entry.path();
   }
 
   Papyrus fresh;
-  ASSERT_TRUE(fresh.LoadSession(dir.string()).ok());
+  ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
   EXPECT_EQ(fresh.last_restore_stats().records_dropped, 0);
   EXPECT_FALSE(fresh.last_restore_stats().truncated);
   EXPECT_EQ(fresh.database().TotalVersionCount(),
@@ -417,6 +420,23 @@ void RunMigrationWorkload(Papyrus& session) {
                   .ok());
   ASSERT_TRUE(
       session.CheckInObject("/u/alice/notes", TextData{"run 100"}).ok());
+}
+
+/// Writes `session` in the pre-engine whole-file layout the one-time
+/// migration reads: database.pdb, thread_<id>.pth and cache.pdc.
+void WriteLegacySnapshot(Papyrus& session, const std::string& dir) {
+  namespace fs = std::filesystem;
+  fs::create_directories(dir);
+  auto write = [&](const std::string& name, const std::string& text) {
+    std::ofstream(fs::path(dir) / name, std::ios::binary) << text;
+  };
+  write("database.pdb", SerializeDatabase(session.database()));
+  write("cache.pdc", SerializeDerivationCache(session.step_cache()));
+  for (int id : session.activity().ThreadIds()) {
+    auto thread = session.activity().GetThread(id);
+    ASSERT_TRUE(thread.ok());
+    write("thread_" + std::to_string(id) + ".pth", SerializeThread(**thread));
+  }
 }
 
 /// Compacts and returns every live section's bytes, keyed by name.
@@ -458,7 +478,7 @@ TEST(LegacyMigrationTest, FlatLayoutRestoresByteIdenticallyAndMigrates) {
   {
     Papyrus session;
     RunMigrationWorkload(session);
-    ASSERT_TRUE(session.SaveSession(dir).ok());
+    WriteLegacySnapshot(session, dir);
   }
   ASSERT_TRUE(fs::exists(fs::path(dir) / "database.pdb"));
 
@@ -499,8 +519,7 @@ TEST(LegacyMigrationTest, SnapDirLayoutMigratesAndContinuesNumbering) {
   {
     Papyrus session;
     RunMigrationWorkload(session);
-    ASSERT_TRUE(
-        session.SaveSession((fs::path(dir) / "snap.7").string()).ok());
+    WriteLegacySnapshot(session, (fs::path(dir) / "snap.7").string());
     std::ofstream current(fs::path(dir) / "CURRENT",
                           std::ios::binary | std::ios::trunc);
     current << "snap.7\n";

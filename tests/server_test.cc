@@ -9,13 +9,14 @@
 #include <vector>
 
 #include "base/macros.h"
-#include "meta/inference.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/daemon.h"
+#include "server/fingerprint.h"
 #include "server/queue.h"
 #include "server/session_manager.h"
 #include "server/wire.h"
+#include "storage/cas.h"
 
 namespace papyrus::server {
 namespace {
@@ -261,6 +262,111 @@ TEST(QueueTest, TornJournalTailIsDropped) {
   ASSERT_TRUE(id.ok());
 }
 
+TEST(QueueTest, EveryOperationReachesAnFsync) {
+  std::string dir = FreshDir("queue_fsync");
+  ManualClock clock(0);
+  auto opened = PersistentQueue::Open(dir, &clock);
+  ASSERT_TRUE(opened.ok());
+  PersistentQueue& queue = **opened;
+  int64_t syncs = queue.journal_stats().syncs;
+  auto expect_synced = [&](const char* op) {
+    EXPECT_EQ(queue.journal_stats().syncs, syncs + 1) << op;
+    syncs = queue.journal_stats().syncs;
+  };
+  ASSERT_TRUE(queue.Enqueue("alpha", "t1").ok());
+  expect_synced("enqueue");
+  ASSERT_TRUE(queue.Enqueue("alpha", "t2").ok());
+  expect_synced("enqueue");
+  ASSERT_TRUE(queue.Claim("w", 1'000).ok());
+  expect_synced("claim");
+  ASSERT_TRUE(queue.Release(1, "w").ok());
+  expect_synced("release");
+  ASSERT_TRUE(queue.Claim("w", 1'000).ok());
+  expect_synced("claim");
+  ASSERT_TRUE(queue.Complete(1, "w").ok());
+  expect_synced("complete");
+  ASSERT_TRUE(queue.Claim("w", 1'000).ok());
+  expect_synced("claim");
+  ASSERT_TRUE(queue.Fail(2, "w", "boom").ok());
+  expect_synced("fail");
+  ASSERT_TRUE(queue.Enqueue("alpha", "t3").ok());
+  expect_synced("enqueue");
+  ASSERT_TRUE(queue.Claim("w", 1'000).ok());
+  expect_synced("claim");
+  clock.AdvanceMicros(2'000);
+  EXPECT_EQ(queue.ExpireLeases(), 1);
+  expect_synced("expire");
+}
+
+TEST(LegacyJournalTest, UnpaddedChecksumFilesStillLoad) {
+  // tests/data/legacy_journals holds a queue and an artifact store
+  // written by the code before the shared storage::Journal: unpadded
+  // line checksums, a torn-free journal over a checkpoint, a claim left
+  // unresolved, percent-encoded fields.
+  std::string dir = FreshDir("legacy_journals");
+  fs::copy(fs::path(PAPYRUS_SOURCE_DIR) / "tests/data/legacy_journals",
+           dir, fs::copy_options::recursive);
+  for (const char* file : {"queue/queue.pjq", "queue/queue.pjc",
+                           "cas/cas.state", "cas/cas.journal"}) {
+    bool unpadded = false;
+    std::istringstream lines(ReadAll(fs::path(dir) / file));
+    for (std::string line; std::getline(lines, line);) {
+      size_t mark = line.rfind(" !");
+      if (mark != std::string::npos && line.size() - mark - 2 < 16) {
+        unpadded = true;
+      }
+    }
+    EXPECT_TRUE(unpadded) << file << " no longer pins unpadded checksums";
+  }
+
+  ManualClock clock(0);
+  auto queue = PersistentQueue::Open(dir + "/queue", &clock);
+  ASSERT_TRUE(queue.ok()) << queue.status().message();
+  EXPECT_EQ(clock.NowMicros(), 12'345);
+  EXPECT_EQ((*queue)->recovered(), 1);
+  const std::vector<TaskState> states = {
+      TaskState::kDone, TaskState::kFailed, TaskState::kPending,
+      TaskState::kDone, TaskState::kPending};
+  ASSERT_EQ((*queue)->Tasks().size(), states.size());
+  for (const QueueTask& task : (*queue)->Tasks()) {
+    EXPECT_EQ(task.state, states[task.id - 1]) << "task " << task.id;
+  }
+  auto two = (*queue)->Get(2);
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two->description, "task ~two% with spaces");
+  EXPECT_EQ(two->failure, "boom reason-1206");
+  auto three = (*queue)->Get(3);
+  ASSERT_TRUE(three.ok());
+  EXPECT_EQ(three->attempts, 1);
+  EXPECT_EQ(three->description, "");
+  auto next = (*queue)->Enqueue("alpha", "new");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 6);
+
+  auto store = storage::ContentStore::Open(dir + "/cas");
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  storage::CasStats stats = (*store)->stats();
+  EXPECT_EQ(stats.entries, 3);
+  EXPECT_EQ(stats.blobs, 3);
+  EXPECT_EQ(stats.orphans_collected, 0);
+  auto k1 = (*store)->Fetch("k1");
+  ASSERT_TRUE(k1.ok()) << k1.status().message();
+  EXPECT_EQ(k1->meta.tool, "misII");
+  EXPECT_EQ(k1->meta.seed_salt, 0xab12u);
+  ASSERT_EQ(k1->outputs.size(), 1u);
+  EXPECT_EQ(k1->outputs[0].bytes, "shared bytes");
+  auto k2 = (*store)->Fetch("k2");
+  ASSERT_TRUE(k2.ok()) << k2.status().message();
+  EXPECT_EQ(k2->meta.tool, "wolfe-92");
+  auto k3 = (*store)->Fetch("k 3%~");
+  ASSERT_TRUE(k3.ok()) << k3.status().message();
+  EXPECT_EQ(k3->meta.seed_salt, 0xfeedface00000001u);
+  ASSERT_EQ(k3->outputs.size(), 2u);
+  EXPECT_EQ(k3->outputs[0].bytes, "solo");
+  EXPECT_FALSE(k3->outputs[1].visible);
+  EXPECT_EQ(k3->outputs[1].bytes, "second");
+}
+
 // ---------------------------------------------------------------------------
 // Daemon harness
 
@@ -350,67 +456,19 @@ int SubmitWorkload(DaemonHarness& h) {
   return 6;
 }
 
-/// Everything a daemon crash could conceivably perturb, rendered
-/// comparable: the byte content of every live storage-engine section
-/// (sharded database, thread histories, derivation cache, daemon state)
-/// and the rebuilt augmented derivation graph. Generation numbers and
-/// section file names are deliberately excluded — crashy runs compact at
-/// different points than crash-free runs, so the bookkeeping legitimately
-/// differs while the section *contents* must stay byte-identical.
-struct DaemonFingerprint {
-  std::map<std::string, std::string> files;  // session/section -> bytes
-  std::string adg;
-};
-
-std::string RenderAdg(const meta::Adg& adg) {
-  std::ostringstream out;
-  for (const auto& [id, edge] : adg.edges()) {
-    out << id << '|' << edge.tool << '|' << edge.options << '|';
-    for (const oct::ObjectId& o : edge.inputs) out << o.ToString() << ',';
-    out << '|';
-    for (const oct::ObjectId& o : edge.outputs)
-      out << o.ToString() << ',';
-    out << '|' << edge.micros << '|' << edge.reuse << '\n';
-  }
-  return out.str();
-}
-
-DaemonFingerprint Fingerprint(DaemonHarness& h,
+/// Everything a daemon crash could conceivably perturb, as the library's
+/// logical replay fingerprint (live section bytes plus the ADG).
+ReplayFingerprint Fingerprint(DaemonHarness& h,
                               const std::vector<std::string>& sessions) {
-  DaemonFingerprint fp;
-  for (const std::string& name : sessions) {
-    auto session = h.daemon->OpenSession(name);
-    EXPECT_TRUE(session.ok()) << session.status().message();
-    if (!session.ok()) continue;
-    // Force a compaction so the manifest carries the complete durable
-    // state; the section bytes are then a pure function of the session's
-    // logical state, independent of where WAL commits and generation
-    // swaps happened to land relative to crashes.
-    Status checkpointed = (*session)->Checkpoint();
-    EXPECT_TRUE(checkpointed.ok()) << checkpointed.message();
-    storage::SessionStore* store = (*session)->session().store();
-    for (const auto& [section, file] : store->CurrentSectionFiles()) {
-      auto text = store->ReadSection(section);
-      EXPECT_TRUE(text.ok()) << name << "/" << section << ": "
-                             << text.status().message();
-      fp.files[name + "/" + section] =
-          text.ok() ? *text : "<unreadable>";
-    }
-    fp.adg += "== " + name + "\n" +
-              RenderAdg((*session)->session().metadata().adg());
-  }
-  return fp;
+  auto fp = FingerprintSessions(h.daemon.get(), sessions);
+  EXPECT_TRUE(fp.ok()) << fp.status().message();
+  return fp.ok() ? *fp : ReplayFingerprint{};
 }
 
-void ExpectSameFingerprint(const DaemonFingerprint& expected,
-                           const DaemonFingerprint& actual) {
-  ASSERT_EQ(expected.files.size(), actual.files.size());
-  for (const auto& [path, bytes] : expected.files) {
-    auto it = actual.files.find(path);
-    ASSERT_NE(it, actual.files.end()) << "missing " << path;
-    EXPECT_EQ(bytes, it->second) << path << " bytes diverged";
-  }
-  EXPECT_EQ(expected.adg, actual.adg);
+void ExpectSameFingerprint(const ReplayFingerprint& expected,
+                           const ReplayFingerprint& actual) {
+  EXPECT_FALSE(expected.sections.empty());
+  EXPECT_EQ(DiffFingerprints(expected, actual), "");
 }
 
 /// One crash-free reference run at the given worker count; the chaos
@@ -418,7 +476,7 @@ void ExpectSameFingerprint(const DaemonFingerprint& expected,
 /// directory embeds the calling test's name: ctest runs each test in its
 /// own process, possibly concurrently, and a shared path would let one
 /// test remove_all() the directory out from under another's daemon.
-DaemonFingerprint ReferenceRun(int workers) {
+ReplayFingerprint ReferenceRun(int workers) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   std::string test_name = info != nullptr ? info->name() : "unknown";
   DaemonHarness h(FreshDir("daemon_reference_" + test_name + "_w" +
@@ -431,6 +489,23 @@ DaemonFingerprint ReferenceRun(int workers) {
   EXPECT_EQ(h.daemon->queue().DoneCount(), n);
   EXPECT_EQ(h.daemon->queue().FailedCount(), 0);
   return Fingerprint(h, {"alpha", "beta"});
+}
+
+TEST(ReplayFingerprintTest, OneFlippedSectionByteIsADifference) {
+  // The check must not go hollow: it compares real section contents, and
+  // one flipped byte in any of them is a difference.
+  ReplayFingerprint reference = ReferenceRun(1);
+  ASSERT_GT(reference.sections.size(), 4u);
+  EXPECT_EQ(DiffFingerprints(reference, reference), "");
+  for (const auto& [key, text] : reference.sections) {
+    if (text.empty()) continue;
+    ReplayFingerprint flipped = reference;
+    flipped.sections[key][text.size() / 2] ^= 0x01;
+    EXPECT_NE(DiffFingerprints(reference, flipped), "") << key;
+  }
+  ReplayFingerprint other_adg = reference;
+  other_adg.adg += "x";
+  EXPECT_NE(DiffFingerprints(reference, other_adg), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -470,6 +545,44 @@ TEST(DaemonTest, ExecutesWireSubmittedTasksAcrossSessions) {
   EXPECT_EQ(h.Ok("shutdown"), "ok ~bye=1");
 }
 
+TEST(DaemonTest, DaemonWideCountersSumOverSessions) {
+  // Every session binds its database, network and cache to the daemon's
+  // registry. Opening a second session must add to the shared counters,
+  // not reset them to the newcomer's own (zero) totals.
+  DaemonHarness h(FreshDir("daemon_counter_sum"));
+  ASSERT_TRUE(h.Boot().ok());
+  h.Ok("checkin ~session=alpha ~path=/proj/cell ~type=layout"
+       " ~cells=12 ~area=1200 ~seed=3");
+  for (int k = 0; k < 3; ++k) {
+    h.Ok("submit ~session=alpha ~thread=pads ~template=Padp"
+         " ~in=/proj/cell ~out=cell" +
+         std::to_string(k) + ".padded ~seed=" + std::to_string(9 + k));
+  }
+  h.Ok("drain");
+  auto daemon_total = [&](const char* name) {
+    return h.metrics.FindOrCreateCounter(name)->value();
+  };
+  const int64_t versions_before = daemon_total(obs::kOctVersionsCreated);
+  ASSERT_GT(versions_before, 0);
+  h.Ok("attach ~session=beta");
+  EXPECT_EQ(daemon_total(obs::kOctVersionsCreated), versions_before);
+
+  int64_t versions = 0, misses = 0, spawns = 0;
+  for (const char* name : {"alpha", "beta"}) {
+    auto session = h.daemon->OpenSession(name);
+    ASSERT_TRUE(session.ok()) << session.status().message();
+    Papyrus& s = (*session)->session();
+    versions += s.database().TotalVersionCount();
+    misses += s.step_cache().stats().misses;
+    spawns += s.network().total_spawns();
+  }
+  EXPECT_EQ(daemon_total(obs::kOctVersionsCreated), versions);
+  EXPECT_EQ(daemon_total(obs::kCacheMisses), misses);
+  EXPECT_EQ(daemon_total(obs::kSpriteSpawns), spawns);
+  EXPECT_EQ(daemon_total(obs::kCacheMisses), 3);
+  EXPECT_EQ(daemon_total(obs::kSpriteSpawns), 3);
+}
+
 TEST(DaemonTest, RejectsMalformedRequestsAndSessionNames) {
   DaemonHarness h(FreshDir("daemon_reject"));
   ASSERT_TRUE(h.Boot().ok());
@@ -502,7 +615,7 @@ TEST(DaemonTest, MalformedQueuedTaskFailsPermanently) {
 }
 
 TEST(DaemonTest, CrashAfterExecuteRerunsByteIdentically) {
-  DaemonFingerprint reference = ReferenceRun(1);
+  ReplayFingerprint reference = ReferenceRun(1);
 
   // Draw 2 is task 1's after_execute point: the work happened, nothing
   // was saved. The restarted daemon must reproduce it byte-for-byte.
@@ -531,7 +644,7 @@ TEST(DaemonTest, CrashAfterExecuteRerunsByteIdentically) {
 }
 
 TEST(DaemonTest, CrashAfterSaveDedupesTheRedeliveredTask) {
-  DaemonFingerprint reference = ReferenceRun(1);
+  ReplayFingerprint reference = ReferenceRun(1);
 
   // Draw 3 is task 1's after_save point: effects durable, done never
   // journaled. Recovery re-delivers the task and the applied ledger must
@@ -561,7 +674,7 @@ TEST(DaemonTest, CrashAfterSaveDedupesTheRedeliveredTask) {
 /// of exactly-once commit and byte-identical state against a crash-free
 /// run — at two worker-pool sizes.
 void RunChaosSoak(int workers) {
-  DaemonFingerprint reference = ReferenceRun(workers);
+  ReplayFingerprint reference = ReferenceRun(workers);
 
   // Five kills spread across the pipeline: draws 2 and 14 are
   // after_execute points, 5 an after_save, 9 and 19 before_execute /

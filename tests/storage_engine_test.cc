@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "base/strings.h"
 #include "core/papyrus.h"
 #include "storage/engine.h"
+#include "storage/journal.h"
 #include "storage/wal.h"
 
 namespace papyrus::storage {
@@ -118,8 +120,38 @@ TEST(WalTest, TornTailRecoversLongestValidPrefixAtEveryByteOffset) {
   const size_t header_end = boundaries[0];
 
   std::string torn = (fs::path(dir) / "torn.log").string();
+  std::string raw = (fs::path(dir) / "raw.log").string();
   for (size_t cut = 0; cut <= bytes.size(); ++cut) {
     WriteAll(torn, bytes.substr(0, cut));
+    // The shared journal scan under every log: it keeps exactly the
+    // complete lines, and a plain Journal open cuts the torn rest off
+    // so the next commit extends the valid prefix.
+    size_t complete = 0;
+    while (complete < boundaries.size() && boundaries[complete] <= cut) {
+      ++complete;
+    }
+    const size_t kept = complete == 0 ? 0 : boundaries[complete - 1];
+    JournalScan scan = ScanJournal(bytes.substr(0, cut), 0,
+                                   [](std::string_view) { return true; });
+    EXPECT_EQ(scan.lines, static_cast<int64_t>(complete)) << "cut=" << cut;
+    EXPECT_EQ(scan.valid_end, kept) << "cut=" << cut;
+    EXPECT_EQ(scan.torn, kept != cut) << "cut=" << cut;
+    WriteAll(raw, bytes.substr(0, cut));
+    for (int pass = 0; pass < 2; ++pass) {
+      Journal journal;
+      int64_t lines = 0;
+      auto lock = journal.Open({.path = raw}, [&](std::string_view) {
+        ++lines;
+        return true;
+      });
+      ASSERT_TRUE(lock.ok()) << "cut=" << cut;
+      EXPECT_EQ(lines, static_cast<int64_t>(complete + pass))
+          << "cut=" << cut;
+      const size_t appended = FrameLine("appended after recovery").size() + 1;
+      EXPECT_EQ(fs::file_size(raw), kept + pass * appended) << "cut=" << cut;
+      journal.Append("appended after recovery");
+      ASSERT_TRUE(journal.Commit().ok()) << "cut=" << cut;
+    }
     if (cut == 0) {
       // Empty file: a fresh log.
       auto replay = WriteAheadLog::Scan(torn);
