@@ -1,5 +1,6 @@
 #include "lint/diagnostics.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace papyrus::lint {
@@ -164,20 +165,20 @@ const std::vector<RuleInfo>& RuleCatalogue() {
   return catalogue;
 }
 
-void LineColumnAt(std::string_view text, size_t offset, int* line,
-                  int* column) {
-  int l = 1;
-  int c = 1;
-  for (size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      ++l;
-      c = 1;
-    } else {
-      ++c;
-    }
+LineIndex::LineIndex(std::string_view text) : size_(text.size()) {
+  line_starts_.push_back(0);
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\n') line_starts_.push_back(i + 1);
   }
-  *line = l;
-  *column = c;
+}
+
+void LineIndex::LineColumnAt(size_t offset, int* line, int* column) const {
+  offset = std::min(offset, size_);
+  // The last line starting at or before `offset`.
+  auto next = std::upper_bound(line_starts_.begin(), line_starts_.end(),
+                               offset);
+  *line = static_cast<int>(next - line_starts_.begin());
+  *column = static_cast<int>(offset - *(next - 1)) + 1;
 }
 
 }  // namespace papyrus::lint

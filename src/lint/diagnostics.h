@@ -93,9 +93,20 @@ struct Diagnostic {
 /// line) for `papyrus-lint --json`.
 std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics);
 
-/// Computes the 1-based line and column of `offset` within `text`.
-void LineColumnAt(std::string_view text, size_t offset, int* line,
-                  int* column);
+/// Maps byte offsets within one source text to 1-based line and column.
+/// Built once per text in one pass; each lookup is a binary search over
+/// the line starts. Columns count bytes, so a `\r` before a `\n` is the
+/// line's last column. Offsets past the end map to the end of the text.
+class LineIndex {
+ public:
+  explicit LineIndex(std::string_view text);
+
+  void LineColumnAt(size_t offset, int* line, int* column) const;
+
+ private:
+  size_t size_;
+  std::vector<size_t> line_starts_;  // offset of each line's first byte
+};
 
 }  // namespace papyrus::lint
 

@@ -67,6 +67,7 @@ bool NeedsSync(const tcl::RawCommand& cmd) {
 struct Frame {
   std::string template_name;
   const std::string* source = nullptr;  // template script text
+  const LineIndex* lines = nullptr;     // line index of *source
   std::string file;                     // diagnostic source label
   std::map<std::string, std::string> name_map;
   std::string scope;
@@ -85,9 +86,11 @@ class GraphBuilder {
     graph_.formal_inputs_ = tmpl.formal_inputs;
     graph_.formal_outputs_ = tmpl.formal_outputs;
 
+    LineIndex lines(tmpl.script);
     Frame root;
     root.template_name = tmpl.name;
     root.source = &tmpl.script;
+    root.lines = &lines;
     root.file = file_;
     for (const std::string& f : tmpl.formal_inputs) root.name_map[f] = f;
     for (const std::string& f : tmpl.formal_outputs) root.name_map[f] = f;
@@ -153,7 +156,7 @@ class GraphBuilder {
       auto body = tcl::ParseScript(w.text);
       if (!body.ok()) {
         int line = 0, col = 0;
-        LineColumnAt(*frame.source, cmd_offset, &line, &col);
+        frame.lines->LineColumnAt(cmd_offset, &line, &col);
         Emit(Severity::kError, rules::kParseError, frame, line, col,
              "unparsable control-structure body: " +
                  body.status().message());
@@ -169,7 +172,7 @@ class GraphBuilder {
   void AddStep(const tcl::RawCommand& cmd, Frame& frame, size_t abs,
                bool guarded) {
     int line = 0, col = 0;
-    LineColumnAt(*frame.source, abs, &line, &col);
+    frame.lines->LineColumnAt(abs, &line, &col);
     if (cmd.words.size() < 5) {
       Emit(Severity::kError, rules::kParseError, frame, line, col,
            "wrong # args: step [ID] Name {In} {Out} {Invocation} "
@@ -290,7 +293,7 @@ class GraphBuilder {
   void AddSubtask(const tcl::RawCommand& cmd, Frame& frame, size_t abs,
                   bool guarded, int frame_cmd_idx) {
     int line = 0, col = 0;
-    LineColumnAt(*frame.source, abs, &line, &col);
+    frame.lines->LineColumnAt(abs, &line, &col);
     if (cmd.words.size() != 4) {
       Emit(Severity::kError, rules::kParseError, frame, line, col,
            "wrong # args: subtask [ID] Name {In} {Out}");
@@ -357,9 +360,11 @@ class GraphBuilder {
       return;
     }
 
+    LineIndex lines(sub->script);
     Frame child;
     child.template_name = sub->name;
     child.source = &sub->script;
+    child.lines = &lines;
     child.file = sub->name;  // in-library template: report under its name
     child.depth = frame.depth + 1;
     // Identical to the interpreter's FrameCtx scope construction, so the
@@ -422,18 +427,15 @@ void FlowGraph::Finalize() {
   // consumer of an initial name never waits for its re-writers.
   std::set<std::string> initial(formal_inputs_.begin(),
                                 formal_inputs_.end());
-  std::map<std::string, std::vector<int>> producers;
   for (const StepNode& node : nodes_) {
     for (const std::string& out : node.outputs) {
-      producers[out].push_back(node.id);
+      producers_[out].push_back(node.id);
     }
   }
   for (const StepNode& node : nodes_) {
     for (const std::string& in : node.inputs) {
       if (initial.count(in) > 0) continue;
-      auto it = producers.find(in);
-      if (it == producers.end()) continue;
-      for (int p : it->second) {
+      for (int p : Producers(in)) {
         if (p != node.id) succ_[p].push_back(node.id);
       }
     }
@@ -480,6 +482,12 @@ int FlowGraph::FindNode(const std::string& scope,
   auto it = by_key_.find(scope + '\x1f' + name);
   if (it == by_key_.end()) return -1;
   return it->second;
+}
+
+const std::vector<int>& FlowGraph::Producers(const std::string& name) const {
+  static const std::vector<int> kNone;
+  auto it = producers_.find(name);
+  return it == producers_.end() ? kNone : it->second;
 }
 
 std::vector<int> FlowGraph::CycleMembers() const {

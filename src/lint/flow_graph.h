@@ -57,6 +57,10 @@ class FlowGraph {
   /// -2 when the pair is ambiguous (declared more than once).
   int FindNode(const std::string& scope, const std::string& name) const;
 
+  /// Ids of the steps whose outputs include the resolved object `name`,
+  /// in id order; empty when no step produces it.
+  const std::vector<int>& Producers(const std::string& name) const;
+
   /// Ids of nodes that sit on a dependency cycle.
   std::vector<int> CycleMembers() const;
 
@@ -82,6 +86,7 @@ class FlowGraph {
   std::vector<std::vector<int>> succ_;
   std::vector<std::vector<bool>> reach_;  // strict reachability closure
   std::map<std::string, int> by_key_;     // scope \x1f name -> id | -2
+  std::map<std::string, std::vector<int>> producers_;  // name -> ids
   std::vector<std::string> formal_inputs_;
   std::vector<std::string> formal_outputs_;
   bool has_dynamic_ = false;

@@ -129,14 +129,11 @@ class Linter {
     }
   }
 
-  /// Producers of each resolved object name. `exclude` skips one node id
-  /// (a step cannot satisfy its own input — that's a deadlock).
+  /// True when a step produces `name`. `exclude` skips one node id (a
+  /// step cannot satisfy its own input — that's a deadlock).
   bool HasProducer(const std::string& name, int exclude) const {
-    for (const StepNode& node : graph_->nodes()) {
-      if (node.id == exclude) continue;
-      for (const std::string& out : node.outputs) {
-        if (out == name) return true;
-      }
+    for (int id : graph_->Producers(name)) {
+      if (id != exclude) return true;
     }
     return false;
   }

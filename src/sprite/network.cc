@@ -97,11 +97,12 @@ Status Network::SetOwnerActive(HostId host, bool active) {
 }
 
 void Network::PushHostEvent(HostEvent ev) {
-  host_events_.push_back(ev);
-  std::sort(host_events_.begin(), host_events_.end(),
-            [](const HostEvent& a, const HostEvent& b) {
-              return a.micros < b.micros;
-            });
+  // After every pending event at the same instant: simultaneous events
+  // fire in the order they were scheduled.
+  auto at = std::upper_bound(
+      host_events_.begin(), host_events_.end(), ev.micros,
+      [](int64_t micros, const HostEvent& e) { return micros < e.micros; });
+  host_events_.insert(at, ev);
 }
 
 Status Network::ScheduleOwnerEvent(HostId host, int64_t micros,
@@ -183,7 +184,6 @@ void Network::LoseProcess(ProcessId pid, int64_t now) {
   DetachFromHost(pid);
   p.state = ProcessState::kLost;
   p.finish_micros = now;
-  --running_count_;
   ++total_lost_;
   if (c_lost_ != nullptr) c_lost_->Increment();
   TraceHostEvent(host, "process_lost",
@@ -255,7 +255,6 @@ Result<ProcessId> Network::Spawn(ProcessId parent,
   p.spawn_micros = clock_->NowMicros();
   processes_[p.pid] = p;
   hosts_[host].running.push_back(p.pid);
-  ++running_count_;
   ++total_spawns_;
   if (c_spawns_ != nullptr) c_spawns_->Increment();
   TraceHostEvent(host, "spawn",
@@ -332,7 +331,6 @@ Status Network::Kill(ProcessId pid) {
   DetachFromHost(pid);
   p.state = ProcessState::kKilled;
   p.finish_micros = clock_->NowMicros();
-  --running_count_;
   TraceLoad(host);
   return Status::OK();
 }
@@ -351,44 +349,44 @@ std::vector<ProcessInfo> Network::GetPcbInfo(ProcessId parent) const {
   return out;
 }
 
-double Network::RateOf(const ProcessInfo& p) const {
-  const Host& h = hosts_[p.current_host];
-  int load = static_cast<int>(h.running.size());
-  return h.speed / std::max(load, 1);
-}
-
 void Network::AccrueProgress(int64_t now) {
   int64_t dt = now - last_accrual_micros_;
   if (dt <= 0) {
     last_accrual_micros_ = now;
     return;
   }
-  for (auto& [pid, p] : processes_) {
-    if (p.state != ProcessState::kRunning) continue;
-    double rate = RateOf(p);
+  for (const Host& h : hosts_) {
+    double rate = h.rate();
     int64_t gained = static_cast<int64_t>(std::llround(dt * rate));
-    p.done_micros = std::min(p.work_micros, p.done_micros + gained);
-    total_busy_micros_ += std::min<int64_t>(gained, dt);
+    for (ProcessId pid : h.running) {
+      ProcessInfo& p = processes_.at(pid);
+      p.done_micros = std::min(p.work_micros, p.done_micros + gained);
+      total_busy_micros_ += std::min<int64_t>(gained, dt);
+    }
   }
   last_accrual_micros_ = now;
 }
 
 int64_t Network::NextCompletionTime(ProcessId* which) const {
   int64_t best = kNever;
-  for (const auto& [pid, p] : processes_) {
-    if (p.state != ProcessState::kRunning) continue;
-    double rate = RateOf(p);
-    int64_t remaining = p.work_micros - p.done_micros;
-    int64_t eta;
-    if (remaining <= 0) {
-      eta = last_accrual_micros_;
-    } else {
-      eta = last_accrual_micros_ +
-            static_cast<int64_t>(std::ceil(remaining / rate));
-    }
-    if (eta < best) {
-      best = eta;
-      *which = pid;
+  *which = kNoProcess;
+  for (const Host& h : hosts_) {
+    double rate = h.rate();
+    for (ProcessId pid : h.running) {
+      const ProcessInfo& p = processes_.at(pid);
+      int64_t remaining = p.work_micros - p.done_micros;
+      int64_t eta;
+      if (remaining <= 0) {
+        eta = last_accrual_micros_;
+      } else {
+        eta = last_accrual_micros_ +
+              static_cast<int64_t>(std::ceil(remaining / rate));
+      }
+      // Equal ETAs go to the lowest pid, whatever host it runs on.
+      if (eta < best || (eta == best && pid < *which)) {
+        best = eta;
+        *which = pid;
+      }
     }
   }
   return best;
@@ -401,7 +399,6 @@ void Network::Complete(ProcessId pid, int64_t now) {
   p.state = ProcessState::kCompleted;
   p.done_micros = p.work_micros;
   p.finish_micros = now;
-  --running_count_;
   TraceLoad(host);
   if (completion_handler_) completion_handler_(p);
 }

@@ -182,9 +182,6 @@ class Network {
   /// Runs until no processes remain and no owner events are pending.
   void RunUntilQuiescent();
 
-  /// True when any process is still running.
-  bool HasRunningProcesses() const { return running_count_ > 0; }
-
   // --- statistics -----------------------------------------------------
   int64_t total_migrations() const { return total_migrations_; }
   int64_t total_evictions() const { return total_evictions_; }
@@ -214,6 +211,13 @@ class Network {
     bool owner_active = false;
     bool up = true;
     std::vector<ProcessId> running;  // pids executing here
+
+    /// Progress per virtual microsecond of each process executing here:
+    /// the CPU is shared evenly.
+    double rate() const {
+      return running.empty() ? speed
+                             : speed / static_cast<double>(running.size());
+    }
   };
 
   /// A scheduled change of host state: owner presence, crash, or reboot.
@@ -226,9 +230,13 @@ class Network {
   };
 
   /// Applies progress to all running processes for the interval since the
-  /// last accounting instant.
+  /// last accounting instant. Walks the hosts' running lists, so its cost
+  /// is O(running processes · log(processes ever spawned)): one lookup in
+  /// processes_ per running pid, no walk over every process ever spawned.
   void AccrueProgress(int64_t now);
-  /// Earliest projected completion time across running processes.
+  /// Earliest projected completion time across running processes; equal
+  /// times go to the lowest pid. Walks the running lists, like
+  /// AccrueProgress.
   int64_t NextCompletionTime(ProcessId* which) const;
   void Complete(ProcessId pid, int64_t now);
   void EvictForeigners(HostId host);
@@ -236,7 +244,6 @@ class Network {
   /// Finalizes a process as kLost and fires the failure handler.
   void LoseProcess(ProcessId pid, int64_t now);
   void PushHostEvent(HostEvent ev);
-  double RateOf(const ProcessInfo& p) const;
   /// Deterministic draw in [0, 1) for flaky-migration decisions.
   double NextFlakyDraw();
   /// Emits an instant on `host`'s trace track (no-op when untraced).
@@ -248,12 +255,13 @@ class Network {
   ManualClock* clock_;
   std::vector<Host> hosts_;
   std::map<ProcessId, ProcessInfo> processes_;
-  std::vector<HostEvent> host_events_;  // kept sorted by time
+  /// Sorted by time; events at one instant keep the order they were
+  /// scheduled in.
+  std::vector<HostEvent> host_events_;
   CompletionHandler completion_handler_;
   EvictionHandler eviction_handler_;
   FailureHandler failure_handler_;
   ProcessId next_pid_ = 1;
-  int running_count_ = 0;
   int64_t last_accrual_micros_ = 0;
   int64_t total_migrations_ = 0;
   int64_t total_evictions_ = 0;

@@ -128,10 +128,13 @@ class ContentStore {
   ContentStore(const ContentStore&) = delete;
   ContentStore& operator=(const ContentStore&) = delete;
 
-  /// Stores `outputs` under `key` (idempotent: an existing entry is left
-  /// untouched and counts as deduplication). Blobs whose bytes already
-  /// exist in the store are shared, not rewritten. May evict other
-  /// entries to honor the size budget — never the one just published.
+  /// Stores `outputs` under `key`. Idempotent in content: when `key`
+  /// already holds the same blobs, no blob is written, but a `touch`
+  /// journal record (fsynced) marks the entry most recently used, and the
+  /// bytes count as deduplication; different blobs replace the entry.
+  /// Blobs whose bytes already exist in the store are shared, not
+  /// rewritten. May evict other entries to honor the size budget — never
+  /// the one just published.
   Status Publish(const std::string& key, const CasEntryMeta& meta,
                  const std::vector<CasPublishOutput>& outputs)
       PAPYRUS_EXCLUDES(mu_);

@@ -164,6 +164,72 @@ TEST_F(LintTest, DiagnosticRenderingIsStable) {
   EXPECT_NE(json.find("\"line\":2"), std::string::npos);
 }
 
+/// The reference the line index must agree with: a scan from byte 0.
+void NaiveLineColumn(const std::string& text, size_t offset, int* line,
+                     int* column) {
+  int l = 1;
+  int c = 1;
+  for (size_t i = 0; i < offset && i < text.size(); ++i) {
+    if (text[i] == '\n') {
+      ++l;
+      c = 1;
+    } else {
+      ++c;
+    }
+  }
+  *line = l;
+  *column = c;
+}
+
+TEST(LineIndexTest, MatchesANaiveScanAtEveryOffset) {
+  const std::vector<std::string> texts = {
+      "",
+      "\n",
+      "x",
+      "no trailing newline",
+      "one\ntwo\n",
+      "\n\n\nempty lines first\n\n",
+      "a\n\n\nb\nlast line without newline",
+      "crlf\r\nline two\r\n\r\nafter an empty crlf line",
+      "\r\n",
+  };
+  for (const std::string& text : texts) {
+    SCOPED_TRACE(::testing::PrintToString(text));
+    LineIndex index(text);
+    // Offsets past the end clamp to the end, like the scan.
+    for (size_t offset = 0; offset <= text.size() + 3; ++offset) {
+      int line = 0, column = 0, want_line = 0, want_column = 0;
+      index.LineColumnAt(offset, &line, &column);
+      NaiveLineColumn(text, offset, &want_line, &want_column);
+      EXPECT_EQ(line, want_line) << "offset " << offset;
+      EXPECT_EQ(column, want_column) << "offset " << offset;
+    }
+  }
+}
+
+// A finding on the last line of a 2,000-step template reports that line
+// and column exactly.
+TEST_F(LintTest, GoldenPositionAtTheLastLineOfA2000StepTemplate) {
+  std::string script = "task Long_Flow {In} {Out}\n";
+  std::string prev = "In";
+  for (int i = 1; i < 2000; ++i) {
+    if (i % 100 == 1) script += "# stage " + std::to_string(i / 100) + "\n\n";
+    std::string out = "n" + std::to_string(i);
+    script += "step Via_" + std::to_string(i) + " {" + prev + "} {" + out +
+              "} {mizer -o " + out + " " + prev + "}\n";
+    prev = out;
+  }
+  script += "  step Last {" + prev + "} {Out} {nosuchtool " + prev + "}";
+  LintResult result = LintScript(script, Options());
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  const Diagnostic& d = result.diagnostics.front();
+  EXPECT_EQ(d.rule, rules::kUnknownTool);
+  // 1 header line + 20 stages of (comment, blank line) + 1,999 steps.
+  EXPECT_EQ(d.line, 2041);
+  EXPECT_EQ(d.column, 3);
+  EXPECT_EQ(d.step_name, "Last");
+}
+
 // Deterministic unit coverage of the happens-before checker: feed it a
 // dispatch trace by hand against the graph of a two-step chain.
 TEST_F(LintTest, RuntimeCheckerFlagsConcurrentWritersAndOrderedPairs) {

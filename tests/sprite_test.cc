@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/clock.h"
@@ -350,6 +354,170 @@ TEST_F(NetworkTest, EvictionToACrashedHomeLosesTheProcess) {
   auto info = net_.GetProcess(*pid);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->state, ProcessState::kLost);
+}
+
+// Host events scheduled for one instant take effect in the order they
+// were scheduled, however many are pending: an unstable sort scrambles
+// them once more than 16 are queued.
+TEST(NetworkEventOrderTest, SimultaneousHostEventsFireInScheduleOrder) {
+  constexpr int kHosts = 24;
+  constexpr int64_t kAt = 1000;
+  ManualClock clock(0);
+  Network net(&clock, kHosts + 1);
+  std::vector<HostId> crashed;
+  net.SetFailureHandler(
+      [&](const ProcessInfo& p) { crashed.push_back(p.current_host); });
+  for (HostId h = 1; h <= kHosts; ++h) {
+    ASSERT_TRUE(net.Spawn(kNoProcess, "victim", 1'000'000, h, true).ok());
+  }
+  // A crash and then a reboot of each host, hosts in a shuffled order:
+  // 48 events at one instant.
+  std::vector<HostId> order;
+  for (int i = 0; i < kHosts; ++i) order.push_back(1 + (7 * i) % kHosts);
+  for (HostId h : order) {
+    ASSERT_TRUE(net.ScheduleCrash(h, kAt).ok());
+    ASSERT_TRUE(net.RebootHost(h, kAt).ok());
+  }
+  net.RunUntilQuiescent();
+  EXPECT_EQ(crashed, order);
+  // Each reboot came after its host's crash, so every host is back up.
+  for (HostId h = 1; h <= kHosts; ++h) EXPECT_TRUE(net.IsUp(h)) << h;
+}
+
+const char* StateName(ProcessState state) {
+  switch (state) {
+    case ProcessState::kRunning:
+      return "running";
+    case ProcessState::kCompleted:
+      return "completed";
+    case ProcessState::kKilled:
+      return "killed";
+    case ProcessState::kLost:
+      return "lost";
+  }
+  return "?";
+}
+
+/// A seeded run over hosts of different speeds with owner events,
+/// migrations (some of them flaky), a crash and a reboot, and many
+/// processes whose completion times tie. Returns one line per
+/// completion, loss and eviction: kind, pid, virtual time, host, state.
+/// Host events sit at distinct instants.
+std::string RunSeededScenario() {
+  ManualClock clock(0);
+  Network net(&clock, 6);
+  const double speeds[] = {1.0, 2.0, 0.5, 1.0, 1.5, 1.0};
+  for (HostId h = 0; h < 6; ++h) {
+    EXPECT_TRUE(net.SetHostSpeed(h, speeds[h]).ok());
+  }
+  net.set_migration_cost_micros(250);
+  EXPECT_TRUE(net.SetMigrationFlakiness(0.3, 11).ok());
+  // A modulo of the raw draw, not a std:: distribution, so every
+  // standard library replays the same scenario.
+  std::mt19937_64 rng(2024);
+  auto below = [&](uint64_t n) { return rng() % n; };
+  std::ostringstream log;
+  auto record = [&](const char* kind, const ProcessInfo& p) {
+    log << kind << " pid=" << p.pid << " t=" << clock.NowMicros()
+        << " host=" << p.current_host << " state=" << StateName(p.state)
+        << '\n';
+  };
+  // Work in multiples of 500 us: many ETAs tie.
+  auto spawn = [&](HostId host) {
+    int64_t work = static_cast<int64_t>(500 * (1 + below(6)));
+    if (!net.IsUp(host)) host = net.home_host();
+    (void)net.Spawn(kNoProcess, "job", work, host, below(4) != 0);
+  };
+  int follow_ups = 0;
+  bool releasing = true;
+  net.SetCompletionHandler([&](const ProcessInfo& p) {
+    record("done", p);
+    // Like the task manager: a finished step releases the next one.
+    if (releasing && follow_ups < 120) {
+      ++follow_ups;
+      auto idle = net.FindIdleHost();
+      spawn(idle.ok() ? *idle : net.home_host());
+    }
+  });
+  net.SetFailureHandler([&](const ProcessInfo& p) { record("lost", p); });
+  net.SetEvictionHandler([&](const ProcessInfo& p) { record("evict", p); });
+
+  // Equal work spawned on higher hosts first, so lower pids sit on
+  // higher-numbered hosts and ties cross hosts.
+  for (int round = 0; round < 3; ++round) {
+    for (HostId h = 5; h >= 0; --h) {
+      if (h == 1 || h == 4) continue;  // speeds 2.0 / 1.5 tie less
+      EXPECT_TRUE(net.Spawn(kNoProcess, "tie", 3000, h, true).ok());
+    }
+  }
+  for (int i = 0; i < 12; ++i) spawn(static_cast<HostId>(below(6)));
+
+  EXPECT_TRUE(net.ScheduleOwnerEvent(3, 1700, true).ok());
+  EXPECT_TRUE(net.ScheduleOwnerEvent(3, 4100, false).ok());
+  EXPECT_TRUE(net.ScheduleOwnerEvent(4, 2300, true).ok());
+  EXPECT_TRUE(net.ScheduleOwnerEvent(4, 5900, false).ok());
+  EXPECT_TRUE(net.ScheduleCrash(2, 3100).ok());
+  EXPECT_TRUE(net.RebootHost(2, 6700).ok());
+
+  int steps = 0;
+  while (net.Step()) {
+    // Every few events, move a running process somewhere else (flaky
+    // moves may fail and leave it in place) or start a new one.
+    if (++steps % 3 != 0) continue;
+    std::vector<ProcessId> running;
+    for (const ProcessInfo& p : net.GetPcbInfo()) {
+      if (p.state == ProcessState::kRunning) running.push_back(p.pid);
+    }
+    if (!running.empty() && below(2) == 0) {
+      ProcessId pid = running[below(running.size())];
+      (void)net.Migrate(pid, static_cast<HostId>(below(6)));
+    } else if (steps < 200) {
+      spawn(static_cast<HostId>(below(6)));
+    }
+  }
+  // Then equal work on every host, as many processes as make each one
+  // progress at half speed: all finish at one instant, and the lowest
+  // pids run on the highest-numbered hosts.
+  releasing = false;
+  const int per_host[] = {2, 4, 1, 2, 3, 2};
+  for (HostId h = 5; h >= 0; --h) {
+    for (int i = 0; i < per_host[h]; ++i) {
+      EXPECT_TRUE(net.Spawn(kNoProcess, "tie", 1000, h, true).ok());
+    }
+  }
+  net.RunUntilQuiescent();
+  log << "end t=" << clock.NowMicros() << " spawns=" << net.total_spawns()
+      << " migrations=" << net.total_migrations()
+      << " migration_failures=" << net.total_migration_failures()
+      << " evictions=" << net.total_evictions()
+      << " lost=" << net.total_lost()
+      << " busy=" << net.total_busy_micros() << '\n';
+  return log.str();
+}
+
+// Pins completion order and every virtual timestamp of the scenario to a
+// checked-in log: a change to how the simulator accrues progress or picks
+// the next completion must reproduce it byte for byte.
+TEST(NetworkScenarioTest, SeededScenarioMatchesGoldenLog) {
+  const std::string actual = RunSeededScenario();
+  EXPECT_EQ(actual, RunSeededScenario()) << "scenario is not deterministic";
+  std::ifstream in(std::string(PAPYRUS_SOURCE_DIR) +
+                   "/tests/data/sprite_scenario.golden");
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (actual != golden.str()) {
+    const std::string out = ::testing::TempDir() + "sprite_scenario.actual";
+    std::ofstream(out) << actual;
+    FAIL() << "the scenario log differs from tests/data/"
+              "sprite_scenario.golden; this run's log is in "
+           << out;
+  }
+  // The scenario exercises what it claims to.
+  for (const char* kind : {"done", "lost", "evict"}) {
+    EXPECT_NE(actual.find(std::string(kind) + " "), std::string::npos)
+        << kind;
+  }
+  EXPECT_EQ(actual.find("migration_failures=0"), std::string::npos);
 }
 
 TEST_F(NetworkTest, SpeedupScalesWithHosts) {
