@@ -13,10 +13,18 @@
 // of the ratio; the wall ratio (`wall_deep_over_shallow`) is reported, not
 // gated.
 //
+// Two counts that do not depend on timing are gated too:
+// `wal_bytes_per_step`, the WAL bytes the deep end's commits wrote per
+// step (papyrus.wal.bytes_written: a new history node is journaled
+// without re-journaling its parent), and `extra_lints`, the pre-flight
+// lints beyond one per session (papyrus.lint.templates_linted: a
+// template is linted once per version, not once per invocation).
+//
 // Flags:
 //   --smoke    stop at 2x10^4 steps (before the paired ends); exit
-//              non-zero unless every invocation committed and
-//              deep_over_shallow <= 2.0
+//              non-zero unless every invocation committed,
+//              deep_over_shallow <= 2.0, wal_bytes_per_step is within
+//              its floor and extra_lints is 0
 //   --json F   write the per-invocation table to F (default
 //              BENCH_flow_scale.json; "" disables)
 
@@ -38,6 +46,7 @@
 #include "base/macros.h"
 #include "bench/bench_util.h"
 #include "core/papyrus.h"
+#include "obs/metrics.h"
 #include "oct/design_data.h"
 
 namespace papyrus::bench {
@@ -51,6 +60,10 @@ constexpr int kDiamonds = 120;
 constexpr int64_t kFullHistory = 100'000;
 constexpr int64_t kSmokeHistory = 20'000;
 constexpr double kMaxDeepOverShallow = 2.0;
+/// 5% above the 541.5 WAL bytes per step that journaling only the new
+/// node writes at 10^5 steps (525.5 at the smoke depth). Re-journaling
+/// each invocation's parent node as well writes about a third more.
+constexpr double kMaxWalBytesPerStep = 569.0;
 constexpr int kEnds = 5;  // invocations per end of the ratio
 
 /// Uniform in [lo, hi]. A modulo of the raw draw, not a std::
@@ -144,6 +157,7 @@ struct Invocation {
   int64_t commit_us = 0;
   int64_t cpu_us = 0;  // process CPU time of Invoke + CommitWal
   int64_t virtual_us = 0;
+  int64_t wal_bytes = 0;  // written by this invocation's commit
   bool committed = false;
 
   double PerStep(int64_t us) const {
@@ -197,6 +211,7 @@ class Driver {
                                              .seed = inputs_()})
             .status());
     int64_t virtual0 = session_.clock().NowMicros();
+    int64_t wal0 = wal_bytes_->value();
     int64_t cpu0 = CpuMicros();
     auto t0 = std::chrono::steady_clock::now();
     auto node = session_.Invoke(
@@ -208,6 +223,7 @@ class Driver {
     inv->commit_us = MicrosSince(t1);
     inv->cpu_us = CpuMicros() - cpu0;
     inv->virtual_us = session_.clock().NowMicros() - virtual0;
+    inv->wal_bytes = wal_bytes_->value() - wal0;
     PAPYRUS_RETURN_IF_ERROR(committed);
     PAPYRUS_ASSIGN_OR_RETURN(auto* t, session_.activity().GetThread(thread_));
     inv->steps = static_cast<int64_t>(t->nodes().at(*node).record.steps.size());
@@ -218,6 +234,9 @@ class Driver {
   }
 
   int64_t history() const { return history_; }
+  int64_t templates_linted() {
+    return session_.task_manager().templates_linted();
+  }
 
  private:
   static SessionOptions Options() {
@@ -228,6 +247,8 @@ class Driver {
   }
 
   Papyrus session_;
+  obs::Counter* wal_bytes_ =
+      session_.metrics().FindOrCreateCounter(obs::kWalBytesWritten);
   int thread_ = -1;
   std::mt19937_64 inputs_{kSeed + 1};
   int invocations_ = 0;
@@ -247,10 +268,10 @@ void Print(const char* label, const Invocation& inv) {
 /// two ends of the ratio in pairs: `kEnds` more invocations of that
 /// thread alternate with the first `kEnds` invocations of a fresh session
 /// (`fresh`, the shallow end), so a shared host's drifting load hits both
-/// ends alike.
+/// ends alike. `lints` gets the two sessions' pre-flight lint count.
 Status Run(const std::string& flow, const std::string& dir,
            int64_t target_steps, std::vector<Invocation>* deep,
-           std::vector<Invocation>* fresh) {
+           std::vector<Invocation>* fresh, int64_t* lints) {
   Driver deep_driver;
   PAPYRUS_RETURN_IF_ERROR(deep_driver.Open(flow, dir + "/deep"));
   while (deep_driver.history() < target_steps) {
@@ -273,6 +294,7 @@ Status Run(const std::string& flow, const std::string& dir,
       PAPYRUS_RETURN_IF_ERROR(st);
     }
   }
+  *lints = deep_driver.templates_linted() + fresh_driver.templates_linted();
   return Status::OK();
 }
 
@@ -304,6 +326,18 @@ Ends MeasureEnds(const std::vector<Invocation>& deep,
   return ends;
 }
 
+/// WAL bytes per step written by the deep end's last `kEnds` commits.
+double WalBytesPerStep(const std::vector<Invocation>& deep) {
+  if (deep.size() < static_cast<size_t>(kEnds)) return 0.0;
+  int64_t bytes = 0, steps = 0;
+  for (size_t i = deep.size() - kEnds; i < deep.size(); ++i) {
+    bytes += deep[i].wal_bytes;
+    steps += deep[i].steps;
+  }
+  return steps > 0 ? static_cast<double>(bytes) / static_cast<double>(steps)
+                   : 0.0;
+}
+
 /// µs/step of the first invocation whose history reached `depth`.
 double UsPerStepAt(const std::vector<Invocation>& runs, int64_t depth) {
   for (const Invocation& inv : runs) {
@@ -323,16 +357,25 @@ void WriteInvocations(std::ostream& out, const char* name,
         << r.commit_us << ", \"us_per_step\": " << r.us_per_step()
         << ", \"cpu_us\": " << r.cpu_us
         << ", \"cpu_us_per_step\": " << r.cpu_us_per_step()
-        << ", \"virtual_us\": " << r.virtual_us << ", \"committed\": "
+        << ", \"virtual_us\": " << r.virtual_us
+        << ", \"wal_bytes\": " << r.wal_bytes << ", \"committed\": "
         << (r.committed ? "true" : "false") << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
 }
 
+/// The gated counts: WAL bytes per step at depth, and pre-flight lints
+/// beyond one per session (two sessions run the one flow).
+struct Counts {
+  double wal_bytes_per_step = 0.0;
+  int64_t lints = 0;
+  int64_t extra_lints() const { return lints - 2; }
+};
+
 void WriteJson(const std::string& path, const std::vector<Invocation>& runs,
                const std::vector<Invocation>& reference, const Ends& cpu,
-               const Ends& wall, bool smoke) {
+               const Ends& wall, const Counts& counts, bool smoke) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"flow_scale\",\n"
       << "  \"flow\": {\"steps\": " << kFlowSteps << ", \"seed\": " << kSeed
@@ -347,15 +390,22 @@ void WriteJson(const std::string& path, const std::vector<Invocation>& runs,
       << ",\n  \"deep_over_shallow\": " << cpu.ratio
       << ",\n  \"shallow_us_per_step\": " << wall.shallow
       << ",\n  \"deep_us_per_step\": " << wall.deep
-      << ",\n  \"wall_deep_over_shallow\": " << wall.ratio << ",\n";
+      << ",\n  \"wall_deep_over_shallow\": " << wall.ratio
+      << ",\n  \"wal_bytes_per_step\": " << counts.wal_bytes_per_step
+      << ",\n  \"lints\": " << counts.lints << ", \"sessions\": 2"
+      << ", \"extra_lints\": " << counts.extra_lints() << ",\n";
   WriteInvocations(out, "invocations", runs);
   WriteInvocations(out, "reference", reference);
   // Regression floors enforced by tools/check_bench.py: the engine's CPU
-  // cost per step at the deep end stays within 2x the shallow end, and
-  // every invocation of both sessions commits.
+  // cost per step at the deep end stays within 2x the shallow end, a
+  // commit journals no more than the new node, each session lints the
+  // flow once, and every invocation of both sessions commits.
   out << "  \"floors\": {\n"
       << "    \"deep_over_shallow\": {\"max\": " << kMaxDeepOverShallow
       << "},\n"
+      << "    \"wal_bytes_per_step\": {\"max\": " << kMaxWalBytesPerStep
+      << "},\n"
+      << "    \"extra_lints\": {\"max\": 0},\n"
       << "    \"invocations/*/committed\": {\"eq\": true},\n"
       << "    \"reference/*/committed\": {\"eq\": true}\n"
       << "  }\n}\n";
@@ -393,8 +443,10 @@ int main(int argc, char** argv) {
               "history_steps", "invoke_us", "commit_us", "us_per_step",
               "cpu_us/step");
   std::vector<Invocation> runs, reference;
+  Counts counts;
   papyrus::Status st = Run(flow, dir, smoke ? kSmokeHistory : kFullHistory,
-                           &runs, &reference);
+                           &runs, &reference, &counts.lints);
+  counts.wal_bytes_per_step = WalBytesPerStep(runs);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   if (!st.ok()) {
@@ -413,11 +465,19 @@ int main(int argc, char** argv) {
       "committed %s\n",
       wall.ratio, wall.deep, wall.shallow, cpu.ratio, cpu.deep, cpu.shallow,
       kMaxDeepOverShallow, committed ? "yes" : "NO");
+  std::printf(
+      "wal_bytes_per_step %.1f (floor <= %.1f), pre-flight lints %" PRId64
+      " for 2 sessions (extra_lints %" PRId64 ", floor <= 0)\n",
+      counts.wal_bytes_per_step, kMaxWalBytesPerStep, counts.lints,
+      counts.extra_lints());
   if (!json_path.empty()) {
-    WriteJson(json_path, runs, reference, cpu, wall, smoke);
+    WriteJson(json_path, runs, reference, cpu, wall, counts, smoke);
   }
-  const bool ok =
-      committed && cpu.ratio > 0.0 && cpu.ratio <= kMaxDeepOverShallow;
+  const bool ok = committed && cpu.ratio > 0.0 &&
+                  cpu.ratio <= kMaxDeepOverShallow &&
+                  counts.wal_bytes_per_step > 0.0 &&
+                  counts.wal_bytes_per_step <= kMaxWalBytesPerStep &&
+                  counts.extra_lints() <= 0;
   if (smoke) std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

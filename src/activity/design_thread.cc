@@ -68,11 +68,24 @@ Status DesignThread::UpsertNode(HistoryNode node) {
   hour_index_.try_emplace(hour, node.id);
   NodeId id = node.id;
   bool is_root = node.parents.empty();
-  nodes_[id] = std::move(node);
+  auto [it, inserted] = nodes_.insert_or_assign(id, std::move(node));
   if (is_root) {
     MarkRoot(id);
   } else {
     UnmarkRoot(id);
+  }
+  if (inserted) {
+    // A new node's record carries its parent edges: a plain append does
+    // not re-journal the parent, so the parent's child link is rebuilt
+    // here. A parent journaled whole after the child replaces its list,
+    // and one journaled before it already names the child.
+    for (NodeId parent : it->second.parents) {
+      HistoryNode* p = MutableNode(parent);
+      if (p != nullptr && std::find(p->children.begin(), p->children.end(),
+                                    id) == p->children.end()) {
+        p->children.push_back(id);
+      }
+    }
   }
   ++seq_;
   return Status::OK();
@@ -218,8 +231,9 @@ Result<NodeId> DesignThread::Append(task::TaskHistoryRecord record,
     if (prev == kInitialPoint) {
       roots_.push_back(node.id);
     } else {
+      // Not journaled: the new node's record names `prev` as its parent,
+      // and replay re-adds the child link (UpsertNode).
       MutableNode(prev)->children.push_back(node.id);
-      TouchNode(prev);
     }
     // The current cursor advances automatically when the record lands at
     // the point the cursor occupies (§3.3.3).
@@ -630,9 +644,11 @@ Status DesignThread::RestoreNode(HistoryNode node) {
   next_node_id_ = std::max(next_node_id_, node.id + 1);
   int64_t hour = node.appended_micros / kMicrosPerHour;
   hour_index_.try_emplace(hour, node.id);
-  if (node.parents.empty()) MarkRoot(node.id);
   NodeId id = node.id;
+  bool is_root = node.parents.empty();
   nodes_[id] = std::move(node);
+  // After the insert: MarkRoot ignores ids it does not hold.
+  if (is_root) MarkRoot(id);
   ++seq_;  // gen-dirty, but never WAL dirt: restored state is durable
   return Status::OK();
 }

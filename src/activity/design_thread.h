@@ -89,6 +89,8 @@ class DesignThread {
   int size() const { return static_cast<int>(nodes_.size()); }
 
   NodeId current_cursor() const { return current_cursor_; }
+  /// Records without a parent (the children of the initial point).
+  const std::vector<NodeId>& roots() const { return roots_; }
 
   /// Rework (§3.3.3): repositions the current cursor onto an existing
   /// design point, restoring that point's thread state as the data scope.
@@ -227,8 +229,11 @@ class DesignThread {
   NodeId next_node_id() const { return next_node_id_; }
 
   /// WAL replay: applies one journaled node state — replaces the node
-  /// when it exists, inserts it otherwise. Thread-state cache fields are
-  /// runtime-only and reset. Keeps roots and the hour index consistent.
+  /// when it exists, inserts it otherwise. An inserted node is also
+  /// appended to each present parent's children (unless already there):
+  /// a plain Append journals only the new node, whose record carries the
+  /// parent edge. Thread-state cache fields are runtime-only and reset.
+  /// Keeps roots and the hour index consistent.
   Status UpsertNode(HistoryNode node);
   /// WAL replay of a deletion. Survivor links are not scrubbed here —
   /// the journal carries the survivors' corrected states separately.

@@ -294,10 +294,6 @@ void DerivationCache::OnRework(const oct::ObjectId& id) {
 
 void DerivationCache::Clear() {
   base::MutexLock lock(mu_);
-  ClearLocked();
-}
-
-void DerivationCache::ClearLocked() {
   while (!entries_.empty()) {
     DropEntry(entries_.begin()->first);
     ++stats_.invalidated;

@@ -137,8 +137,13 @@ class DerivationCache {
     // dtor would propagate into every owner's (often implicit) dtor.
     base::AssertEngineThread("DerivationCache::~DerivationCache");
     {
+      // Teardown is not a removal: the entries stay recorded wherever
+      // the session journaled them, so no `cdel` dirt is built for them
+      // and no invalidation counted. Only the database pins are released.
       base::MutexLock lock(mu_);
-      ClearLocked();
+      for (const auto& [key, entry] : entries_) {
+        for (const CachedOutput& out : entry.outputs) db_->Unpin(out.id);
+      }
     }
     db_->set_pinned_reclaim_handler(nullptr);
   }
@@ -329,7 +334,6 @@ class DerivationCache {
       PAPYRUS_REQUIRES(mu_, base::engine_thread);
   void InvalidateVersionLocked(const oct::ObjectId& id)
       PAPYRUS_REQUIRES(mu_, base::engine_thread);
-  void ClearLocked() PAPYRUS_REQUIRES(mu_, base::engine_thread);
 
   /// Serializes every public entry point (see the class thread contract).
   mutable base::Mutex mu_;

@@ -1,6 +1,7 @@
 #ifndef PAPYRUS_CADTOOLS_REGISTRY_H_
 #define PAPYRUS_CADTOOLS_REGISTRY_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,8 +29,13 @@ class ToolRegistry {
   std::vector<std::string> ToolNames() const;
   size_t size() const { return tools_.size(); }
 
+  /// Bumped by every Register: whatever was derived from the registry
+  /// (a template's pre-flight lint) is stale once it moves.
+  uint64_t generation() const { return generation_; }
+
  private:
   std::map<std::string, std::unique_ptr<Tool>> tools_;
+  uint64_t generation_ = 0;
 };
 
 /// Registers the full mock OCT tool suite used by the thesis' example

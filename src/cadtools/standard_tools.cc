@@ -12,6 +12,7 @@ namespace papyrus::cadtools {
 void ToolRegistry::Register(std::unique_ptr<Tool> tool) {
   std::string name = tool->name();
   tools_[name] = std::move(tool);
+  ++generation_;
 }
 
 Result<const Tool*> ToolRegistry::Find(const std::string& name) const {

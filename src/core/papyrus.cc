@@ -233,6 +233,12 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
   if (opened.layout != Layout::kEmpty) {
     metrics_.FindOrCreateCounter(obs::kSnapshotLoads)->Increment();
   }
+  if (opened.wal_version < storage::kWalVersion) {
+    // An older log never receives records of the current format (its
+    // reader would drop the child links they imply): fold it into a
+    // generation, whose WAL reset starts a current-format log.
+    PAPYRUS_RETURN_IF_ERROR(WriteGeneration());
+  }
   SyncStorageMetrics();
   return Status::OK();
 }
@@ -428,9 +434,13 @@ Status Papyrus::SaveGeneration() {
 
 Status Papyrus::SaveGenerationImpl() {
   // The WAL commit is the durability point: sections never contain state
-  // the journal does not cover, so a crash between any two steps below
-  // recovers byte-identically under either manifest.
+  // the journal does not cover, so a crash between any two steps of the
+  // generation write recovers byte-identically under either manifest.
   PAPYRUS_RETURN_IF_ERROR(CommitWal());
+  return WriteGeneration();
+}
+
+Status Papyrus::WriteGeneration() {
   const std::map<std::string, std::string> current =
       store_->CurrentSectionFiles();
   std::map<std::string, std::string> dirty;

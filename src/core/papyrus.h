@@ -168,7 +168,9 @@ class Papyrus {
   /// (PR 1 flat database.pdb, PR 6 snap.<N> whole-file snapshot dirs)
   /// load transparently and migrate to the engine layout at the next
   /// SaveGeneration. A torn WAL tail recovers its longest valid prefix
-  /// (reported through last_restore_stats()).
+  /// (reported through last_restore_stats()). A WAL of an older header
+  /// version replays as usual and is then folded into a generation, so
+  /// new records always start a current-format log.
   Status OpenStorage(const std::string& directory);
 
   bool storage_open() const { return store_ != nullptr; }
@@ -239,6 +241,9 @@ class Papyrus {
   Status LoadLegacySnapshot(const std::string& directory);
   Status OpenStorageImpl(const std::string& directory);
   Status SaveGenerationImpl();
+  /// Writes the dirty sections as the next generation and resets the WAL
+  /// under it. Everything in memory must already be journaled.
+  Status WriteGeneration();
   Status RestoreEngineSections(
       const std::map<std::string, std::string>& sections);
   Status ApplyWalRecord(const std::string& body);
@@ -247,8 +252,7 @@ class Papyrus {
   void SyncStorageMetrics();
 
   // Declared before every subsystem so trace + metrics are destroyed
-  // last: subsystem destructors (e.g. the derivation cache's Clear) may
-  // still count into the registry while the session tears down.
+  // last: subsystems hold pointers into the registry until they are gone.
   ManualClock clock_;
   obs::MetricsRegistry metrics_;
   obs::TraceRecorder trace_;

@@ -55,6 +55,10 @@ const std::vector<MetricInfo>& MetricCatalogue() {
       {kFlowViolations, kC,
        "Runtime flow-checker violations: dispatches contradicting the "
        "static happens-before graph. Zero on a healthy engine."},
+      {kLintTemplatesLinted, kC,
+       "Pre-flight lints run by the task manager: one per template "
+       "version and tool-registry/template-library generation, not one "
+       "per invocation."},
       {kCacheHits, kC, "Derivation-cache probes served from history."},
       {kCacheMisses, kC, "Derivation-cache probes that found no entry."},
       {kCacheRecorded, kC,

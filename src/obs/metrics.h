@@ -114,6 +114,8 @@ inline constexpr char kTasksCommitted[] = "papyrus.tasks.committed";
 inline constexpr char kTasksAborted[] = "papyrus.tasks.aborted";
 inline constexpr char kTaskRestarts[] = "papyrus.tasks.restarts";
 inline constexpr char kFlowViolations[] = "papyrus.flow.violations";
+inline constexpr char kLintTemplatesLinted[] =
+    "papyrus.lint.templates_linted";
 inline constexpr char kCacheHits[] = "papyrus.cache.hits";
 inline constexpr char kCacheMisses[] = "papyrus.cache.misses";
 inline constexpr char kCacheRecorded[] = "papyrus.cache.recorded";

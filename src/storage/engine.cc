@@ -125,6 +125,7 @@ Result<SessionStore::OpenResult> SessionStore::Open(
 
   PAPYRUS_ASSIGN_OR_RETURN(WalReplay replay,
                            wal_.Open((fs::path(dir_) / "wal.log").string()));
+  out.wal_version = replay.version;
   out.wal_truncated = replay.truncated;
   out.wal_dropped_bytes = replay.dropped_bytes;
   for (WalRecord& rec : replay.records) {

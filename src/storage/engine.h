@@ -80,6 +80,10 @@ class SessionStore {
     std::map<std::string, std::string> sections;
     /// WAL tail to replay on top of the sections, in sequence order.
     std::vector<WalRecord> wal;
+    /// Header version of the log found (kWalVersion for a new one). An
+    /// older log must be folded into a generation before it is appended
+    /// to: SaveGeneration restarts the log under the current header.
+    int wal_version = kWalVersion;
     int64_t wal_dropped_bytes = 0;
     bool wal_truncated = false;
     uint64_t generation = 0;

@@ -9,7 +9,9 @@ namespace papyrus::storage {
 namespace {
 
 std::string HeaderLine(uint64_t base_seq) {
-  return FrameLine("papyrus-wal 1 " + std::to_string(base_seq)) + "\n";
+  return FrameLine("papyrus-wal " + std::to_string(kWalVersion) + " " +
+                   std::to_string(base_seq)) +
+         "\n";
 }
 
 }  // namespace
@@ -24,8 +26,12 @@ Result<WalReplay> WriteAheadLog::Scan(const std::string& path) {
   JournalScan scan = ScanJournal(text, 0, [&](std::string_view body) {
     if (!saw_header) {
       std::vector<std::string> f = SplitWhitespace(body);
-      saw_header = f.size() == 3 && f[0] == "papyrus-wal" && f[1] == "1" &&
+      uint64_t version = 0;
+      saw_header = f.size() == 3 && f[0] == "papyrus-wal" &&
+                   ParseU64(f[1], &version) && version >= 1 &&
+                   version <= kWalVersion &&
                    ParseU64(f[2], &replay.base_seq);
+      if (saw_header) replay.version = static_cast<int>(version);
       last_seq = replay.base_seq;
       return saw_header;
     }

@@ -21,8 +21,16 @@ struct WalRecord {
   std::string body;
 };
 
+/// The header version new logs are written with. Version 2 journals a new
+/// history node without re-journaling its parent: the node's record
+/// carries the edge, and replay re-links the parent. Version 1 logs (which
+/// re-journaled the parent) replay the same way; a version-1 reader
+/// refuses version-2 logs instead of dropping child links.
+inline constexpr int kWalVersion = 2;
+
 /// What scanning a (possibly damaged) log recovered.
 struct WalReplay {
+  int version = kWalVersion;       // header version; a missing log is new
   std::vector<WalRecord> records;  // longest valid prefix, seq ascending
   uint64_t base_seq = 0;           // header base: seqs <= base are gone
   uint64_t next_seq = 1;           // 1 + last valid seq
@@ -33,7 +41,7 @@ struct WalReplay {
 
 /// The checksummed append-only write-ahead log, on a storage::Journal.
 ///
-/// Layout: one `papyrus-wal 1 <base_seq>` header line, then one
+/// Layout: one `papyrus-wal <version> <base_seq>` header line, then one
 /// `w <seq> <body>` line per record, every line FrameLine-framed. Recovery
 /// keeps the longest valid prefix: the first line whose checksum fails,
 /// whose sequence regresses, or that is cut mid-line ends the replay, and

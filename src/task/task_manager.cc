@@ -38,7 +38,7 @@ struct FrameCtx {
   std::map<std::string, std::string> name_map;  // formal -> actual
   std::string scope;        // "" for the root task, "3.1/" style below
   size_t push_site_idx = 0;  // parent's command index of the subtask cmd
-  std::shared_ptr<std::vector<tcl::RawCommand>> cmds;
+  std::shared_ptr<const std::vector<tcl::RawCommand>> cmds;
   int depth = 0;
   /// Interned uniquifier appended to intermediate object names resolved in
   /// this frame (".p<exec>" plus the sanitized scope), built once at frame
@@ -319,17 +319,16 @@ Status Execution::Init() {
         " outputs, got " +
         std::to_string(invocation_.output_names.size()));
   }
-  auto cmds = tcl::ParseScript(template_->script);
-  if (!cmds.ok()) return cmds.status();
-
   // Pre-flight static verification: lint the template against the tool
   // registry and template library before any step is dispatched. Error
   // findings refuse the invocation unless explicitly overridden; the
-  // resulting flow graph arms the runtime cross-checker either way.
-  lint::LintOptions lint_options;
-  lint_options.tools = mgr_->tools_;
-  lint_options.library = mgr_->templates_;
-  lint::LintResult preflight = lint::LintTemplate(*template_, lint_options);
+  // resulting flow graph arms the runtime cross-checker either way. The
+  // parse and the lint are the template plan's, run once per template
+  // version; every invocation still reports and enforces the findings.
+  const TaskManager::TemplatePlan& plan =
+      mgr_->PlanFor(*template_, /*lint=*/true);
+  if (!plan.parse_status.ok()) return plan.parse_status;
+  const lint::LintResult& preflight = *plan.preflight;
   if (observer_ != nullptr) {
     for (const lint::Diagnostic& d : preflight.diagnostics) {
       observer_->OnLintDiagnostic(d);
@@ -352,8 +351,7 @@ Status Execution::Init() {
 
   root_ctx_ = std::make_shared<FrameCtx>();
   root_ctx_->intermediate_suffix = ".p" + std::to_string(exec_id_);
-  root_ctx_->cmds =
-      std::make_shared<std::vector<tcl::RawCommand>>(std::move(*cmds));
+  root_ctx_->cmds = plan.cmds;
   for (size_t i = 0; i < template_->formal_inputs.size(); ++i) {
     root_ctx_->name_map[template_->formal_inputs[i]] =
         invocation_.inputs[i].name;
@@ -654,8 +652,11 @@ tcl::EvalResult Execution::CmdSubtask(
         "subtask " + name + " argument lists do not match its template");
     return tcl::EvalResult::Ok();
   }
-  auto cmds = tcl::ParseScript((*tmpl)->script);
-  if (!cmds.ok()) return tcl::EvalResult::Error(cmds.status().message());
+  const TaskManager::TemplatePlan& plan =
+      mgr_->PlanFor(**tmpl, /*lint=*/false);
+  if (!plan.parse_status.ok()) {
+    return tcl::EvalResult::Error(plan.parse_status.message());
+  }
 
   auto ctx = std::make_shared<FrameCtx>();
   ctx->parent = current_frame_;
@@ -671,8 +672,7 @@ tcl::EvalResult Execution::CmdSubtask(
     ctx->intermediate_suffix =
         ".p" + std::to_string(exec_id_) + ".s" + sanitized;
   }
-  ctx->cmds =
-      std::make_shared<std::vector<tcl::RawCommand>>(std::move(*cmds));
+  ctx->cmds = plan.cmds;
   for (size_t i = 0; i < ins->size(); ++i) {
     ctx->name_map[(*tmpl)->formal_inputs[i]] = ResolveName((*ins)[i]);
   }
@@ -1857,6 +1857,7 @@ void TaskManager::BindMetrics(obs::MetricsRegistry* registry) {
   rebind(c_steps_elided_, obs::kStepsElided);
   rebind(c_attrs_computed_, obs::kAttributesComputed);
   rebind(c_attrs_cached_, obs::kAttributesCached);
+  rebind(c_templates_linted_, obs::kLintTemplatesLinted);
   // Histogram observations are not carried over; rebind before invoking.
   h_step_latency_ = registry->FindOrCreateHistogram(
       obs::kStepVirtualLatency, obs::LatencyBucketBounds());
@@ -1872,6 +1873,36 @@ void TaskManager::set_worker_threads(int n) {
 
 int TaskManager::worker_threads() const {
   return executor_->worker_threads();
+}
+
+const TaskManager::TemplatePlan& TaskManager::PlanFor(
+    const tdl::TaskTemplate& tmpl, bool lint) {
+  base::AssertEngineThread("TaskManager::PlanFor");
+  auto [it, inserted] = plans_.try_emplace(tmpl.name);
+  TemplatePlan& plan = it->second;
+  if (inserted || plan.script != tmpl.script ||
+      plan.tools_generation != tools_->generation() ||
+      plan.library_generation != templates_->generation()) {
+    plan = TemplatePlan{};
+    plan.script = tmpl.script;
+    plan.tools_generation = tools_->generation();
+    plan.library_generation = templates_->generation();
+    auto cmds = tcl::ParseScript(tmpl.script);
+    if (cmds.ok()) {
+      plan.cmds = std::make_shared<const std::vector<tcl::RawCommand>>(
+          std::move(*cmds));
+    } else {
+      plan.parse_status = cmds.status();
+    }
+  }
+  if (lint && plan.parse_status.ok() && !plan.preflight.has_value()) {
+    lint::LintOptions options;
+    options.tools = tools_;
+    options.library = templates_;
+    plan.preflight = lint::LintTemplate(tmpl, options);
+    c_templates_linted_->Increment();
+  }
+  return plan;
 }
 
 Result<TaskHistoryRecord> TaskManager::Invoke(

@@ -4,19 +4,23 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "base/result.h"
 #include "base/status.h"
+#include "base/thread_annotations.h"
 #include "cadtools/registry.h"
 #include "lint/diagnostics.h"
+#include "lint/linter.h"
 #include "obs/observability.h"
 #include "oct/attribute_store.h"
 #include "oct/database.h"
 #include "sprite/network.h"
 #include "task/history.h"
 #include "task/step_executor.h"
+#include "tcl/parser.h"
 #include "tdl/template.h"
 
 namespace papyrus::cache {
@@ -182,6 +186,11 @@ class TaskManager {
   int64_t flow_violations() const { return c_flow_violations_->value(); }
   /// Steps elided by the derivation cache, across all invocations.
   int64_t steps_elided() const { return c_steps_elided_->value(); }
+  /// Pre-flight lints run: one per template version and registry/library
+  /// generation, however often the template is invoked.
+  int64_t templates_linted() const {
+    return c_templates_linted_->value();
+  }
 
   /// Rebinds statistics and tracing to an external observability context
   /// (a Papyrus session's trace recorder + metrics registry). Counter
@@ -230,6 +239,27 @@ class TaskManager {
   /// Attempts §4.3.3 re-migration for processes stuck on the home node.
   void TryRemigration();
 
+  /// One template version, prepared once and reused by every invocation
+  /// and subtask frame of it: the parsed commands and, from the first
+  /// invocation of the template as a task, the pre-flight lint with its
+  /// flow graph. A plan is current while the template text and the tool
+  /// registry and template library generations it was built against all
+  /// match (lint expands subtasks from the library and checks tools
+  /// against the registry).
+  struct TemplatePlan {
+    std::string script;
+    uint64_t tools_generation = 0;
+    uint64_t library_generation = 0;
+    Status parse_status;  // `cmds` is null when the parse failed
+    std::shared_ptr<const std::vector<tcl::RawCommand>> cmds;
+    std::optional<lint::LintResult> preflight;
+  };
+
+  /// The current plan of `tmpl`, rebuilt (re-parsed, lint dropped) when
+  /// stale. With `lint`, also runs the plan's pre-flight lint unless it
+  /// already ran.
+  const TemplatePlan& PlanFor(const tdl::TaskTemplate& tmpl, bool lint);
+
   oct::OctDatabase* db_;
   const cadtools::ToolRegistry* tools_;
   sprite::Network* network_;
@@ -241,6 +271,9 @@ class TaskManager {
 
   // pid -> owning execution, for routing completion signals.
   std::map<sprite::ProcessId, internal::Execution*> pid_router_;
+  /// Template name -> its plan. Entries live as long as the manager.
+  std::map<std::string, TemplatePlan> plans_
+      PAPYRUS_GUARDED_BY(base::engine_thread);
   int next_execution_id_ = 1;
 
   /// Fallback registry for managers used outside a Papyrus session, so
@@ -259,6 +292,7 @@ class TaskManager {
   obs::Counter* c_steps_elided_ = nullptr;
   obs::Counter* c_attrs_computed_ = nullptr;
   obs::Counter* c_attrs_cached_ = nullptr;
+  obs::Counter* c_templates_linted_ = nullptr;
   obs::Histogram* h_step_latency_ = nullptr;
   obs::Histogram* h_retry_backoff_ = nullptr;
 

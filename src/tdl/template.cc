@@ -44,6 +44,7 @@ Status TemplateLibrary::Add(const std::string& script) {
   auto tmpl = ParseTemplateHeader(script);
   if (!tmpl.ok()) return tmpl.status();
   templates_[tmpl->name] = std::move(*tmpl);
+  ++generation_;
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef PAPYRUS_TDL_TEMPLATE_H_
 #define PAPYRUS_TDL_TEMPLATE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,13 +51,21 @@ class TemplateLibrary {
     return templates_.count(name) > 0;
   }
   bool Remove(const std::string& name) {
-    return templates_.erase(name) > 0;
+    if (templates_.erase(name) == 0) return false;
+    ++generation_;
+    return true;
   }
   std::vector<std::string> TemplateNames() const;
   size_t size() const { return templates_.size(); }
 
+  /// Bumped by every Add and successful Remove. A template's pre-flight
+  /// lint expands its subtasks from this library, so it is stale once
+  /// the library moves, even when its own text did not change.
+  uint64_t generation() const { return generation_; }
+
  private:
   std::map<std::string, TaskTemplate> templates_;
+  uint64_t generation_ = 0;
 };
 
 /// Registers the example templates from the thesis (Padp §4.2.3,

@@ -79,6 +79,30 @@ TEST(PinTest, PinnedVersionRefusesReclaimUntilUnpinned) {
   db.Unpin({"never", 9});
 }
 
+TEST(PinTest, DestroyedCacheReleasesItsPins) {
+  ManualClock clock(0);
+  oct::OctDatabase db(&clock);
+  auto in = db.CreateVersion("in", TextData{"x"});
+  auto out = db.CreateVersion("out", TextData{"y"});
+  ASSERT_TRUE(in.ok() && out.ok());
+  {
+    DerivationCache cache(&db);
+    CacheEntry e;
+    e.tool = "t";
+    e.tool_version = "1";
+    e.inputs = {*in};
+    e.outputs = {{*out, true}};
+    ASSERT_TRUE(cache.Record(
+        DerivationCache::MakeKey(e.tool, e.tool_version, "", 0, e.inputs),
+        e));
+    EXPECT_TRUE(db.IsPinned(*out));
+  }
+  // Teardown frees the entries without journaling them as removals, but
+  // a database that outlives the cache gets its versions back.
+  EXPECT_FALSE(db.IsPinned(*out));
+  EXPECT_TRUE(db.Reclaim(*out).ok());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end flow reruns (Structure_Synthesis: 6 steps, one subtask; the
 // Simulate step consumes the command file and produces nothing)
@@ -517,6 +541,62 @@ TEST(DerivationCachePersistenceTest, SaveLoadRoundTripServesHits) {
   ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
   EXPECT_EQ(fresh.step_cache().size(), saved_entries);
   // The restored cache serves the flow entirely from the snapshot.
+  FlowRun warm = RunFlow(fresh, spec_id, cmds_id);
+  ASSERT_TRUE(warm.committed);
+  EXPECT_EQ(warm.executed, 0);
+  EXPECT_EQ(warm.elided, 6);
+  fs::remove_all(dir);
+}
+
+TEST(DerivationCachePersistenceTest, ClearIsJournaledAndReopensEmpty) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "papyrus_cache_clear";
+  fs::remove_all(dir);
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir.string()).ok());
+    auto spec = session.database().CreateVersion(
+        "spec", BehavioralSpec{8, 8, 12, 77});
+    auto cmds = session.database().CreateVersion("sim.cmd",
+                                                 TextData{"run 100"});
+    ASSERT_TRUE(RunFlow(session, *spec, *cmds).committed);
+    ASSERT_TRUE(session.CommitWal().ok());
+    ASSERT_GT(session.step_cache().size(), 0u);
+    // An explicit clear is a removal: it journals one `cdel` per entry.
+    session.step_cache().Clear();
+    ASSERT_TRUE(session.CommitWal().ok());
+  }
+  Papyrus fresh;
+  ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
+  EXPECT_EQ(fresh.step_cache().size(), 0u);
+  fs::remove_all(dir);
+}
+
+TEST(DerivationCachePersistenceTest, SessionTeardownKeepsEveryEntry) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "papyrus_cache_teardown";
+  fs::remove_all(dir);
+  ObjectId spec_id, cmds_id;
+  size_t saved_entries = 0;
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir.string()).ok());
+    auto spec = session.database().CreateVersion(
+        "spec", BehavioralSpec{8, 8, 12, 77});
+    auto cmds = session.database().CreateVersion("sim.cmd",
+                                                 TextData{"run 100"});
+    ASSERT_TRUE(RunFlow(session, *spec, *cmds).committed);
+    ASSERT_TRUE(session.CommitWal().ok());
+    spec_id = *spec;
+    cmds_id = *cmds;
+    saved_entries = session.step_cache().size();
+    ASSERT_GT(saved_entries, 0u);
+    // The session is destroyed without another commit: its teardown
+    // must not read as a removal of what the journal already holds.
+  }
+  Papyrus fresh;
+  ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
+  EXPECT_EQ(fresh.step_cache().size(), saved_entries);
   FlowRun warm = RunFlow(fresh, spec_id, cmds_id);
   ASSERT_TRUE(warm.committed);
   EXPECT_EQ(warm.executed, 0);

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "activity/design_thread.h"
+#include "activity/persistence.h"
 #include "base/strings.h"
 #include "core/papyrus.h"
 #include "storage/engine.h"
@@ -196,6 +200,35 @@ TEST(WalTest, TornTailRecoversLongestValidPrefixAtEveryByteOffset) {
     ASSERT_EQ(final->records.size(), expected + 1) << "cut=" << cut;
     EXPECT_EQ(final->records.back().body, "post-recovery");
     EXPECT_FALSE(final->truncated);
+  }
+}
+
+TEST(WalTest, HeaderVersionIsReportedAndFutureVersionsRefused) {
+  std::string dir = FreshDir("wal_version");
+  std::string path = (fs::path(dir) / "wal.log").string();
+  {
+    WriteAheadLog wal;
+    auto fresh = wal.Open(path);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(fresh->version, kWalVersion);
+  }
+  auto scanned = WriteAheadLog::Scan(path);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(scanned->version, kWalVersion);
+  for (int version = 1; version <= kWalVersion + 1; ++version) {
+    WriteAll(path, FrameLine("papyrus-wal " + std::to_string(version) +
+                             " 4") +
+                       "\n" + FrameLine("w 5 object x") + "\n");
+    auto replay = WriteAheadLog::Scan(path);
+    if (version > kWalVersion) {
+      // A log from a later format is refused, never half-understood.
+      EXPECT_FALSE(replay.ok());
+      continue;
+    }
+    ASSERT_TRUE(replay.ok()) << version;
+    EXPECT_EQ(replay->version, version);
+    EXPECT_EQ(replay->base_seq, 4u);
+    ASSERT_EQ(replay->records.size(), 1u);
   }
 }
 
@@ -450,6 +483,338 @@ TEST(StorageEngineSessionTest, CrashMatrixRecoversByteIdenticalSessions) {
       ASSERT_EQ(recovered.count(name), 1u) << "missing section " << name;
       EXPECT_EQ(recovered[name], bytes) << "section " << name
                                         << " diverged";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge-carrying node records: a new history node is journaled alone, its
+// record carrying the parent edge, and replay re-links the parent.
+
+using activity::DesignThread;
+using activity::NodeId;
+
+/// What recovery must reproduce of a thread: the cursor, the roots (as
+/// a set: snapshot restore lists them in id order), and every node's
+/// journaled block — record, timestamps, and parents and children in
+/// order.
+std::string ThreadGraph(const DesignThread& t) {
+  std::ostringstream out;
+  out << "cursor " << t.current_cursor() << "\nroots";
+  std::vector<NodeId> roots = t.roots();
+  std::sort(roots.begin(), roots.end());
+  for (NodeId r : roots) out << ' ' << r;
+  out << '\n';
+  for (const auto& [id, node] : t.nodes()) {
+    out << activity::EncodeNodeBlock(node);
+  }
+  return out.str();
+}
+
+/// Opens a copy of `dir` in a fresh session and renders thread `id`.
+std::string ReopenedGraph(const std::string& dir, const std::string& copy,
+                          int id) {
+  std::error_code ec;
+  fs::remove_all(copy, ec);
+  fs::copy(dir, copy, fs::copy_options::recursive, ec);
+  EXPECT_FALSE(ec) << ec.message();
+  Papyrus reopened;
+  Status st = reopened.OpenStorage(copy);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  auto thread = reopened.activity().GetThread(id);
+  return thread.ok() ? ThreadGraph(**thread) : "<no thread>";
+}
+
+/// Parent and child links that do not mirror each other, and roots that
+/// disagree with the parent lists; empty when the graph is consistent.
+std::string LinkMismatches(const DesignThread& t) {
+  std::ostringstream out;
+  auto has = [](const std::vector<NodeId>& v, NodeId x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  };
+  for (const auto& [id, node] : t.nodes()) {
+    for (NodeId p : node.parents) {
+      auto parent = t.GetNode(p);
+      if (!parent.ok() || !has((*parent)->children, id)) {
+        out << "node " << id << " names parent " << p << " without link\n";
+      }
+    }
+    for (NodeId c : node.children) {
+      auto child = t.GetNode(c);
+      if (!child.ok() || !has((*child)->parents, id)) {
+        out << "node " << id << " names child " << c << " without link\n";
+      }
+    }
+    if (node.parents.empty() != has(t.roots(), id)) {
+      out << "node " << id << " root status disagrees\n";
+    }
+  }
+  return out.str();
+}
+
+task::TaskHistoryRecord Record(int k) {
+  task::TaskHistoryRecord rec;
+  rec.task_name = "op" + std::to_string(k);
+  rec.outputs = {oct::ObjectId{"obj" + std::to_string(k), 1}};
+  return rec;
+}
+
+/// Picks a random live node (kInitialPoint when the thread is empty).
+NodeId AnyNode(const DesignThread& t, std::mt19937_64* rng) {
+  if (t.nodes().empty()) return activity::kInitialPoint;
+  auto it = t.nodes().begin();
+  std::advance(it, static_cast<long>((*rng)() % t.nodes().size()));
+  return it->first;
+}
+
+/// True when `to` is reachable from `from` along child links.
+bool Reaches(const DesignThread& t, NodeId from, NodeId to) {
+  std::vector<NodeId> stack = {from};
+  std::set<NodeId> seen;
+  while (!stack.empty()) {
+    NodeId cur = stack.back();
+    stack.pop_back();
+    if (cur == to) return true;
+    if (!seen.insert(cur).second) continue;
+    auto node = t.GetNode(cur);
+    if (!node.ok()) continue;
+    for (NodeId c : (*node)->children) stack.push_back(c);
+  }
+  return false;
+}
+
+TEST(EdgeCarryingWalTest, RandomHistorySurgeryReplaysToTheLiveThread) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string dir = FreshDir("surgery_" + std::to_string(seed));
+    const std::string copy = dir + ".copy";
+    std::mt19937_64 rng(seed);
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    const int id = session.CreateThread("surgery");
+    auto thread = session.activity().GetThread(id);
+    ASSERT_TRUE(thread.ok());
+    DesignThread* t = *thread;
+    int appended = 0, checks = 0;
+    for (int op = 0; op < 80; ++op) {
+      session.clock().AdvanceMicros(1 + static_cast<int64_t>(rng() % 5000));
+      switch (rng() % 10) {
+        case 0:
+        case 1:
+        case 2:  // append at the cursor (a splice when its path branches)
+          ASSERT_TRUE(
+              t->Append(Record(++appended), t->current_cursor(), false).ok());
+          break;
+        case 3: {  // rework: a new branch at some earlier record
+          NodeId at = AnyNode(*t, &rng);
+          ASSERT_TRUE(t->MoveCursor(at).ok());
+          ASSERT_TRUE(t->Append(Record(++appended), at, true).ok());
+          break;
+        }
+        case 4: {  // append on another record's path: may splice
+          NodeId at = AnyNode(*t, &rng);
+          ASSERT_TRUE(t->Append(Record(++appended), at, false).ok());
+          break;
+        }
+        case 5: {  // rework with erasure of the branch holding the cursor
+          NodeId at = AnyNode(*t, &rng);
+          ASSERT_TRUE(t->MoveCursorAndErase(at, nullptr).ok());
+          break;
+        }
+        case 6: {  // delete: a subtree, or one record spliced out
+          if (t->nodes().size() < 4) break;
+          NodeId victim = AnyNode(*t, &rng);
+          if (rng() % 2 == 0) {
+            ASSERT_TRUE(t->EraseSubtree(victim, nullptr).ok());
+          } else {
+            ASSERT_TRUE(t->SpliceOutNode(victim, nullptr).ok());
+          }
+          break;
+        }
+        case 7: {  // join-style edge between unordered records
+          NodeId a = AnyNode(*t, &rng), b = AnyNode(*t, &rng);
+          if (a != b && a != activity::kInitialPoint &&
+              !Reaches(*t, b, a)) {
+            // As Cascade does: a root gaining a parent leaves the roots.
+            if (t->nodes().at(b).parents.empty()) t->UnmarkRoot(b);
+            t->LinkNodes(a, b);
+          }
+          break;
+        }
+        default: {  // commit, now and then as a compaction
+          if (rng() % 4 == 0) {
+            ASSERT_TRUE(session.SaveGeneration().ok());
+          } else {
+            ASSERT_TRUE(session.CommitWal().ok());
+          }
+          ASSERT_EQ(LinkMismatches(*t), "");
+          ASSERT_EQ(ReopenedGraph(dir, copy, id), ThreadGraph(*t))
+              << "after op " << op;
+          ++checks;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(session.CommitWal().ok());
+    EXPECT_EQ(ReopenedGraph(dir, copy, id), ThreadGraph(*t));
+    EXPECT_GT(checks, 0);
+    EXPECT_GT(appended, 10);
+  }
+}
+
+TEST(EdgeCarryingWalTest, PlainAppendJournalsOnlyTheNewNode) {
+  const std::string dir = FreshDir("append_records");
+  Papyrus session;
+  ASSERT_TRUE(session.OpenStorage(dir).ok());
+  const int id = session.CreateThread("line");
+  auto thread = session.activity().GetThread(id);
+  ASSERT_TRUE(thread.ok());
+  DesignThread* t = *thread;
+  ASSERT_TRUE(t->Append(Record(1), t->current_cursor()).ok());
+  ASSERT_TRUE(session.CommitWal().ok());
+  const std::string wal = (fs::path(dir) / "wal.log").string();
+  auto before = WriteAheadLog::Scan(wal);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(t->Append(Record(2), t->current_cursor()).ok());
+  ASSERT_TRUE(session.CommitWal().ok());
+  auto after = WriteAheadLog::Scan(wal);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->version, kWalVersion);
+  std::vector<std::string> thr;
+  for (size_t i = before->records.size(); i < after->records.size(); ++i) {
+    const std::string& body = after->records[i].body;
+    if (StartsWith(body, "thr ")) thr.push_back(body);
+  }
+  // Node 2 alone; node 1 gained a child but is not re-journaled.
+  ASSERT_EQ(thr.size(), 1u);
+  std::vector<std::string> f = SplitWhitespace(thr[0]);
+  ASSERT_EQ(f.size(), 3u);
+  EXPECT_TRUE(StartsWith(DecodeField(f[2]), "node 2 ")) << thr[0];
+}
+
+TEST(EdgeCarryingWalTest, EveryRecordBoundaryReplaysConsistentLinks) {
+  // Appends and new branches, one commit each as every invocation
+  // commits its own record: the new node is the batch's only node
+  // record, so a log cut at any record boundary holds whole edges only.
+  const std::string dir = FreshDir("boundaries");
+  std::mt19937_64 rng(7);
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    const int id = session.CreateThread("cut");
+    ASSERT_TRUE(session.CommitWal().ok());
+    auto thread = session.activity().GetThread(id);
+    ASSERT_TRUE(thread.ok());
+    DesignThread* t = *thread;
+    for (int k = 1; k <= 24; ++k) {
+      session.clock().AdvanceMicros(1000);
+      if (k % 5 == 0) {
+        NodeId at = AnyNode(*t, &rng);
+        ASSERT_TRUE(t->MoveCursor(at).ok());
+        ASSERT_TRUE(session.CommitWal().ok());  // the rework is its own act
+        ASSERT_TRUE(t->Append(Record(k), at, true).ok());
+      } else {
+        ASSERT_TRUE(t->Append(Record(k), t->current_cursor()).ok());
+      }
+      ASSERT_TRUE(session.CommitWal().ok());
+    }
+  }
+  const std::string bytes = ReadAll(fs::path(dir) / "wal.log");
+  std::vector<size_t> boundaries;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] == '\n') boundaries.push_back(i + 1);
+  }
+  ASSERT_GT(boundaries.size(), 30u);
+  int threads_seen = 0;
+  for (size_t cut : boundaries) {
+    const std::string cut_dir = FreshDir("boundaries_cut");
+    WriteAll(fs::path(cut_dir) / "wal.log", bytes.substr(0, cut));
+    Papyrus reopened;
+    ASSERT_TRUE(reopened.OpenStorage(cut_dir).ok()) << "cut=" << cut;
+    auto thread = reopened.activity().GetThread(1);
+    if (!thread.ok()) continue;  // cut before the thread's first record
+    ++threads_seen;
+    EXPECT_EQ(LinkMismatches(**thread), "") << "cut=" << cut;
+  }
+  EXPECT_GT(threads_seen, 20);
+}
+
+TEST(StorageEngineSessionTest, SnapshotRestoredThreadKeepsItsRoots) {
+  const std::string dir = FreshDir("restored_roots");
+  int id = 0;
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    id = session.CreateThread("rooted");
+    auto thread = session.activity().GetThread(id);
+    ASSERT_TRUE(thread.ok());
+    ASSERT_TRUE((*thread)->Append(Record(1), activity::kInitialPoint).ok());
+    ASSERT_TRUE((*thread)->Append(Record(2), (*thread)->current_cursor())
+                    .ok());
+    ASSERT_TRUE(session.SaveGeneration().ok());
+  }
+  Papyrus reopened;
+  ASSERT_TRUE(reopened.OpenStorage(dir).ok());
+  auto thread = reopened.activity().GetThread(id);
+  ASSERT_TRUE(thread.ok());
+  EXPECT_EQ((*thread)->roots(), std::vector<NodeId>{1});
+  // Rework to the initial point with erasure drops the stream, as it
+  // does on the live thread.
+  ASSERT_TRUE(
+      (*thread)->MoveCursorAndErase(activity::kInitialPoint, nullptr).ok());
+  EXPECT_EQ((*thread)->size(), 0);
+}
+
+TEST(StorageEngineSessionTest, VersionOneWalReplaysAndIsFoldedAtOpen) {
+  const fs::path data = fs::path(PAPYRUS_SOURCE_DIR) / "tests/data/v1_wal";
+  const std::string dir = FreshDir("v1_wal");
+  fs::copy(data / "session", dir, fs::copy_options::recursive);
+  const fs::path wal = fs::path(dir) / "wal.log";
+  auto scanned = WriteAheadLog::Scan(wal.string());
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_EQ(scanned->version, 1);
+  ASSERT_GT(scanned->records.size(), 0u);
+
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    auto thread = session.activity().GetThread(1);
+    ASSERT_TRUE(thread.ok());
+    // The re-journaled parents replay exactly as they did before.
+    EXPECT_EQ(activity::SerializeThread(**thread),
+              ReadAll(data / "thread.golden"));
+    EXPECT_EQ(LinkMismatches(**thread), "");
+    // Folded at open: a generation holds the replayed state and the log
+    // restarted, empty, under the current header.
+    EXPECT_EQ(session.store()->generation(), 1u);
+    auto folded = WriteAheadLog::Scan(wal.string());
+    ASSERT_TRUE(folded.ok());
+    EXPECT_EQ(folded->version, kWalVersion);
+    EXPECT_EQ(folded->records.size(), 0u);
+
+    // Later invocations land in the current-format log.
+    ASSERT_TRUE(session
+                    .Invoke(1, "Standard_Cell_Place_and_Route",
+                            {"shifter.logic"}, {"shifter.sc3"})
+                    .ok());
+    ASSERT_TRUE(session.CommitWal().ok());
+    auto grown = WriteAheadLog::Scan(wal.string());
+    ASSERT_TRUE(grown.ok());
+    EXPECT_EQ(grown->version, kWalVersion);
+    EXPECT_GT(grown->records.size(), 0u);
+    EXPECT_EQ(ReopenedGraph(dir, dir + ".copy", 1), ThreadGraph(**thread));
+  }
+  // No version-1 log is left anywhere in the store.
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::string text = ReadAll(entry.path());
+    size_t nl = text.find('\n');
+    if (nl == std::string::npos) continue;
+    std::string_view first_line(text.data(), nl);
+    std::string_view body;
+    if (UnframeLine(first_line, &body)) {
+      EXPECT_FALSE(StartsWith(std::string(body), "papyrus-wal 1 "))
+          << entry.path();
     }
   }
 }

@@ -7,6 +7,8 @@
 
 #include "base/clock.h"
 #include "cadtools/registry.h"
+#include "cadtools/tool.h"
+#include "lint/diagnostics.h"
 #include "oct/database.h"
 #include "oct/design_data.h"
 #include "sprite/network.h"
@@ -595,6 +597,164 @@ TEST_F(TaskManagerTest, PreflightLintRefusesBrokenTemplateByDefault) {
             std::string::npos)
       << rec.status().message();
   // Refusal happens before any step or side effect.
+  EXPECT_EQ(manager_.steps_executed(), 0);
+}
+
+// --- template plans: one parse and one lint per template version --------
+
+/// Records the rule of every pre-flight finding an invocation reports.
+class LintRules : public TaskObserver {
+ public:
+  void OnLintDiagnostic(const lint::Diagnostic& d) override {
+    rules.push_back(d.rule);
+  }
+  std::vector<std::string> rules;
+};
+
+TEST_F(TaskManagerTest, TemplatePlanLintsOncePerTemplateVersion) {
+  // Step B's output is never used: a dead-step warning, not a refusal.
+  ASSERT_TRUE(library_
+                  .Add("task Warned {In} {Out}\n"
+                       "step A {In} {Out} {espresso In}\n"
+                       "step B {In} {spare} {espresso In}\n")
+                  .ok());
+  auto invoke = [&](int k, LintRules* seen) {
+    TaskInvocation inv;
+    inv.template_name = "Warned";
+    inv.inputs = {MustCreate("w" + std::to_string(k),
+                             LogicNetwork{.minterms = 16 + k})};
+    inv.output_names = {"w" + std::to_string(k) + ".min"};
+    return manager_.Invoke(inv, seen);
+  };
+  for (int k = 0; k < 4; ++k) {
+    LintRules seen;
+    auto rec = invoke(k, &seen);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    // Every invocation still hears the stored findings.
+    EXPECT_EQ(seen.rules, std::vector<std::string>{lint::rules::kDeadStep})
+        << "invocation " << k;
+  }
+  EXPECT_EQ(manager_.templates_linted(), 1);
+
+  // New text under the same name is a new version: linted once more.
+  ASSERT_TRUE(library_
+                  .Add("task Warned {In} {Out}\n"
+                       "step A {In} {Out} {espresso In}\n")
+                  .ok());
+  for (int k = 4; k < 6; ++k) {
+    LintRules seen;
+    ASSERT_TRUE(invoke(k, &seen).ok());
+    EXPECT_TRUE(seen.rules.empty());
+  }
+  EXPECT_EQ(manager_.templates_linted(), 2);
+}
+
+TEST_F(TaskManagerTest, TemplatePlanRelintsWhenAToolIsRegistered) {
+  ASSERT_TRUE(library_
+                  .Add("task Fresh {In} {Out}\n"
+                       "step S {In} {Out} {newtool -o Out In}\n")
+                  .ok());
+  TaskInvocation inv;
+  inv.template_name = "Fresh";
+  inv.inputs = {MustCreate("f", LogicNetwork{.minterms = 8})};
+  inv.output_names = {"f.out"};
+  for (int k = 0; k < 2; ++k) {
+    auto rec = manager_.Invoke(inv);
+    ASSERT_TRUE(rec.status().IsFailedPrecondition())
+        << rec.status().ToString();
+    EXPECT_NE(rec.status().message().find(lint::rules::kUnknownTool),
+              std::string::npos);
+  }
+  EXPECT_EQ(manager_.templates_linted(), 1);
+
+  cadtools::ToolDescriptor d;
+  d.name = "newtool";
+  d.man_page = "x";
+  registry_->Register(std::make_unique<cadtools::Tool>(
+      d, [](const cadtools::ToolRunContext& ctx) {
+        cadtools::ToolRunResult r;
+        r.outputs.push_back(*ctx.inputs[0]);
+        return r;
+      }));
+  auto rec = manager_.Invoke(inv);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(manager_.templates_linted(), 2);
+}
+
+TEST_F(TaskManagerTest, TemplatePlanFollowsSubtaskLibraryChanges) {
+  ASSERT_TRUE(library_
+                  .Add("task Outer3 {P} {Q}\n"
+                       "subtask Inner3 {P} {Q}\n")
+                  .ok());
+  TaskInvocation inv;
+  inv.template_name = "Outer3";
+  inv.inputs = {MustCreate("s", LogicNetwork{.minterms = 32})};
+  inv.output_names = {"s.min"};
+  LintRules missing;
+  auto refused = manager_.Invoke(inv, &missing);
+  ASSERT_TRUE(refused.status().IsFailedPrecondition());
+  const std::vector<std::string> unresolved = {
+      lint::rules::kUnproducedOutput, lint::rules::kUnresolvedSubtask};
+  EXPECT_EQ(missing.rules, unresolved);
+  EXPECT_EQ(manager_.templates_linted(), 1);
+
+  // Adding the subtask template moves the library: the findings follow.
+  ASSERT_TRUE(library_
+                  .Add("task Inner3 {A} {B}\n"
+                       "step I {A} {B} {espresso A}\n")
+                  .ok());
+  for (int k = 0; k < 2; ++k) {
+    LintRules seen;
+    auto rec = manager_.Invoke(inv, &seen);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_TRUE(seen.rules.empty());
+    ASSERT_EQ(rec->steps.size(), 1u);
+    EXPECT_EQ(rec->steps[0].step_name, "I");
+  }
+  EXPECT_EQ(manager_.templates_linted(), 2);
+  // Expanding Inner3 as a subtask parsed it but did not lint it: its own
+  // first invocation as a task is its first lint.
+  TaskInvocation inner = inv;
+  inner.template_name = "Inner3";
+  inner.output_names = {"s.inner"};
+  ASSERT_TRUE(manager_.Invoke(inner).ok());
+  EXPECT_EQ(manager_.templates_linted(), 3);
+
+  ASSERT_TRUE(library_.Remove("Inner3"));
+  LintRules removed;
+  refused = manager_.Invoke(inv, &removed);
+  ASSERT_TRUE(refused.status().IsFailedPrecondition());
+  EXPECT_EQ(removed.rules, unresolved);
+  EXPECT_EQ(manager_.templates_linted(), 4);
+}
+
+TEST_F(TaskManagerTest, TemplatePlanRefusesAnErroneousTemplateEveryTime) {
+  ASSERT_TRUE(library_
+                  .Add("task Stuck3 {In} {Out}\n"
+                       "step S {ghost} {Out} {espresso ghost}\n")
+                  .ok());
+  TaskInvocation inv;
+  inv.template_name = "Stuck3";
+  inv.inputs = {MustCreate("g", LogicNetwork{})};
+  inv.output_names = {"g.out"};
+  LintRules first;
+  ASSERT_TRUE(manager_.Invoke(inv, &first).status().IsFailedPrecondition());
+  ASSERT_FALSE(first.rules.empty());
+  for (int k = 0; k < 2; ++k) {
+    LintRules seen;
+    auto rec = manager_.Invoke(inv, &seen);
+    EXPECT_TRUE(rec.status().IsFailedPrecondition());
+    EXPECT_EQ(seen.rules, first.rules);
+  }
+  // The override still runs it (into the scheduler's own abort) and
+  // still reports the findings.
+  inv.override_lint = true;
+  LintRules overridden;
+  auto rec = manager_.Invoke(inv, &overridden);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_TRUE(rec.status().IsAborted()) << rec.status().ToString();
+  EXPECT_EQ(overridden.rules, first.rules);
+  EXPECT_EQ(manager_.templates_linted(), 1);
   EXPECT_EQ(manager_.steps_executed(), 0);
 }
 
