@@ -13,17 +13,12 @@ DesignThread::DesignThread(int thread_id, std::string name, Clock* clock)
     : id_(thread_id), name_(std::move(name)), clock_(clock) {}
 
 void DesignThread::TouchNode(NodeId id) {
-  ++seq_;
   if (wal_dirty_set_.insert(id).second) wal_dirty_nodes_.push_back(id);
 }
 
-void DesignThread::TouchMeta() {
-  ++seq_;
-  wal_meta_dirty_ = true;
-}
+void DesignThread::TouchMeta() { wal_meta_dirty_ = true; }
 
 void DesignThread::TouchDeleted(NodeId id) {
-  ++seq_;
   wal_deleted_nodes_.push_back(id);
 }
 
@@ -87,7 +82,6 @@ Status DesignThread::UpsertNode(HistoryNode node) {
       }
     }
   }
-  ++seq_;
   return Status::OK();
 }
 
@@ -104,26 +98,21 @@ Status DesignThread::ForgetNode(NodeId id) {
   // The journal's meta record (replayed after the batch's deletions and
   // upserts) re-establishes the exact cursor.
   if (current_cursor_ == id) current_cursor_ = kInitialPoint;
-  ++seq_;
   return Status::OK();
 }
 
 Status DesignThread::ReplayMeta(NodeId cursor, NodeId next_node_id) {
   if (!HasNode(cursor)) {
-    return Status::NotFound("journaled cursor points at missing node " +
+    return Status::NotFound("cursor points at missing node " +
                             std::to_string(cursor));
   }
   current_cursor_ = cursor;
   next_node_id_ = std::max(next_node_id_, next_node_id);
-  ++seq_;
   return Status::OK();
 }
 
 void DesignThread::CheckIn(const oct::ObjectId& id) {
-  if (checkins_.insert(id).second) {
-    ++seq_;
-    wal_new_checkins_.push_back(id);
-  }
+  if (checkins_.insert(id).second) wal_new_checkins_.push_back(id);
 }
 
 HistoryNode* DesignThread::MutableNode(NodeId id) {
@@ -631,36 +620,6 @@ NodeId DesignThread::AdoptNode(HistoryNode node) {
   TouchNode(id);
   TouchMeta();  // next_node_id_ advanced
   return id;
-}
-
-Status DesignThread::RestoreNode(HistoryNode node) {
-  if (node.id <= 0) {
-    return Status::InvalidArgument("restored node has an invalid id");
-  }
-  if (nodes_.count(node.id) > 0) {
-    return Status::AlreadyExists("node " + std::to_string(node.id) +
-                                 " already exists");
-  }
-  next_node_id_ = std::max(next_node_id_, node.id + 1);
-  int64_t hour = node.appended_micros / kMicrosPerHour;
-  hour_index_.try_emplace(hour, node.id);
-  NodeId id = node.id;
-  bool is_root = node.parents.empty();
-  nodes_[id] = std::move(node);
-  // After the insert: MarkRoot ignores ids it does not hold.
-  if (is_root) MarkRoot(id);
-  ++seq_;  // gen-dirty, but never WAL dirt: restored state is durable
-  return Status::OK();
-}
-
-Status DesignThread::RestoreCursor(NodeId cursor) {
-  if (!HasNode(cursor)) {
-    return Status::NotFound("restored cursor points at missing node " +
-                            std::to_string(cursor));
-  }
-  current_cursor_ = cursor;
-  ++seq_;
-  return Status::OK();
 }
 
 void DesignThread::LinkNodes(NodeId parent, NodeId child) {

@@ -190,12 +190,6 @@ class DesignThread {
   /// Adds a node with a fresh id and no links; returns the id. Cached
   /// thread state is dropped.
   NodeId AdoptNode(HistoryNode node);
-  /// Re-inserts a node with its exact id and links; used by the
-  /// persistence layer (§5.3). The caller guarantees link consistency;
-  /// parent-less nodes are registered as roots.
-  Status RestoreNode(HistoryNode node);
-  /// Restores the current cursor after all nodes are back.
-  Status RestoreCursor(NodeId cursor);
   /// Adds a parent->child edge (idempotent).
   void LinkNodes(NodeId parent, NodeId child);
   /// Registers/unregisters a node as a child of the initial point.
@@ -204,8 +198,9 @@ class DesignThread {
 
   // --- storage-engine hooks ----------------------------------------------
   // Mutations are tracked at node granularity so the write-ahead log can
-  // journal exact record states (delta journaling) and the delta-snapshot
-  // writer can skip threads that did not change.
+  // journal exact record states (delta journaling). The session glue
+  // (src/core) notes which threads it journaled, and a generation
+  // rewrites exactly those thread sections.
 
   /// Everything dirtied since the last drain, in deterministic
   /// (mutation-order) sequence.
@@ -219,26 +214,27 @@ class DesignThread {
   WalDirt DrainWalDirt();
   void DiscardWalDirt();
 
-  /// Monotonic counter of persisted-state mutations (delta-snapshot
-  /// dirtiness at thread granularity).
-  uint64_t mutation_seq() const { return seq_; }
-
-  /// The node-id allocator, journaled in the WAL meta record so replayed
-  /// threads allocate exactly like the original (the snapshot formats
-  /// recompute it as max+1 instead).
+  /// The node-id allocator. It can run ahead of the highest live id once
+  /// the newest records are erased, so both the WAL meta record and the
+  /// thread section carry it (the section only when it differs from
+  /// max id + 1).
   NodeId next_node_id() const { return next_node_id_; }
 
-  /// WAL replay: applies one journaled node state — replaces the node
-  /// when it exists, inserts it otherwise. An inserted node is also
-  /// appended to each present parent's children (unless already there):
-  /// a plain Append journals only the new node, whose record carries the
-  /// parent edge. Thread-state cache fields are runtime-only and reset.
-  /// Keeps roots and the hour index consistent.
+  // Restore and replay: a thread section and the WAL rebuild a thread
+  // through the same two calls, so both land in the same state.
+
+  /// Applies one node state — replaces the node when it exists, inserts
+  /// it otherwise. An inserted node is also appended to each present
+  /// parent's children (unless already there): a plain Append journals
+  /// only the new node, whose record carries the parent edge.
+  /// Thread-state cache fields are runtime-only and reset. Keeps roots
+  /// and the hour index consistent.
   Status UpsertNode(HistoryNode node);
   /// WAL replay of a deletion. Survivor links are not scrubbed here —
   /// the journal carries the survivors' corrected states separately.
   Status ForgetNode(NodeId id);
-  /// WAL replay of the meta record: cursor + node-id allocator, exact.
+  /// Sets the cursor (which must exist) and raises the node-id allocator
+  /// to `next_node_id` (never below max id + 1).
   Status ReplayMeta(NodeId cursor, NodeId next_node_id);
 
  private:
@@ -271,7 +267,6 @@ class DesignThread {
   int64_t traversal_visits_ = 0;
 
   // Storage-engine dirty state.
-  uint64_t seq_ = 0;
   std::vector<NodeId> wal_dirty_nodes_;   // first-dirtied order
   std::set<NodeId> wal_dirty_set_;
   std::vector<NodeId> wal_deleted_nodes_;

@@ -348,6 +348,7 @@ Status ApplyCacheLine(const std::vector<std::string>& f,
 struct ThreadBuilder {
   std::unique_ptr<DesignThread> thread;
   NodeId cursor = kInitialPoint;
+  NodeId next_node_id = 0;  // 0: the section leaves it at max id + 1
   // Nodes are assembled fully before restoration so links and records are
   // complete at insert time.
   std::map<NodeId, HistoryNode> nodes;
@@ -361,6 +362,7 @@ struct ThreadBuilder {
           static_cast<int>(ParseI64(f[1])), DecodeField(f[2]), clock);
       cursor = static_cast<NodeId>(ParseI64(f[3]));
       thread->set_cache_interval(static_cast<int>(ParseI64(f[4])));
+      if (f.size() >= 6) next_node_id = static_cast<NodeId>(ParseI64(f[5]));
       return Status::OK();
     }
     if (thread == nullptr) {
@@ -396,9 +398,9 @@ struct ThreadBuilder {
       return Status::InvalidArgument("thread snapshot missing meta line");
     }
     for (auto& [id, node] : nodes) {
-      PAPYRUS_RETURN_IF_ERROR(thread->RestoreNode(std::move(node)));
+      PAPYRUS_RETURN_IF_ERROR(thread->UpsertNode(std::move(node)));
     }
-    PAPYRUS_RETURN_IF_ERROR(thread->RestoreCursor(cursor));
+    PAPYRUS_RETURN_IF_ERROR(thread->ReplayMeta(cursor, next_node_id));
     return std::move(thread);
   }
 };
@@ -447,8 +449,14 @@ Result<std::unique_ptr<oct::OctDatabase>> RestoreDatabase(
 std::string SerializeThread(const DesignThread& thread) {
   std::ostringstream out;
   out << "meta " << thread.id() << ' ' << EncodeField(thread.name())
-      << ' ' << thread.current_cursor() << ' ' << thread.cache_interval()
-      << '\n';
+      << ' ' << thread.current_cursor() << ' ' << thread.cache_interval();
+  // The allocator rides along only when erasing the newest records left
+  // it ahead of what restore derives, so every other section keeps its
+  // bytes (older readers ignore the extra field).
+  const NodeId derived =
+      thread.nodes().empty() ? 1 : thread.nodes().rbegin()->first + 1;
+  if (thread.next_node_id() != derived) out << ' ' << thread.next_node_id();
+  out << '\n';
   for (const oct::ObjectId& id : thread.checkins()) {
     out << "checkin " << EncodeField(id.name) << ' ' << id.version
         << '\n';

@@ -54,12 +54,15 @@ Result<std::unique_ptr<oct::OctDatabase>> RestoreDatabase(
     const std::string& text, Clock* clock, RestoreStats* stats = nullptr);
 
 /// Serializes one thread's control stream, cursor, check-ins, and
-/// configuration.
+/// configuration, plus its node-id allocator when that ran ahead of max
+/// id + 1.
 std::string SerializeThread(const DesignThread& thread);
 
-/// Rebuilds a design thread from `text`. Damaged version-2 snapshots
-/// restore their longest valid prefix: links to dropped nodes are pruned
-/// and the cursor falls back to the initial point when its node is gone.
+/// Rebuilds a design thread from `text` through the calls WAL replay uses
+/// (DesignThread::UpsertNode, then ReplayMeta). Damaged version-2
+/// snapshots restore their longest valid prefix: links to dropped nodes
+/// are pruned and the cursor falls back to the initial point when its
+/// node is gone.
 Result<std::unique_ptr<DesignThread>> RestoreThread(
     const std::string& text, Clock* clock, RestoreStats* stats = nullptr);
 

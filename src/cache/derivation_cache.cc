@@ -310,18 +310,11 @@ void DerivationCache::ForEach(
 }
 
 void DerivationCache::TouchPut(const std::string& key) {
-  ++seq_;
   if (wal_put_set_.insert(key).second) wal_put_keys_.push_back(key);
 }
 
 void DerivationCache::TouchRemoved(const std::string& key) {
-  ++seq_;
   if (wal_removed_set_.insert(key).second) wal_removed_keys_.push_back(key);
-}
-
-bool DerivationCache::HasWalDirt() const {
-  base::MutexLock lock(mu_);
-  return !wal_put_keys_.empty() || !wal_removed_keys_.empty();
 }
 
 void DerivationCache::DrainWalDirt(

@@ -289,15 +289,6 @@ class DerivationCache {
 
   // --- storage-engine hooks ----------------------------------------------
 
-  /// Monotonic counter of cache mutations (delta-snapshot dirtiness).
-  uint64_t mutation_seq() const PAPYRUS_EXCLUDES(mu_) {
-    base::MutexLock lock(mu_);
-    return seq_;
-  }
-
-  /// True when entries changed since the last drain/discard.
-  bool HasWalDirt() const PAPYRUS_EXCLUDES(mu_);
-
   /// Visits the removals then the surviving dirtied entries accumulated
   /// since the last drain (first-dirtied order), then clears both lists.
   /// Replay applies removals before upserts, so a replace (drop + put of
@@ -360,7 +351,6 @@ class DerivationCache {
   std::set<std::string> unpublished_ PAPYRUS_GUARDED_BY(mu_);
 
   // Storage-engine dirty state (first-dirtied order, deduplicated).
-  uint64_t seq_ PAPYRUS_GUARDED_BY(mu_) = 0;
   std::vector<std::string> wal_put_keys_ PAPYRUS_GUARDED_BY(mu_);
   std::set<std::string> wal_put_set_ PAPYRUS_GUARDED_BY(mu_);
   std::vector<std::string> wal_removed_keys_ PAPYRUS_GUARDED_BY(mu_);

@@ -23,6 +23,10 @@ std::string ThreadSectionName(int id) {
 
 constexpr char kCacheSection[] = "cache";
 constexpr char kStateSection[] = "state";
+/// Closes every non-empty WAL batch (log version 3 on): replay applies
+/// records only through the last one, so a torn batch is never half
+/// applied.
+constexpr char kCommitRecord[] = "commit";
 
 int ParseIntField(const std::string& s) {
   return static_cast<int>(ParseI64(s));
@@ -206,25 +210,33 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
       PAPYRUS_RETURN_IF_ERROR(LoadLegacySnapshot(opened.legacy_dir));
       break;
   }
-  // Baselines are captured *before* the WAL tail replays so the sections
-  // it touches register as dirty and compact into the next generation —
-  // a stale section file is never carried past a WAL base that covers
-  // replayed records.
-  CaptureGenerationBaselines();
-  for (const storage::WalRecord& rec : opened.wal) {
-    PAPYRUS_RETURN_IF_ERROR(ApplyWalRecord(rec.body));
+  // The restored sections are what the manifest carries; the records the
+  // WAL tail replays note their sections (ApplyWalRecord), which the next
+  // generation rewrites, so a stale section file is never carried past a
+  // WAL base that covers replayed records. A version-3 log applies only
+  // whole batches: records after its last commit record are a torn batch.
+  size_t whole = opened.wal.size();
+  if (opened.wal_version >= 3) {
+    whole = 0;
+    for (size_t i = 0; i < opened.wal.size(); ++i) {
+      if (opened.wal[i].body == kCommitRecord) whole = i + 1;
+    }
   }
+  for (size_t i = 0; i < whole; ++i) {
+    PAPYRUS_RETURN_IF_ERROR(ApplyWalRecord(opened.wal[i].body));
+  }
+  const int64_t torn = static_cast<int64_t>(opened.wal.size() - whole);
   // Restore and replay applied already-durable state: nothing here needs
   // re-journaling.
   DiscardAllWalDirt();
   known_threads_.clear();
   for (int id : activity_->ThreadIds()) known_threads_.insert(id);
-  last_restore_stats_.records_restored +=
-      static_cast<int64_t>(opened.wal.size());
-  last_restore_stats_.truncated |= opened.wal_truncated;
-  if (!opened.wal.empty()) {
+  last_restore_stats_.records_restored += static_cast<int64_t>(whole);
+  last_restore_stats_.records_dropped += torn;
+  last_restore_stats_.truncated |= opened.wal_truncated || torn > 0;
+  if (whole > 0) {
     metrics_.FindOrCreateCounter(obs::kWalReplayedRecords)
-        ->Increment(static_cast<int64_t>(opened.wal.size()));
+        ->Increment(static_cast<int64_t>(whole));
   }
   if (opened.wal_dropped_bytes > 0) {
     metrics_.FindOrCreateCounter(obs::kWalTruncatedBytes)
@@ -233,10 +245,11 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
   if (opened.layout != Layout::kEmpty) {
     metrics_.FindOrCreateCounter(obs::kSnapshotLoads)->Increment();
   }
-  if (opened.wal_version < storage::kWalVersion) {
+  if (opened.wal_version < storage::kWalVersion || torn > 0) {
     // An older log never receives records of the current format (its
-    // reader would drop the child links they imply): fold it into a
-    // generation, whose WAL reset starts a current-format log.
+    // reader would drop the child links they imply), and a new batch
+    // appended behind a torn one would replay with it: fold the log into
+    // a generation, whose WAL reset starts a fresh current-format log.
     PAPYRUS_RETURN_IF_ERROR(WriteGeneration());
   }
   SyncStorageMetrics();
@@ -282,9 +295,11 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
     return Status::InvalidArgument("empty WAL record");
   }
   const std::string& tag = f[0];
+  if (tag == kCommitRecord) return Status::OK();
   if (tag == "object") {
     PAPYRUS_ASSIGN_OR_RETURN(oct::ObjectRecord rec,
                              activity::ParseObjectRecord(f));
+    journaled_.NoteObject(rec.id.name);
     return db_->UpsertRecord(std::move(rec));
   }
   if (tag == "state") {
@@ -294,18 +309,22 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
   if (tag == "cput" && f.size() >= 2) {
     PAPYRUS_ASSIGN_OR_RETURN(cache::CacheEntry entry,
                              activity::DecodeCacheEntry(DecodeField(f[1])));
+    journaled_.cache = true;
     // Like snapshot restore, entries whose output versions did not
     // survive are skipped — they could only have missed.
     (void)step_cache_->Restore(std::move(entry));
     return Status::OK();
   }
   if (tag == "cdel" && f.size() >= 2) {
+    journaled_.cache = true;
     step_cache_->ForgetEntry(DecodeField(f[1]));
     return Status::OK();
   }
   if (tag == "thrnew" && f.size() >= 4) {
+    const int id = ParseIntField(f[1]);
+    journaled_.threads.insert(id);
     auto thread = std::make_unique<activity::DesignThread>(
-        ParseIntField(f[1]), DecodeField(f[2]), &clock_);
+        id, DecodeField(f[2]), &clock_);
     thread->set_cache_interval(ParseIntField(f[3]));
     return activity_->AdoptThread(std::move(thread));
   }
@@ -315,8 +334,10 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
   if ((tag == "thr" || tag == "thrdel" || tag == "thrchk" ||
        tag == "thrmeta") &&
       f.size() >= 3) {
+    const int id = ParseIntField(f[1]);
+    journaled_.threads.insert(id);
     PAPYRUS_ASSIGN_OR_RETURN(activity::DesignThread * thread,
-                             activity_->GetThread(ParseIntField(f[1])));
+                             activity_->GetThread(id));
     if (tag == "thr") {
       return activity::ApplyNodeBlock(DecodeField(f[2]), thread);
     }
@@ -343,9 +364,16 @@ Status Papyrus::CommitWal() {
   }
   // Drain order is fixed — database records, thread deltas, cache
   // entries, embedder state — so replay sees objects before the history
-  // and cache records that reference them.
+  // and cache records that reference them. Each record notes its section
+  // for the next generation, as replay does (ApplyWalRecord).
+  size_t batch = 0;
+  auto journal = [&](const std::string& body) {
+    store_->AppendWal(body);
+    ++batch;
+  };
   db_->DrainWalDirt([&](const oct::ObjectRecord& rec) {
-    store_->AppendWal(activity::EncodeObjectRecord(rec));
+    journal(activity::EncodeObjectRecord(rec));
+    journaled_.NoteObject(rec.id.name);
   });
   const std::vector<int> live = activity_->ThreadIds();
   const std::set<int> live_set(live.begin(), live.end());
@@ -354,7 +382,7 @@ Status Papyrus::CommitWal() {
       ++it;
       continue;
     }
-    store_->AppendWal("thrrm " + std::to_string(*it));
+    journal("thrrm " + std::to_string(*it));
     it = known_threads_.erase(it);
   }
   for (int id : live) {
@@ -363,24 +391,24 @@ Status Papyrus::CommitWal() {
     activity::DesignThread* t = *thread_or;
     const std::string tid = std::to_string(id);
     auto journal_node = [&](const activity::HistoryNode& node) {
-      store_->AppendWal("thr " + tid + " " +
-                        EncodeField(activity::EncodeNodeBlock(node)));
+      journal("thr " + tid + " " +
+              EncodeField(activity::EncodeNodeBlock(node)));
     };
     auto journal_checkin = [&](const oct::ObjectId& obj) {
-      store_->AppendWal("thrchk " + tid + " " + EncodeField(obj.name) + " " +
-                        std::to_string(obj.version));
+      journal("thrchk " + tid + " " + EncodeField(obj.name) + " " +
+              std::to_string(obj.version));
     };
     // Last in a thread's batch so the cursor's node exists when it replays.
     auto journal_meta = [&] {
-      store_->AppendWal("thrmeta " + tid + " " +
-                        std::to_string(t->current_cursor()) + " " +
-                        std::to_string(t->cache_interval()) + " " +
-                        std::to_string(t->next_node_id()));
+      journal("thrmeta " + tid + " " + std::to_string(t->current_cursor()) +
+              " " + std::to_string(t->cache_interval()) + " " +
+              std::to_string(t->next_node_id()));
     };
     if (known_threads_.count(id) == 0) {
       // First commit of a new thread: journal it whole.
-      store_->AppendWal("thrnew " + tid + " " + EncodeField(t->name()) + " " +
-                        std::to_string(t->cache_interval()));
+      journaled_.threads.insert(id);
+      journal("thrnew " + tid + " " + EncodeField(t->name()) + " " +
+              std::to_string(t->cache_interval()));
       for (const auto& [node_id, node] : t->nodes()) journal_node(node);
       for (const oct::ObjectId& obj : t->checkins()) journal_checkin(obj);
       journal_meta();
@@ -389,9 +417,10 @@ Status Papyrus::CommitWal() {
       continue;
     }
     if (!t->HasWalDirt()) continue;
+    journaled_.threads.insert(id);
     activity::DesignThread::WalDirt dirt = t->DrainWalDirt();
     for (activity::NodeId node_id : dirt.deleted) {
-      store_->AppendWal("thrdel " + tid + " " + std::to_string(node_id));
+      journal("thrdel " + tid + " " + std::to_string(node_id));
     }
     for (activity::NodeId node_id : dirt.upserts) {
       auto node = t->GetNode(node_id);
@@ -402,18 +431,20 @@ Status Papyrus::CommitWal() {
   }
   step_cache_->DrainWalDirt(
       [&](const std::string& key) {
-        store_->AppendWal("cdel " + EncodeField(key));
+        journal("cdel " + EncodeField(key));
+        journaled_.cache = true;
       },
       [&](const std::string& key, const cache::CacheEntry& entry) {
         (void)key;  // replay recomputes it from the entry's components
-        store_->AppendWal("cput " +
-                          EncodeField(activity::EncodeCacheEntry(entry)));
+        journal("cput " + EncodeField(activity::EncodeCacheEntry(entry)));
+        journaled_.cache = true;
       });
   if (state_hooks_.drain) {
     for (const std::string& state_body : state_hooks_.drain()) {
-      store_->AppendWal("state " + state_body);
+      journal("state " + state_body);
     }
   }
+  if (batch > 0) store_->AppendWal(kCommitRecord);
   PAPYRUS_ASSIGN_OR_RETURN(int64_t bytes, store_->CommitWal());
   (void)bytes;
   SyncStorageMetrics();
@@ -445,13 +476,16 @@ Status Papyrus::WriteGeneration() {
       store_->CurrentSectionFiles();
   std::map<std::string, std::string> dirty;
   std::vector<std::string> live;
-  // A section is dirty when its mutation sequence moved since the last
-  // generation, or when the current manifest does not carry it at all
-  // (first generation, legacy migration, WAL-replayed sections).
+  // A live section is rewritten when a WAL record journaled or replayed
+  // since the last generation touched it, or when the current manifest
+  // does not carry it at all (first generation, legacy migration).
+  auto rewrite = [&](const std::string& name, bool journaled) {
+    live.push_back(name);
+    return journaled || current.count(name) == 0;
+  };
   for (int i = 0; i < oct::OctDatabase::kShardCount; ++i) {
     const std::string name = DbSectionName(i);
-    live.push_back(name);
-    if (db_->ShardSeq(i) != db_shard_base_[i] || current.count(name) == 0) {
+    if (rewrite(name, (journaled_.db_shards >> i) & 1u)) {
       dirty[name] = activity::SerializeDatabaseShard(*db_, i);
     }
   }
@@ -459,17 +493,11 @@ Status Papyrus::WriteGeneration() {
     auto thread_or = activity_->GetThread(id);
     if (!thread_or.ok()) continue;
     const std::string name = ThreadSectionName(id);
-    live.push_back(name);
-    auto base = thread_seq_base_.find(id);
-    if (base == thread_seq_base_.end() ||
-        base->second != (*thread_or)->mutation_seq() ||
-        current.count(name) == 0) {
+    if (rewrite(name, journaled_.threads.count(id) != 0)) {
       dirty[name] = activity::SerializeThread(**thread_or);
     }
   }
-  live.push_back(kCacheSection);
-  if (step_cache_->mutation_seq() != cache_seq_base_ ||
-      current.count(kCacheSection) == 0) {
+  if (rewrite(kCacheSection, journaled_.cache)) {
     dirty[kCacheSection] = activity::SerializeDerivationCache(*step_cache_);
   }
   std::string state_text =
@@ -482,24 +510,10 @@ Status Papyrus::WriteGeneration() {
     }
   }
   PAPYRUS_RETURN_IF_ERROR(store_->SaveGeneration(dirty, live));
-  CaptureGenerationBaselines();
+  journaled_ = JournaledSections();
   last_state_text_ = std::move(state_text);
   SyncStorageMetrics();
   return Status::OK();
-}
-
-void Papyrus::CaptureGenerationBaselines() {
-  for (int i = 0; i < oct::OctDatabase::kShardCount; ++i) {
-    db_shard_base_[i] = db_->ShardSeq(i);
-  }
-  thread_seq_base_.clear();
-  for (int id : activity_->ThreadIds()) {
-    auto thread_or = activity_->GetThread(id);
-    if (thread_or.ok()) {
-      thread_seq_base_[id] = (*thread_or)->mutation_seq();
-    }
-  }
-  cache_seq_base_ = step_cache_->mutation_seq();
 }
 
 void Papyrus::DiscardAllWalDirt() {

@@ -1,7 +1,6 @@
 #ifndef PAPYRUS_CORE_PAPYRUS_H_
 #define PAPYRUS_CORE_PAPYRUS_H_
 
-#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -167,10 +166,12 @@ class Papyrus {
   /// restores whatever it holds. Requires a fresh session. Legacy layouts
   /// (PR 1 flat database.pdb, PR 6 snap.<N> whole-file snapshot dirs)
   /// load transparently and migrate to the engine layout at the next
-  /// SaveGeneration. A torn WAL tail recovers its longest valid prefix
-  /// (reported through last_restore_stats()). A WAL of an older header
-  /// version replays as usual and is then folded into a generation, so
-  /// new records always start a current-format log.
+  /// SaveGeneration. A torn WAL tail recovers its longest valid prefix,
+  /// and records after the last commit record (a torn batch) are not
+  /// applied; both are reported through last_restore_stats(). A WAL of an
+  /// older header version, or one that ended in a torn batch, is folded
+  /// into a generation after replay, so new records always start a
+  /// current-format log.
   Status OpenStorage(const std::string& directory);
 
   bool storage_open() const { return store_ != nullptr; }
@@ -180,15 +181,16 @@ class Papyrus {
   storage::SessionStore* store() { return store_.get(); }
 
   /// Journals every mutation since the last commit (database records,
-  /// thread deltas, cache entries, embedder state) and makes the batch
-  /// durable with one fsync. Journal-before-effect: call this before
+  /// thread deltas, cache entries, embedder state), closes the batch with
+  /// a commit record so replay applies it whole or not at all, and makes
+  /// it durable with one fsync. Journal-before-effect: call this before
   /// acknowledging the mutations outside the session.
   Status CommitWal();
 
   /// Durability checkpoint: CommitWal, then writes generation N+1
-  /// containing only the sections dirtied since generation N (clean
-  /// sections carry over by reference), atomically swaps CURRENT, and
-  /// resets the WAL.
+  /// containing only the sections that WAL records since generation N
+  /// belong to (the others carry over by reference), atomically swaps
+  /// CURRENT, and resets the WAL.
   Status SaveGeneration();
 
   // --- subsystem access ------------------------------------------------------
@@ -246,8 +248,8 @@ class Papyrus {
   Status WriteGeneration();
   Status RestoreEngineSections(
       const std::map<std::string, std::string>& sections);
+  /// Applies one replayed WAL record and notes its section.
   Status ApplyWalRecord(const std::string& body);
-  void CaptureGenerationBaselines();
   void DiscardAllWalDirt();
   void SyncStorageMetrics();
 
@@ -277,12 +279,21 @@ class Papyrus {
   // --- storage engine state ---
   std::unique_ptr<storage::SessionStore> store_;
   StateHooks state_hooks_;
-  /// Per-section mutation sequences captured at the last generation; a
-  /// section whose live sequence differs (or that the current manifest
-  /// does not carry) is dirty and gets rewritten.
-  std::array<uint64_t, oct::OctDatabase::kShardCount> db_shard_base_{};
-  std::map<int, uint64_t> thread_seq_base_;
-  uint64_t cache_seq_base_ = 0;
+  /// The sections of every WAL record journaled or replayed since the
+  /// last generation: exactly what the next generation rewrites (the
+  /// state section compares its text instead).
+  struct JournaledSections {
+    static_assert(oct::OctDatabase::kShardCount <= 16);
+    uint16_t db_shards = 0;  // bit i: section db/i
+    std::set<int> threads;
+    bool cache = false;
+
+    void NoteObject(const std::string& name) {
+      db_shards |=
+          static_cast<uint16_t>(1u << oct::OctDatabase::ShardOf(name));
+    }
+  };
+  JournaledSections journaled_;
   std::string last_state_text_;
   /// Threads the WAL already knows (journaled in full), for detecting
   /// new and vanished threads at CommitWal.

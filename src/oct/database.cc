@@ -47,8 +47,7 @@ void OctDatabase::set_observability(const obs::Observability& sinks) {
   }
 }
 
-void OctDatabase::MarkDirty(int shard, base::Symbol sym, int version) {
-  ++shards_[shard].seq;
+void OctDatabase::MarkDirty(base::Symbol sym, int version) {
   uint64_t key = DirtyKey(sym, version);
   if (wal_dirty_keys_.insert(key).second) {
     wal_dirty_.emplace_back(sym, version);
@@ -63,8 +62,7 @@ Result<ObjectId> OctDatabase::CreateVersion(const std::string& name,
     return Status::InvalidArgument("object name must not be empty");
   }
   base::Symbol sym = names_.Intern(name);
-  int shard = ShardOf(name);
-  std::vector<ObjectRecord>& versions = shards_[shard].objects[sym];
+  std::vector<ObjectRecord>& versions = shards_[ShardOf(name)].objects[sym];
   ObjectRecord rec;
   rec.id = ObjectId{name, static_cast<int>(versions.size()) + 1};
   rec.size_bytes = PayloadSizeBytes(payload);
@@ -74,7 +72,7 @@ Result<ObjectId> OctDatabase::CreateVersion(const std::string& name,
   rec.last_access_micros = rec.created_micros;
   versions.push_back(std::move(rec));
   ++total_versions_;
-  MarkDirty(shard, sym, versions.back().id.version);
+  MarkDirty(sym, versions.back().id.version);
   if (c_versions_created_ != nullptr) c_versions_created_->Increment();
   if (g_live_bytes_ != nullptr) {
     g_live_bytes_->Add(versions.back().size_bytes);
@@ -120,7 +118,7 @@ Result<const ObjectRecord*> OctDatabase::Get(const ObjectId& id) {
   // The access-time bump is persisted state (it drives §5.4 aging), so a
   // read dirties the record for the journal.
   rec->last_access_micros = clock_->NowMicros();
-  MarkDirty(ShardOf(id.name), names_.Find(id.name), id.version);
+  MarkDirty(names_.Find(id.name), id.version);
   return static_cast<const ObjectRecord*>(rec);
 }
 
@@ -184,7 +182,7 @@ Status OctDatabase::MarkInvisible(const ObjectId& id) {
     return Status::NotFound("no such object: " + id.ToString());
   }
   rec->visible = false;
-  MarkDirty(ShardOf(id.name), names_.Find(id.name), id.version);
+  MarkDirty(names_.Find(id.name), id.version);
   return Status::OK();
 }
 
@@ -199,7 +197,7 @@ Status OctDatabase::MarkVisible(const ObjectId& id) {
                                       id.ToString());
   }
   rec->visible = true;
-  MarkDirty(ShardOf(id.name), names_.Find(id.name), id.version);
+  MarkDirty(names_.Find(id.name), id.version);
   return Status::OK();
 }
 
@@ -230,7 +228,7 @@ Status OctDatabase::Reclaim(const ObjectId& id) {
   rec->payload = std::monostate{};
   rec->reclaimed = true;
   rec->visible = false;
-  MarkDirty(ShardOf(id.name), names_.Find(id.name), id.version);
+  MarkDirty(names_.Find(id.name), id.version);
   return Status::OK();
 }
 
@@ -293,13 +291,13 @@ void OctDatabase::ForEachShard(
   }
 }
 
-Status OctDatabase::InsertRecord(ObjectRecord record, bool mark_wal_dirty) {
+Status OctDatabase::InsertRecord(ObjectRecord record) {
   if (record.id.name.empty() || record.id.version < 1) {
     return Status::InvalidArgument("restored record has an invalid id");
   }
-  base::Symbol sym = names_.Intern(record.id.name);
-  int shard = ShardOf(record.id.name);
-  std::vector<ObjectRecord>& versions = shards_[shard].objects[sym];
+  std::vector<ObjectRecord>& versions =
+      shards_[ShardOf(record.id.name)]
+          .objects[names_.Intern(record.id.name)];
   if (record.id.version <= static_cast<int>(versions.size())) {
     // Upsert of an existing slot: exact journaled state wins, runtime-only
     // bookkeeping (pins, content-hash memo) survives.
@@ -317,8 +315,6 @@ Status OctDatabase::InsertRecord(ObjectRecord record, bool mark_wal_dirty) {
       c_reclaimed_->Increment();
     }
     slot = std::move(record);
-    ++shards_[shard].seq;
-    if (mark_wal_dirty) MarkDirty(shard, sym, slot.id.version);
     return Status::OK();
   }
   if (record.id.version != static_cast<int>(versions.size()) + 1) {
@@ -330,8 +326,6 @@ Status OctDatabase::InsertRecord(ObjectRecord record, bool mark_wal_dirty) {
   }
   const ObjectRecord& restored = versions.emplace_back(std::move(record));
   ++total_versions_;
-  ++shards_[shard].seq;
-  if (mark_wal_dirty) MarkDirty(shard, sym, restored.id.version);
   if (c_versions_created_ != nullptr) c_versions_created_->Increment();
   if (g_live_bytes_ != nullptr && !restored.reclaimed) {
     g_live_bytes_->Add(restored.size_bytes);
@@ -356,15 +350,13 @@ Status OctDatabase::RestoreRecord(ObjectRecord record) {
           std::to_string(it->second.size() + 1) + ")");
     }
   }
-  return InsertRecord(std::move(record), /*mark_wal_dirty=*/false);
+  return InsertRecord(std::move(record));
 }
 
 Status OctDatabase::UpsertRecord(ObjectRecord record) {
   base::AssertEngineThread("OctDatabase::UpsertRecord");
-  return InsertRecord(std::move(record), /*mark_wal_dirty=*/false);
+  return InsertRecord(std::move(record));
 }
-
-bool OctDatabase::HasWalDirt() const { return !wal_dirty_.empty(); }
 
 void OctDatabase::DrainWalDirt(
     const std::function<void(const ObjectRecord&)>& fn) {

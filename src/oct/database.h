@@ -62,9 +62,10 @@ struct ObjectRecord {
 /// and independent cells stop contending on one hash table. Names are
 /// interned (base::InternTable): shard maps hash a 4-byte Symbol and one
 /// arena-backed copy of every `cell:view:facet` string exists per
-/// database. Each shard carries a mutation sequence number (delta-
-/// snapshot dirtiness) and the database keeps a drain list of records
-/// touched since the last write-ahead-log commit.
+/// database. The database keeps a drain list of records touched since
+/// the last write-ahead-log commit; the session glue (src/core) notes
+/// the ShardOf of every record it journals, which is how a generation
+/// knows the shards to rewrite.
 ///
 /// Thread contract: the store is engine-owned and unlocked. Every
 /// mutating call (version creation, visibility flips, reclamation,
@@ -190,15 +191,6 @@ class OctDatabase {
   void ForEachShard(
       int shard, const std::function<void(const ObjectRecord&)>& fn) const;
 
-  /// Monotonic per-shard mutation counter covering every *persisted*
-  /// state change (creation, visibility, reclamation, access-time bumps,
-  /// restores). The delta-snapshot writer compares it against the value
-  /// captured at the last generation to find dirty shards.
-  uint64_t ShardSeq(int shard) const { return shards_[shard].seq; }
-
-  /// True when any record changed since the last drain/discard.
-  bool HasWalDirt() const PAPYRUS_REQUIRES(base::engine_thread);
-
   /// Visits the records dirtied since the last drain in first-dirtied
   /// order (deterministic: mutations happen only on the engine thread),
   /// then clears the dirty set. Each record is visited once with its
@@ -226,15 +218,14 @@ class OctDatabase {
   struct Shard {
     // interned name -> versions, index i holds version i+1.
     std::unordered_map<base::Symbol, std::vector<ObjectRecord>> objects;
-    uint64_t seq = 0;  // bumped on every persisted-state mutation
   };
 
   ObjectRecord* Find(const ObjectId& id);
   const ObjectRecord* Find(const ObjectId& id) const;
   /// Records a persisted-state mutation of (sym, version) for the WAL
-  /// drain and the shard's delta-dirtiness counter.
-  void MarkDirty(int shard, base::Symbol sym, int version);
-  Status InsertRecord(ObjectRecord record, bool mark_wal_dirty);
+  /// drain.
+  void MarkDirty(base::Symbol sym, int version);
+  Status InsertRecord(ObjectRecord record);
 
   /// Trace thread id for OCT events under the session process group.
   static constexpr int64_t kOctTrackTid = 1;

@@ -112,10 +112,9 @@ Result<SessionStore::OpenResult> SessionStore::Open(
   } else if (StartsWith(current, "snap.")) {
     out.layout = Layout::kLegacySnapDir;
     out.legacy_dir = (fs::path(dir_) / current).string();
-    uint64_t n = 0;
-    (void)ParseU64(current.substr(5), &n);
-    out.legacy_generation = n;
-    generation_ = n;  // engine numbering continues after the legacy one
+    // Engine numbering continues after the legacy snap.<N>, so pruning
+    // and fingerprints stay monotonic.
+    (void)ParseU64(current.substr(5), &generation_);
   } else if (fs::exists(fs::path(dir_) / "database.pdb")) {
     out.layout = Layout::kLegacyFlat;
     out.legacy_dir = dir_;

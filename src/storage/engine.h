@@ -72,9 +72,6 @@ class SessionStore {
     /// Directory holding the legacy snapshot files (the snap.<N> dir or
     /// the session dir itself) for the legacy layouts.
     std::string legacy_dir;
-    /// Legacy generation number (snap.<N>); engine numbering continues
-    /// from it so pruning and fingerprints stay monotonic.
-    uint64_t legacy_generation = 0;
     /// Section name -> text, verified against the manifest checksums
     /// (kEngine only).
     std::map<std::string, std::string> sections;

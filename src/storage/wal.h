@@ -21,12 +21,15 @@ struct WalRecord {
   std::string body;
 };
 
-/// The header version new logs are written with. Version 2 journals a new
-/// history node without re-journaling its parent: the node's record
-/// carries the edge, and replay re-links the parent. Version 1 logs (which
-/// re-journaled the parent) replay the same way; a version-1 reader
-/// refuses version-2 logs instead of dropping child links.
-inline constexpr int kWalVersion = 2;
+/// The header version new logs are written with. Version 3 ends every
+/// group commit with a `commit` record, and replay applies records only
+/// through the last one, so a torn batch is dropped whole. Version 2
+/// journals a new history node without re-journaling its parent: the
+/// node's record carries the edge, and replay re-links the parent.
+/// Version 1 logs (which re-journaled the parent) and version-2 logs (no
+/// commit records) replay every record, as they always did; an older
+/// reader refuses a newer log instead of misreading it.
+inline constexpr int kWalVersion = 3;
 
 /// What scanning a (possibly damaged) log recovered.
 struct WalReplay {

@@ -212,6 +212,14 @@ class Execution {
                              const std::string& cache_key,
                              const std::string& content_key,
                              const std::string& tool_version);
+  /// Completes `step` without running its tool, for both elision levels:
+  /// binds `outputs` (one per output name), records the step instantly
+  /// with the cache_hit marker, settles it with the flow checker under a
+  /// synthetic token, and reports `instant` with the cost it saved.
+  void CompleteWithoutRunning(const ResolvedStep& step,
+                              const std::vector<oct::ObjectId>& input_ids,
+                              std::vector<ResultEntry> outputs,
+                              int64_t micros_saved, const char* instant);
   /// Queues an environmental retry with exponential backoff. Returns
   /// false when the step has exhausted its retry budget (the caller then
   /// surfaces the failure through the normal step-failure path).
@@ -1070,22 +1078,8 @@ bool Execution::TryCompleteFromCache(
   }
   if (hit->outputs.size() != step.output_names.size()) return false;
 
-  int64_t now = mgr_->network_->clock()->NowMicros();
-  StepRecord record;
-  record.step_name = step.name;
-  record.tool = step.tool;
-  record.invocation =
-      step.tool + (step.options.empty() ? "" : " " + step.options);
-  record.inputs = input_ids;
-  record.dispatch_micros = now;
-  record.completion_micros = now;  // instant in virtual time
-  record.host = sprite::kNoHost;   // no process ran anywhere
-  record.exit_status = 0;
-  record.internal_id = step.internal_id;
-  record.cache_hit = true;
-
-  for (size_t i = 0; i < hit->outputs.size(); ++i) {
-    const cache::CachedOutput& out = hit->outputs[i];
+  std::vector<ResultEntry> outputs;
+  for (const cache::CachedOutput& out : hit->outputs) {
     ResultEntry entry;
     entry.id = out.id;
     entry.creating_internal_id = step.internal_id;
@@ -1097,33 +1091,10 @@ bool Execution::TryCompleteFromCache(
       (void)mgr_->db_->MarkVisible(out.id);
       entry.restored_visibility = true;
     }
-    record.outputs.push_back(out.id);
-    BindResult(step.output_names[i], std::move(entry));
+    outputs.push_back(std::move(entry));
   }
-  interp_->SetVar("status", "0");
-  if (step.user_id > 0) {
-    MarkStepCompleted(StepKey(step.scope, step.user_id));
-  }
-  if (checker_ != nullptr) {
-    // The flow checker still sees the step (so happens-before coverage
-    // stays complete) under a synthetic token that settles immediately.
-    int64_t token = -(++cache_token_seq_);
-    checker_->OnDispatch(token, step.scope, step.name, step.output_names);
-    checker_->OnSettle(token);
-  }
-  step_records_.push_back(record);
-  ++steps_elided_;
-  mgr_->c_steps_elided_->Increment();
-  if (obs::TraceRecorder* tr = trace()) {
-    NameStepTrack(step);
-    tr->Instant(trace_pid(), step.internal_id, "cache_hit", "cache",
-                {obs::TraceArg::Str("step", step.name),
-                 obs::TraceArg::Int("micros_saved", hit->cost_micros)});
-  }
-  if (observer_ != nullptr) {
-    observer_->OnCacheHit(step.name, hit->cost_micros);
-    observer_->OnStepCompleted(record);
-  }
+  CompleteWithoutRunning(step, input_ids, std::move(outputs),
+                         hit->cost_micros, "cache_hit");
   return true;
 }
 
@@ -1151,35 +1122,6 @@ bool Execution::TryCompleteFromShared(
   auto created = txn.Commit();
   if (!created.ok()) return false;  // fall back to running the tool
 
-  int64_t now = mgr_->network_->clock()->NowMicros();
-  StepRecord record;
-  record.step_name = step.name;
-  record.tool = step.tool;
-  record.invocation =
-      step.tool + (step.options.empty() ? "" : " " + step.options);
-  record.inputs = input_ids;
-  record.dispatch_micros = now;
-  record.completion_micros = now;  // instant in virtual time
-  record.host = sprite::kNoHost;   // no process ran anywhere
-  record.exit_status = 0;
-  record.internal_id = step.internal_id;
-  record.cache_hit = true;
-
-  for (size_t i = 0; i < created->size(); ++i) {
-    record.outputs.push_back((*created)[i]);
-    BindResult(step.output_names[i],
-               ResultEntry{(*created)[i], step.internal_id});
-  }
-  interp_->SetVar("status", "0");
-  if (step.user_id > 0) {
-    MarkStepCompleted(StepKey(step.scope, step.user_id));
-  }
-  if (checker_ != nullptr) {
-    int64_t token = -(++cache_token_seq_);
-    checker_->OnDispatch(token, step.scope, step.name, step.output_names);
-    checker_->OnSettle(token);
-  }
-
   // Stage the derivation for the session cache so later probes in this
   // session hit locally. The content key is left empty: a shared hit is
   // never republished back into the store it came from.
@@ -1202,20 +1144,60 @@ bool Execution::TryCompleteFromShared(
   staged.key = cache_key;
   staged_cache_.push_back(std::move(staged));
 
+  std::vector<ResultEntry> outputs;
+  for (const oct::ObjectId& id : *created) {
+    outputs.push_back(ResultEntry{id, step.internal_id});
+  }
+  CompleteWithoutRunning(step, input_ids, std::move(outputs),
+                         fetched->cost_micros, "cas_hit");
+  return true;
+}
+
+void Execution::CompleteWithoutRunning(
+    const ResolvedStep& step, const std::vector<oct::ObjectId>& input_ids,
+    std::vector<ResultEntry> outputs, int64_t micros_saved,
+    const char* instant) {
+  int64_t now = mgr_->network_->clock()->NowMicros();
+  StepRecord record;
+  record.step_name = step.name;
+  record.tool = step.tool;
+  record.invocation =
+      step.tool + (step.options.empty() ? "" : " " + step.options);
+  record.inputs = input_ids;
+  record.dispatch_micros = now;
+  record.completion_micros = now;  // instant in virtual time
+  record.host = sprite::kNoHost;   // no process ran anywhere
+  record.exit_status = 0;
+  record.internal_id = step.internal_id;
+  record.cache_hit = true;
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    record.outputs.push_back(outputs[i].id);
+    BindResult(step.output_names[i], std::move(outputs[i]));
+  }
+  interp_->SetVar("status", "0");
+  if (step.user_id > 0) {
+    MarkStepCompleted(StepKey(step.scope, step.user_id));
+  }
+  if (checker_ != nullptr) {
+    // The flow checker still sees the step (so happens-before coverage
+    // stays complete) under a synthetic token that settles immediately.
+    int64_t token = -(++cache_token_seq_);
+    checker_->OnDispatch(token, step.scope, step.name, step.output_names);
+    checker_->OnSettle(token);
+  }
   step_records_.push_back(record);
   ++steps_elided_;
   mgr_->c_steps_elided_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
     NameStepTrack(step);
-    tr->Instant(trace_pid(), step.internal_id, "cas_hit", "cache",
+    tr->Instant(trace_pid(), step.internal_id, instant, "cache",
                 {obs::TraceArg::Str("step", step.name),
-                 obs::TraceArg::Int("micros_saved", fetched->cost_micros)});
+                 obs::TraceArg::Int("micros_saved", micros_saved)});
   }
   if (observer_ != nullptr) {
-    observer_->OnCacheHit(step.name, fetched->cost_micros);
+    observer_->OnCacheHit(step.name, micros_saved);
     observer_->OnStepCompleted(record);
   }
-  return true;
 }
 
 bool Execution::RequeueEnvironmental(const ResolvedStep& step) {

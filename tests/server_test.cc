@@ -670,6 +670,64 @@ TEST(DaemonTest, CrashAfterSaveDedupesTheRedeliveredTask) {
   ExpectSameFingerprint(reference, Fingerprint(h, {"alpha", "beta"}));
 }
 
+TEST(ManagedSessionTest, TornSaveKeepsTheLedgerWithItsHistoryNode) {
+  // A log cut inside one task's Save: the task's history node and its
+  // applied-ledger line (drained last) are durable together or not at
+  // all, so a re-delivered task is neither lost nor run twice.
+  const std::string dir = FreshDir("torn_ledger");
+  const fs::path wal = fs::path(dir) / "wal.log";
+  SessionConfig config;
+  config.worker_threads = 1;
+  config.snapshot_interval = 1 << 30;  // every Save is one WAL commit
+  auto task = [](const std::string& output) {
+    TaskDescription desc;
+    desc.session = "torn";
+    desc.thread = "t";
+    desc.template_name = "Create_Logic_Description";
+    desc.output_names = {output};
+    return desc;
+  };
+  uintmax_t first_save = 0;
+  activity::NodeId node = 0;
+  {
+    auto opened = ManagedSession::Open(dir, "torn", config);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    ASSERT_TRUE((*opened)->Execute(1, task("a.logic")).ok());
+    ASSERT_TRUE((*opened)->Save().ok());
+    first_save = fs::file_size(wal);
+    auto executed = (*opened)->Execute(2, task("b.logic"));
+    ASSERT_TRUE(executed.ok());
+    node = *executed;
+    ASSERT_TRUE((*opened)->Save().ok());
+  }
+  const std::string bytes = ReadAll(wal);
+  int with_node = 0, without_node = 0;
+  for (size_t cut = first_save; cut <= bytes.size(); ++cut) {
+    // Every line boundary of the second Save, and some offsets inside
+    // its lines.
+    if (bytes[cut - 1] != '\n' && cut % 61 != 0) continue;
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    const std::string cut_dir = FreshDir("torn_ledger_cut");
+    std::ofstream(fs::path(cut_dir) / "wal.log", std::ios::binary)
+        << bytes.substr(0, cut);
+    auto reopened = ManagedSession::Open(cut_dir, "torn", config);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    Papyrus& engine = (*reopened)->session();
+    bool has_node = false;
+    for (int id : engine.activity().ThreadIds()) {
+      auto thread = engine.activity().GetThread(id);
+      if (thread.ok() && (*thread)->name() == "t") {
+        has_node = (*thread)->HasNode(node);
+      }
+    }
+    EXPECT_TRUE((*reopened)->HasApplied(1));
+    EXPECT_EQ((*reopened)->HasApplied(2), has_node);
+    ++(has_node ? with_node : without_node);
+  }
+  EXPECT_EQ(with_node, 1);  // only the whole log carries the commit
+  EXPECT_GT(without_node, 5);
+}
+
 /// The acceptance-criteria soak: many mid-flow daemon kills, then proof
 /// of exactly-once commit and byte-identical state against a crash-free
 /// run — at two worker-pool sizes.

@@ -494,13 +494,14 @@ TEST(StorageEngineSessionTest, CrashMatrixRecoversByteIdenticalSessions) {
 using activity::DesignThread;
 using activity::NodeId;
 
-/// What recovery must reproduce of a thread: the cursor, the roots (as
-/// a set: snapshot restore lists them in id order), and every node's
-/// journaled block — record, timestamps, and parents and children in
-/// order.
+/// What recovery must reproduce of a thread: the cursor, the node-id
+/// allocator, the roots (as a set: snapshot restore lists them in id
+/// order), and every node's journaled block — record, timestamps, and
+/// parents and children in order.
 std::string ThreadGraph(const DesignThread& t) {
   std::ostringstream out;
-  out << "cursor " << t.current_cursor() << "\nroots";
+  out << "cursor " << t.current_cursor() << "\nnext id " << t.next_node_id()
+      << "\nroots";
   std::vector<NodeId> roots = t.roots();
   std::sort(roots.begin(), roots.end());
   for (NodeId r : roots) out << ' ' << r;
@@ -817,6 +818,248 @@ TEST(StorageEngineSessionTest, VersionOneWalReplaysAndIsFoldedAtOpen) {
           << entry.path();
     }
   }
+}
+
+/// A record whose only child branches, so a plain append on its path
+/// splices in before that child; any record when there is none.
+NodeId SpliceSite(const DesignThread& t, std::mt19937_64* rng) {
+  for (const auto& [id, node] : t.nodes()) {
+    if (node.children.size() == 1 &&
+        t.nodes().at(node.children[0]).children.size() > 1) {
+      return id;
+    }
+  }
+  return AnyNode(t, rng);
+}
+
+TEST(StorageEngineSessionTest, TornCommitReplaysTheLastWholeCommit) {
+  // Commits that journal several thread records: a rework and its new
+  // branch in one commit, appends that splice in before a branching
+  // record, erasures. A log cut anywhere must replay exactly the thread
+  // the last whole commit made durable.
+  const std::string dir = FreshDir("torn_commits");
+  const fs::path wal = fs::path(dir) / "wal.log";
+  std::mt19937_64 rng(11);
+  // WAL size after each commit, and the thread that commit made durable.
+  std::vector<std::pair<uintmax_t, std::string>> durable;
+  int reworks = 0, splices = 0, erasures = 0;
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    const int id = session.CreateThread("torn");
+    ASSERT_TRUE(session.CommitWal().ok());
+    auto thread = session.activity().GetThread(id);
+    ASSERT_TRUE(thread.ok());
+    DesignThread* t = *thread;
+    durable.emplace_back(fs::file_size(wal), ThreadGraph(*t));
+    for (int k = 1; k <= 30; ++k) {
+      session.clock().AdvanceMicros(1000);
+      const size_t nodes = t->nodes().size();
+      switch (k % 5) {
+        case 0: {  // rework: the cursor move and the new branch together
+          NodeId at = AnyNode(*t, &rng);
+          ASSERT_TRUE(t->MoveCursor(at).ok());
+          ASSERT_TRUE(t->Append(Record(k), at, true).ok());
+          ++reworks;
+          break;
+        }
+        case 2: {  // append on a path that ends at a branching record
+          ASSERT_TRUE(t->Append(Record(k), SpliceSite(*t, &rng), false).ok());
+          if (!t->nodes().rbegin()->second.children.empty()) ++splices;
+          break;
+        }
+        case 4: {  // rework with erasure, then an append at the new cursor
+          ASSERT_TRUE(t->MoveCursorAndErase(AnyNode(*t, &rng), nullptr).ok());
+          if (t->nodes().size() < nodes) ++erasures;
+          ASSERT_TRUE(t->Append(Record(k), t->current_cursor()).ok());
+          break;
+        }
+        default:
+          ASSERT_TRUE(t->Append(Record(k), t->current_cursor()).ok());
+          break;
+      }
+      ASSERT_TRUE(session.CommitWal().ok());
+      durable.emplace_back(fs::file_size(wal), ThreadGraph(*t));
+    }
+  }
+  EXPECT_GT(reworks, 0);
+  EXPECT_GT(splices, 0);
+  EXPECT_GT(erasures, 0);
+
+  const std::string bytes = ReadAll(wal);
+  std::vector<size_t> cuts;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] == '\n') cuts.push_back(i + 1);
+  }
+  // A few cuts inside a line too: the torn line goes first.
+  for (size_t i = 1; i < 8; ++i) cuts.push_back(bytes.size() * i / 8 + 5);
+  int torn_batches = 0;
+  for (size_t cut : cuts) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    std::string expected;
+    for (const auto& [size, graph] : durable) {
+      if (size <= cut) expected = graph;
+    }
+    const std::string cut_dir = FreshDir("torn_commits_cut");
+    WriteAll(fs::path(cut_dir) / "wal.log", bytes.substr(0, cut));
+    Papyrus reopened;
+    ASSERT_TRUE(reopened.OpenStorage(cut_dir).ok());
+    auto thread = reopened.activity().GetThread(1);
+    if (expected.empty()) {  // cut before the thread's first commit
+      EXPECT_FALSE(thread.ok());
+      continue;
+    }
+    ASSERT_TRUE(thread.ok());
+    if (reopened.last_restore_stats().records_dropped > 0) ++torn_batches;
+    EXPECT_EQ(ThreadGraph(**thread), expected);
+    EXPECT_EQ(LinkMismatches(**thread), "");
+    EXPECT_TRUE(
+        (*thread)->Append(Record(99), (*thread)->current_cursor()).ok());
+  }
+  EXPECT_GT(torn_batches, 20);
+}
+
+/// A minimal embedder riding the session's WAL commits and generations:
+/// one counter, journaled when it moves.
+struct CounterState {
+  int value = 0;
+  int journaled = 0;
+
+  Papyrus::StateHooks Hooks() {
+    Papyrus::StateHooks hooks;
+    hooks.drain = [this] {
+      std::vector<std::string> bodies;
+      if (value != journaled) {
+        bodies.push_back("counter " + std::to_string(value));
+      }
+      journaled = value;
+      return bodies;
+    };
+    hooks.section = [this] {
+      return "counter " + std::to_string(value) + "\n";
+    };
+    hooks.replay = hooks.restore = [this](const std::string& text) {
+      std::vector<std::string> f = SplitWhitespace(text);
+      if (f.size() != 2 || f[0] != "counter") {
+        return Status::InvalidArgument("bad counter state: " + text);
+      }
+      value = journaled = static_cast<int>(ParseI64(f[1]));
+      return Status::OK();
+    };
+    return hooks;
+  }
+};
+
+/// The sections the records of `dir`'s WAL belong to: the db shard of
+/// each object record's name, thread/<id> for thread records, and the
+/// cache and the state for theirs.
+std::set<std::string> SectionsOfWalRecords(const std::string& dir) {
+  std::set<std::string> sections;
+  auto scanned = WriteAheadLog::Scan((fs::path(dir) / "wal.log").string());
+  EXPECT_TRUE(scanned.ok());
+  if (!scanned.ok()) return sections;
+  for (const WalRecord& rec : scanned->records) {
+    std::vector<std::string> f = SplitWhitespace(rec.body);
+    const std::string& tag = f[0];
+    if (tag == "object") {
+      sections.insert("db/" + std::to_string(oct::OctDatabase::ShardOf(
+                                  DecodeField(f[1]))));
+    } else if (StartsWith(tag, "thr") && tag != "thrrm") {
+      sections.insert("thread/" + f[1]);
+    } else if (tag == "cput" || tag == "cdel") {
+      sections.insert("cache");
+    } else if (tag == "state") {
+      sections.insert("state");
+    }
+  }
+  return sections;
+}
+
+/// Runs SaveGeneration and returns the sections it wrote: the manifest
+/// entries whose files carry the new generation's `.g<N>` suffix, which
+/// must also be what save_stats() counts.
+std::set<std::string> SectionsWrittenBySave(Papyrus& session) {
+  const int64_t before = session.store()->save_stats().sections_written;
+  EXPECT_TRUE(session.SaveGeneration().ok());
+  const std::string suffix =
+      ".g" + std::to_string(session.store()->generation());
+  std::set<std::string> written;
+  for (const auto& [name, file] : session.store()->CurrentSectionFiles()) {
+    if (EndsWith(file, suffix)) written.insert(name);
+  }
+  EXPECT_EQ(session.store()->save_stats().sections_written - before,
+            static_cast<int64_t>(written.size()));
+  return written;
+}
+
+TEST(StorageEngineSessionTest, GenerationRewritesExactlyTheJournaledSections) {
+  const std::string dir = FreshDir("journaled_sections");
+  auto shard = [](const std::string& name) {
+    return "db/" + std::to_string(oct::OctDatabase::ShardOf(name));
+  };
+  const std::set<std::string> none;
+  std::string thread_section;
+  {
+    CounterState state;
+    Papyrus session;
+    session.set_state_hooks(state.Hooks());
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    const int id = session.CreateThread("sections");
+    thread_section = "thread/" + std::to_string(id);
+    ASSERT_TRUE(
+        session.Invoke(id, "Create_Logic_Description", {}, {"shifter.logic"})
+            .ok());
+    ++state.value;
+    // The first generation writes every live section.
+    const std::set<std::string> first = SectionsWrittenBySave(session);
+    EXPECT_EQ(first.size(), session.store()->CurrentSectionFiles().size());
+
+    // (d) No change at all.
+    EXPECT_EQ(SectionsWrittenBySave(session), none);
+
+    // (a) One invocation and its commit.
+    ASSERT_TRUE(session
+                    .Invoke(id, "Standard_Cell_Place_and_Route",
+                            {"shifter.logic"}, {"shifter.layout"})
+                    .ok());
+    ++state.value;
+    ASSERT_TRUE(session.CommitWal().ok());
+    const std::set<std::string> invoked = SectionsOfWalRecords(dir);
+    for (const std::string& name : {shard("shifter.layout"), thread_section,
+                                    std::string("cache"),
+                                    std::string("state")}) {
+      EXPECT_EQ(invoked.count(name), 1u) << name;
+    }
+    EXPECT_LT(invoked.size(), session.store()->CurrentSectionFiles().size());
+    EXPECT_EQ(SectionsWrittenBySave(session), invoked);
+
+    // (b) A check-in alone: its shard and nothing else.
+    ASSERT_TRUE(
+        session.CheckInObject("/proj/notes", oct::TextData{"run 100"}).ok());
+    EXPECT_EQ(SectionsWrittenBySave(session),
+              std::set<std::string>{shard("/proj/notes")});
+
+    // A committed WAL tail for (c).
+    ASSERT_TRUE(session
+                    .Invoke(id, "Standard_Cell_Place_and_Route",
+                            {"shifter.logic"}, {"shifter.layout2"})
+                    .ok());
+    ++state.value;
+    ASSERT_TRUE(session.CommitWal().ok());
+  }
+  // (c) A reopen replays the tail: the next generation rewrites the
+  // sections of the replayed records.
+  const std::set<std::string> tail = SectionsOfWalRecords(dir);
+  EXPECT_EQ(tail.count(thread_section), 1u);
+  EXPECT_EQ(tail.count("state"), 1u);
+  CounterState state;
+  Papyrus reopened;
+  reopened.set_state_hooks(state.Hooks());
+  ASSERT_TRUE(reopened.OpenStorage(dir).ok());
+  EXPECT_EQ(state.value, 3);
+  EXPECT_EQ(SectionsWrittenBySave(reopened), tail);
+  // (d) Again, after the reopen.
+  EXPECT_EQ(SectionsWrittenBySave(reopened), none);
 }
 
 }  // namespace
