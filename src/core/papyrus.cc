@@ -23,6 +23,9 @@ std::string ThreadSectionName(int id) {
 
 constexpr char kCacheSection[] = "cache";
 constexpr char kStateSection[] = "state";
+constexpr char kStateHeader[] = "papyrus-session-state v1";
+/// The state section's file in a pre-engine snap.<N> whole-file snapshot.
+constexpr char kLegacyStateFile[] = "state.pss";
 /// Closes every non-empty WAL batch (log version 3 on): replay applies
 /// records only through the last one, so a torn batch is never half
 /// applied.
@@ -30,6 +33,13 @@ constexpr char kCommitRecord[] = "commit";
 
 int ParseIntField(const std::string& s) {
   return static_cast<int>(ParseI64(s));
+}
+
+/// The state line (section line and WAL record body) of one ledger entry.
+std::string AppliedLine(int64_t request_id,
+                        const Papyrus::AppliedRequest& where) {
+  return "applied " + std::to_string(request_id) + " " +
+         std::to_string(where.thread_id) + " " + std::to_string(where.node);
 }
 
 }  // namespace
@@ -148,6 +158,18 @@ Status Papyrus::MoveCursor(int thread_id, activity::NodeId point,
   return activity_->MoveCursor(thread_id, point, erase);
 }
 
+void Papyrus::RecordApplied(int64_t request_id, int thread_id,
+                            activity::NodeId node) {
+  applied_[request_id] = {thread_id, node};
+  unjournaled_applied_.push_back(request_id);
+}
+
+const Papyrus::AppliedRequest* Papyrus::FindApplied(
+    int64_t request_id) const {
+  auto it = applied_.find(request_id);
+  return it == applied_.end() ? nullptr : &it->second;
+}
+
 Status Papyrus::LoadLegacySnapshot(const std::string& directory) {
   // The whole-file formats are the section formats, so the files map
   // straight onto sections: the database is one big "db" section.
@@ -165,10 +187,8 @@ Status Papyrus::LoadLegacySnapshot(const std::string& directory) {
   // Optional: pre-cache snapshots and non-daemon sessions lack these.
   auto cache = storage::ReadFile(dir / "cache.pdc");
   if (cache.ok()) sections[kCacheSection] = std::move(*cache);
-  if (!state_hooks_.legacy_file.empty()) {
-    auto state = storage::ReadFile(dir / state_hooks_.legacy_file);
-    if (state.ok()) sections[kStateSection] = std::move(*state);
-  }
+  auto state = storage::ReadFile(dir / kLegacyStateFile);
+  if (state.ok()) sections[kStateSection] = std::move(*state);
   return RestoreEngineSections(sections);
 }
 
@@ -279,12 +299,51 @@ Status Papyrus::RestoreEngineSections(
   }
   auto state_it = sections.find(kStateSection);
   if (state_it != sections.end()) {
-    if (state_hooks_.restore) {
-      PAPYRUS_RETURN_IF_ERROR(state_hooks_.restore(state_it->second));
+    const std::vector<std::string> lines = Split(state_it->second, '\n');
+    if (lines[0] != kStateHeader) {
+      return Status::Internal("bad session state header");
     }
-    // Kept even without a restore hook so the section carries over to
-    // the next generation instead of silently vanishing.
-    last_state_text_ = state_it->second;
+    for (size_t i = 1; i < lines.size(); ++i) {
+      PAPYRUS_RETURN_IF_ERROR(ApplyStateFields(SplitWhitespace(lines[i])));
+    }
+  }
+  return Status::OK();
+}
+
+std::string Papyrus::StateSectionText() const {
+  std::string out = std::string(kStateHeader) + "\nclock " +
+                    std::to_string(clock_.NowMicros()) + "\nnextexec " +
+                    std::to_string(task_manager_->next_execution_id()) +
+                    "\n";
+  for (const auto& [request_id, where] : applied_) {
+    out += AppliedLine(request_id, where) + "\n";
+  }
+  return out;
+}
+
+Status Papyrus::ApplyStateFields(const std::vector<std::string>& f) {
+  auto is = [&f](const char* keyword, size_t arity) {
+    return f.size() == arity + 1 && f[0] == keyword;
+  };
+  // Unknown lines are skipped for forward compatibility.
+  if (!is("clock", 1) && !is("nextexec", 1) && !is("applied", 3)) {
+    return Status::OK();
+  }
+  int64_t v[3] = {0, 0, 0};
+  for (size_t i = 1; i < f.size(); ++i) {
+    if (!ParseInt64(f[i], &v[i - 1])) {
+      return Status::Internal("bad " + f[0] + " line in session state");
+    }
+  }
+  if (f[0] == "clock") {
+    // The restored history's timestamps end here; new work must
+    // continue from the same virtual instant for byte-identity.
+    clock_.SetMicros(v[0]);
+  } else if (f[0] == "nextexec") {
+    task_manager_->set_next_execution_id(static_cast<int>(v[0]));
+  } else {
+    applied_[v[0]] = {static_cast<int>(v[1]),
+                      static_cast<activity::NodeId>(v[2])};
   }
   return Status::OK();
 }
@@ -303,8 +362,8 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
     return db_->UpsertRecord(std::move(rec));
   }
   if (tag == "state") {
-    if (!state_hooks_.replay) return Status::OK();
-    return state_hooks_.replay(body.size() > 6 ? body.substr(6) : "");
+    journaled_.state = true;
+    return ApplyStateFields({f.begin() + 1, f.end()});
   }
   if (tag == "cput" && f.size() >= 2) {
     PAPYRUS_ASSIGN_OR_RETURN(cache::CacheEntry entry,
@@ -363,9 +422,10 @@ Status Papyrus::CommitWal() {
     return Status::FailedPrecondition("storage engine not open");
   }
   // Drain order is fixed — database records, thread deltas, cache
-  // entries, embedder state — so replay sees objects before the history
-  // and cache records that reference them. Each record notes its section
-  // for the next generation, as replay does (ApplyWalRecord).
+  // entries, session state — so replay sees objects before the history
+  // and cache records that reference them, and an applied-ledger entry
+  // only with its history node. Each record notes its section for the
+  // next generation, as replay does (ApplyWalRecord).
   size_t batch = 0;
   auto journal = [&](const std::string& body) {
     store_->AppendWal(body);
@@ -439,11 +499,23 @@ Status Papyrus::CommitWal() {
         journal("cput " + EncodeField(activity::EncodeCacheEntry(entry)));
         journaled_.cache = true;
       });
-  if (state_hooks_.drain) {
-    for (const std::string& state_body : state_hooks_.drain()) {
-      journal("state " + state_body);
-    }
+  // State records carry only what moved since the last commit.
+  auto journal_state = [&](const std::string& line) {
+    journal("state " + line);
+    journaled_.state = true;
+  };
+  if (clock_.NowMicros() != wal_clock_) {
+    wal_clock_ = clock_.NowMicros();
+    journal_state("clock " + std::to_string(wal_clock_));
   }
+  if (task_manager_->next_execution_id() != wal_next_execution_id_) {
+    wal_next_execution_id_ = task_manager_->next_execution_id();
+    journal_state("nextexec " + std::to_string(wal_next_execution_id_));
+  }
+  for (int64_t request_id : unjournaled_applied_) {
+    journal_state(AppliedLine(request_id, applied_.at(request_id)));
+  }
+  unjournaled_applied_.clear();
   if (batch > 0) store_->AppendWal(kCommitRecord);
   PAPYRUS_ASSIGN_OR_RETURN(int64_t bytes, store_->CommitWal());
   (void)bytes;
@@ -500,18 +572,11 @@ Status Papyrus::WriteGeneration() {
   if (rewrite(kCacheSection, journaled_.cache)) {
     dirty[kCacheSection] = activity::SerializeDerivationCache(*step_cache_);
   }
-  std::string state_text =
-      state_hooks_.section ? state_hooks_.section() : last_state_text_;
-  if (state_hooks_.section || !last_state_text_.empty()) {
-    live.push_back(kStateSection);
-    if (state_text != last_state_text_ ||
-        current.count(kStateSection) == 0) {
-      dirty[kStateSection] = state_text;
-    }
+  if (rewrite(kStateSection, journaled_.state)) {
+    dirty[kStateSection] = StateSectionText();
   }
   PAPYRUS_RETURN_IF_ERROR(store_->SaveGeneration(dirty, live));
   journaled_ = JournaledSections();
-  last_state_text_ = std::move(state_text);
   SyncStorageMetrics();
   return Status::OK();
 }
@@ -523,6 +588,9 @@ void Papyrus::DiscardAllWalDirt() {
     if (thread_or.ok()) (*thread_or)->DiscardWalDirt();
   }
   step_cache_->DiscardWalDirt();
+  wal_clock_ = clock_.NowMicros();
+  wal_next_execution_id_ = task_manager_->next_execution_id();
+  unjournaled_applied_.clear();
 }
 
 void Papyrus::SyncStorageMetrics() {

@@ -1,7 +1,7 @@
 #ifndef PAPYRUS_CORE_PAPYRUS_H_
 #define PAPYRUS_CORE_PAPYRUS_H_
 
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -80,6 +80,12 @@ struct SessionOptions {
 ///
 /// Virtual time is driven by the network simulator; `clock()` exposes it.
 ///
+/// A session opened on a store (`OpenStorage`) persists its database,
+/// design threads, derivation cache, virtual clock, execution ids and
+/// applied-request ledger, so reopening it continues the same history.
+/// Metadata inference state (the ADG) is not persisted; papyrusd's
+/// ManagedSession re-derives it from the histories.
+///
 /// Quickstart:
 /// ```
 /// papyrus::Papyrus session;
@@ -124,42 +130,37 @@ class Papyrus {
   Result<oct::ObjectId> CheckInObject(const std::string& path,
                                       oct::DesignPayload payload);
 
+  // --- exactly-once ledger ---------------------------------------------------
+
+  /// Where a request's work committed: the history node it appended.
+  struct AppliedRequest {
+    int thread_id = 0;
+    activity::NodeId node = 0;
+  };
+
+  /// Notes that request `request_id` (papyrusd's queue task id) committed
+  /// as `node` of `thread_id`. The entry journals with the next CommitWal,
+  /// after the history records of the same batch, so a reopened session
+  /// holds it exactly when it holds the node.
+  void RecordApplied(int64_t request_id, int thread_id,
+                     activity::NodeId node);
+  /// The entry RecordApplied made for `request_id`, or nullptr.
+  const AppliedRequest* FindApplied(int64_t request_id) const;
+
   // --- storage engine (§5.3 crash recovery) --------------------------------
   //
   // Mutations journal into a write-ahead log (CommitWal, a group commit
   // per task batch) and SaveGeneration periodically compacts only the
   // dirtied sections behind a manifest swap. Recovery replays manifest
   // sections + the WAL tail and is byte-identical to the pre-crash state
-  // at any crash point.
+  // at any crash point. The `state` section holds the virtual clock and
+  // the next execution id (history timestamps and intermediate object
+  // names embed them) and the applied-request ledger.
 
   /// Aggregate recovery report of the most recent OpenStorage, summed
   /// across every restored section and the replayed WAL tail.
   const activity::RestoreStats& last_restore_stats() const {
     return last_restore_stats_;
-  }
-
-  /// Extension point for an embedding layer (papyrusd's ManagedSession)
-  /// to ride the session's durability train: its state journals into the
-  /// same WAL commits and compacts into the same generations as the
-  /// design data, so "task applied" and "task recorded" are one atomic
-  /// unit.
-  struct StateHooks {
-    /// Journal bodies of state mutations since the last drain (each
-    /// becomes one `state <body>` WAL record; single-line).
-    std::function<std::vector<std::string>()> drain;
-    /// Full state text for the delta-snapshot `state` section.
-    std::function<std::string()> section;
-    /// Replays one journaled body on top of the restored section.
-    std::function<Status(const std::string&)> replay;
-    /// Restores the full section text.
-    std::function<Status(const std::string&)> restore;
-    /// File name of the embedder's state inside a *legacy* whole-file
-    /// snapshot directory (e.g. "state.pss"); when present there it is
-    /// fed to `restore` during the one-time migration.
-    std::string legacy_file;
-  };
-  void set_state_hooks(StateHooks hooks) {
-    state_hooks_ = std::move(hooks);
   }
 
   /// Opens (creating if needed) the storage engine on `directory` and
@@ -181,7 +182,7 @@ class Papyrus {
   storage::SessionStore* store() { return store_.get(); }
 
   /// Journals every mutation since the last commit (database records,
-  /// thread deltas, cache entries, embedder state), closes the batch with
+  /// thread deltas, cache entries, session state), closes the batch with
   /// a commit record so replay applies it whole or not at all, and makes
   /// it durable with one fsync. Journal-before-effect: call this before
   /// acknowledging the mutations outside the session.
@@ -238,8 +239,8 @@ class Papyrus {
 
  private:
   /// Reads a pre-engine whole-file snapshot directory (database.pdb,
-  /// thread_<id>.pth, cache.pdc, the embedder's legacy state file) for
-  /// OpenStorage's one-time migration.
+  /// thread_<id>.pth, cache.pdc, state.pss) for OpenStorage's one-time
+  /// migration.
   Status LoadLegacySnapshot(const std::string& directory);
   Status OpenStorageImpl(const std::string& directory);
   Status SaveGenerationImpl();
@@ -250,6 +251,12 @@ class Papyrus {
       const std::map<std::string, std::string>& sections);
   /// Applies one replayed WAL record and notes its section.
   Status ApplyWalRecord(const std::string& body);
+  /// The `state` section: a header, then the clock, nextexec and applied
+  /// lines, each one a `state` WAL record's body.
+  std::string StateSectionText() const;
+  /// Applies the fields of one such line.
+  Status ApplyStateFields(const std::vector<std::string>& f);
+  /// Marks everything in memory as journaled (restored state is durable).
   void DiscardAllWalDirt();
   void SyncStorageMetrics();
 
@@ -276,17 +283,19 @@ class Papyrus {
   SessionOptions options_;
   activity::RestoreStats last_restore_stats_;
 
+  /// request id -> where it committed (RecordApplied).
+  std::map<int64_t, AppliedRequest> applied_;
+
   // --- storage engine state ---
   std::unique_ptr<storage::SessionStore> store_;
-  StateHooks state_hooks_;
   /// The sections of every WAL record journaled or replayed since the
-  /// last generation: exactly what the next generation rewrites (the
-  /// state section compares its text instead).
+  /// last generation: exactly what the next generation rewrites.
   struct JournaledSections {
     static_assert(oct::OctDatabase::kShardCount <= 16);
     uint16_t db_shards = 0;  // bit i: section db/i
     std::set<int> threads;
     bool cache = false;
+    bool state = false;
 
     void NoteObject(const std::string& name) {
       db_shards |=
@@ -294,10 +303,14 @@ class Papyrus {
     }
   };
   JournaledSections journaled_;
-  std::string last_state_text_;
   /// Threads the WAL already knows (journaled in full), for detecting
   /// new and vanished threads at CommitWal.
   std::set<int> known_threads_;
+  /// What the WAL already carries of the state section: the clock and
+  /// next execution id it last journaled, and the requests recorded since.
+  int64_t wal_clock_ = 0;
+  int wal_next_execution_id_ = 0;
+  std::vector<int64_t> unjournaled_applied_;
 };
 
 }  // namespace papyrus

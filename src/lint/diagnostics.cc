@@ -131,7 +131,8 @@ const std::vector<RuleInfo>& RuleCatalogue() {
        "A required field of the verb is absent."},
       {rules::kWireBadField, Severity::kError, "wire",
        "A field value is malformed (non-numeric seed or id, unknown "
-       "checkin type)."},
+       "checkin type, checkin number that is not a non-negative integer "
+       "fitting its field)."},
       {rules::kWireUnknownSession, Severity::kError, "wire",
        "A submit targets a session the script never checked anything "
        "into."},

@@ -183,10 +183,11 @@ class WireSimulator {
     const std::string* session = ResolveSession(msg, line);
     if (session == nullptr) return;
     if (!RequireFields(msg, line, {"path", "type"})) return;
-    const std::string& type = *msg.Find("type");
-    if (type != "text" && type != "behav" && type != "layout") {
+    // The daemon's own judgement: a refused check-in binds nothing.
+    auto payload = server::CheckinPayload(msg);
+    if (!payload.ok()) {
       Emit(Severity::kError, rules::kWireBadField, line,
-           "unknown checkin ~type \"" + type + "\"");
+           payload.status().message());
       return;
     }
     bound_[*session][*msg.Find("path")] = line;

@@ -507,33 +507,8 @@ Result<std::string> PapyrusDaemon::HandleCheckin(
         "checkin needs ~session (or an attached session), ~path, and "
         "~type");
   }
-  auto get_int = [&](const char* key, int64_t fallback) {
-    const std::string* v = request.Find(key);
-    int64_t out = fallback;
-    if (v != nullptr) (void)ParseInt64(*v, &out);
-    return out;
-  };
-  oct::DesignPayload payload;
-  if (*type == "text") {
-    const std::string* text = request.Find("text");
-    payload = oct::TextData{text != nullptr ? *text : ""};
-  } else if (*type == "behav") {
-    oct::BehavioralSpec spec;
-    spec.num_inputs = static_cast<int>(get_int("inputs", 0));
-    spec.num_outputs = static_cast<int>(get_int("outputs", 0));
-    spec.complexity = static_cast<int>(get_int("complexity", 0));
-    spec.seed = static_cast<uint64_t>(get_int("seed", 0));
-    payload = spec;
-  } else if (*type == "layout") {
-    oct::Layout layout;
-    layout.num_cells = static_cast<int>(get_int("cells", 0));
-    layout.area = static_cast<double>(get_int("area", 0));
-    layout.seed = static_cast<uint64_t>(get_int("seed", 0));
-    payload = layout;
-  } else {
-    return Status::InvalidArgument("unknown checkin type \"" + *type +
-                                   "\"");
-  }
+  PAPYRUS_ASSIGN_OR_RETURN(oct::DesignPayload payload,
+                           CheckinPayload(request));
   PAPYRUS_ASSIGN_OR_RETURN(ManagedSession * session,
                            OpenSession(*session_name));
   PAPYRUS_ASSIGN_OR_RETURN(

@@ -2,11 +2,9 @@
 #define PAPYRUS_SERVER_SESSION_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "activity/design_thread.h"
 #include "base/thread_annotations.h"
@@ -37,12 +35,11 @@ struct SessionConfig {
 /// One design session hosted by papyrusd, durably backed by the storage
 /// engine (storage::SessionStore): a per-commit write-ahead log plus
 /// periodic compacted delta-snapshot generations behind a manifest swap.
-/// The session's extra daemon state — the virtual clock, the task
-/// manager's execution-id counter (intermediate object names embed it),
-/// and the applied-task ledger mapping queue task ids to committed
-/// history nodes — rides the same WAL commits and generations as the
-/// design data through Papyrus::StateHooks, so "task applied" and "task
-/// recorded" are one atomic unit.
+/// The applied-task ledger mapping queue task ids to committed history
+/// nodes is the session's own (Papyrus::RecordApplied): it journals in
+/// the same WAL commit as the history node, after it, so "task applied"
+/// and "task recorded" are one atomic unit. What the daemon adds at open
+/// is the ADG, re-derived from the restored histories.
 ///
 /// Pre-engine layouts (CURRENT -> snap.<N>/ whole-file snapshot
 /// directories, including their state.pss) load transparently and
@@ -78,12 +75,14 @@ class ManagedSession {
 
   const std::string& name() const { return name_; }
   Papyrus& session() { return *session_; }
-  int64_t generation() const { return generation_; }
+  int64_t generation() const {
+    return static_cast<int64_t>(session_->store()->generation());
+  }
 
-  /// True when `task_id`'s effects are already durably committed (the
-  /// ledger entry rode a CURRENT-visible generation).
+  /// True when `task_id` ran in this session (Execute). In a reopened
+  /// session: exactly when its commit was durable.
   bool HasApplied(int64_t task_id) const {
-    return applied_.count(task_id) != 0;
+    return session_->FindApplied(task_id) != nullptr;
   }
   /// The committed history node of an applied task.
   Result<activity::NodeId> AppliedNode(int64_t task_id) const;
@@ -110,30 +109,15 @@ class ManagedSession {
   Status Checkpoint() PAPYRUS_REQUIRES(base::engine_thread);
 
  private:
-  ManagedSession(std::string directory, std::string name);
+  explicit ManagedSession(std::string name) : name_(std::move(name)) {}
 
-  Status ApplyStateLine(const std::vector<std::string>& fields);
-  Status RestoreState(const std::string& state_text)
-      PAPYRUS_REQUIRES(base::engine_thread);
-  std::string SerializeState() const;
-  std::vector<std::string> DrainStateJournal()
-      PAPYRUS_REQUIRES(base::engine_thread);
   /// Re-derives the ADG by re-observing every restored history record in
   /// commit order (metadata inference state is not persisted).
   Status ReplayMetadata() PAPYRUS_REQUIRES(base::engine_thread);
 
-  std::string directory_;
   std::string name_;
   std::unique_ptr<Papyrus> session_;
   std::unique_ptr<fault::FaultPlan> fault_plan_;
-  int64_t generation_ = 0;
-  /// queue task id -> (thread id, committed node id)
-  std::map<int64_t, std::pair<int, activity::NodeId>> applied_;
-
-  // State-journal drain tracking: what the WAL already carries.
-  int64_t journaled_clock_ = 0;
-  int journaled_nextexec_ = 0;
-  std::vector<int64_t> pending_applied_;  // task ids not yet journaled
   int snapshot_interval_ = 8;
   int saves_since_generation_ = 0;
 };

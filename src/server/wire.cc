@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <limits>
 #include <sstream>
 
 #include "base/macros.h"
@@ -134,6 +135,50 @@ Result<TaskDescription> TaskDescription::Decode(
         "task description needs session, thread, and template");
   }
   return desc;
+}
+
+Result<oct::DesignPayload> CheckinPayload(const WireMessage& request) {
+  const std::string* type = request.Find("type");
+  if (type == nullptr) return Status::InvalidArgument("checkin needs ~type");
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  std::string bad;  // the first malformed number
+  auto number = [&](const char* key, int64_t max) {
+    const std::string* text = request.Find(key);
+    int64_t value = 0;
+    if (text != nullptr &&
+        (!ParseInt64(*text, &value) || value < 0 || value > max)) {
+      if (bad.empty()) bad = std::string("~") + key + "=\"" + *text + "\"";
+      value = 0;
+    }
+    return value;
+  };
+  oct::DesignPayload payload;
+  if (*type == "text") {
+    const std::string* text = request.Find("text");
+    payload = oct::TextData{text != nullptr ? *text : ""};
+  } else if (*type == "behav") {
+    oct::BehavioralSpec spec;
+    spec.num_inputs = static_cast<int>(number("inputs", kIntMax));
+    spec.num_outputs = static_cast<int>(number("outputs", kIntMax));
+    spec.complexity = static_cast<int>(number("complexity", kIntMax));
+    spec.seed = static_cast<uint64_t>(number("seed", kInt64Max));
+    payload = spec;
+  } else if (*type == "layout") {
+    oct::Layout layout;
+    layout.num_cells = static_cast<int>(number("cells", kIntMax));
+    layout.area = static_cast<double>(number("area", kInt64Max));
+    layout.seed = static_cast<uint64_t>(number("seed", kInt64Max));
+    payload = layout;
+  } else {
+    return Status::InvalidArgument("unknown checkin type \"" + *type +
+                                   "\"");
+  }
+  if (!bad.empty()) {
+    return Status::InvalidArgument("bad checkin " + bad +
+                                   ": not a non-negative integer in range");
+  }
+  return payload;
 }
 
 }  // namespace papyrus::server

@@ -10,6 +10,7 @@
 
 #include "base/result.h"
 #include "base/status.h"
+#include "oct/design_data.h"
 
 namespace papyrus::server {
 
@@ -64,6 +65,13 @@ struct TaskDescription {
   std::string Encode() const;
   static Result<TaskDescription> Decode(const std::string& encoded);
 };
+
+/// The design payload a `checkin` request describes, by its `~type`:
+/// text (`~text`), behav (`~inputs ~outputs ~complexity ~seed`) or layout
+/// (`~cells ~area ~seed`). A number must be a non-negative integer that
+/// fits its payload field; an absent one is 0. papyrusd refuses, and
+/// `papyrus-lint --wire` reports, exactly the check-ins this refuses.
+Result<oct::DesignPayload> CheckinPayload(const WireMessage& request);
 
 }  // namespace papyrus::server
 

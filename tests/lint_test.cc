@@ -415,6 +415,41 @@ TEST_F(WireLintTest, CiWorkloadsAnalyzeClean) {
   EXPECT_GE(analyzed, 2);
 }
 
+// Check-in numbers are judged as papyrusd judges them
+// (server::CheckinPayload): each line the daemon refuses is one
+// wire-bad-field error, an absent number is 0, and a refused check-in
+// binds nothing, so a task reading its path runs before any check-in.
+TEST_F(WireLintTest, CheckinNumbersAreJudgedAsTheDaemonJudgesThem) {
+  const std::string script =
+      "checkin ~session=a ~path=/p/spec ~type=behav ~inputs=eight\n"
+      "checkin ~session=a ~path=/p/spec ~type=behav ~outputs=-1\n"
+      "checkin ~session=a ~path=/p/spec ~type=behav ~complexity=2147483648\n"
+      "checkin ~session=a ~path=/p/spec ~type=behav ~seed=-7\n"
+      "checkin ~session=a ~path=/p/cell ~type=layout ~cells=1.5\n"
+      "checkin ~session=a ~path=/p/cell ~type=layout ~area=big\n"
+      "checkin ~session=a ~path=/p/cell ~type=layout"
+      " ~seed=99999999999999999999\n"
+      "checkin ~session=a ~path=/p/zero ~type=behav\n"
+      "checkin ~session=a ~path=/p/max ~type=layout ~cells=2147483647"
+      " ~area=1200 ~seed=9223372036854775807\n"
+      "submit ~session=a ~thread=t ~template=Padp ~in=/p/max ~out=m.padded\n"
+      "submit ~session=a ~thread=t ~template=Padp ~in=/p/cell ~out=c.padded\n"
+      "drain\n";
+  WireAnalysis analysis = AnalyzeWireScript(script, WireOptions());
+  std::vector<std::pair<int, std::string>> findings;
+  for (const Diagnostic& d : analysis.diagnostics) {
+    findings.emplace_back(d.line, d.rule);
+  }
+  const std::vector<std::pair<int, std::string>> expected = {
+      {1, rules::kWireBadField}, {2, rules::kWireBadField},
+      {3, rules::kWireBadField}, {4, rules::kWireBadField},
+      {5, rules::kWireBadField}, {6, rules::kWireBadField},
+      {7, rules::kWireBadField}, {11, rules::kWireRunBeforeCheckin},
+  };
+  EXPECT_EQ(findings, expected);
+  EXPECT_EQ(analysis.errors, 8);
+}
+
 // An unreadable path is itself a finding, not a crash.
 TEST_F(WireLintTest, MissingFileIsAParseError) {
   WireAnalysis analysis =

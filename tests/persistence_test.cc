@@ -423,7 +423,9 @@ void RunMigrationWorkload(Papyrus& session) {
 }
 
 /// Writes `session` in the pre-engine whole-file layout the one-time
-/// migration reads: database.pdb, thread_<id>.pth and cache.pdc.
+/// migration reads: database.pdb, thread_<id>.pth, cache.pdc and the
+/// session state file a daemon's snap.<N> directory carried, state.pss
+/// (its format by hand: a standalone session has no applied lines).
 void WriteLegacySnapshot(Papyrus& session, const std::string& dir) {
   namespace fs = std::filesystem;
   fs::create_directories(dir);
@@ -432,6 +434,11 @@ void WriteLegacySnapshot(Papyrus& session, const std::string& dir) {
   };
   write("database.pdb", SerializeDatabase(session.database()));
   write("cache.pdc", SerializeDerivationCache(session.step_cache()));
+  write("state.pss",
+        "papyrus-session-state v1\nclock " +
+            std::to_string(session.clock().NowMicros()) + "\nnextexec " +
+            std::to_string(session.task_manager().next_execution_id()) +
+            "\n");
   for (int id : session.activity().ThreadIds()) {
     auto thread = session.activity().GetThread(id);
     ASSERT_TRUE(thread.ok());

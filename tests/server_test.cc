@@ -728,6 +728,75 @@ TEST(ManagedSessionTest, TornSaveKeepsTheLedgerWithItsHistoryNode) {
   EXPECT_GT(without_node, 5);
 }
 
+TEST(ManagedSessionTest, ReopensAStoreWithTheV1StateFormat) {
+  // tests/data/session_state_v1 (see its README): a generation whose
+  // state section holds tasks 11 and 12, and a WAL tail whose batch for
+  // task 13 ends in state clock, nextexec and applied records.
+  const fs::path data =
+      fs::path(PAPYRUS_SOURCE_DIR) / "tests/data/session_state_v1";
+  const std::string dir = FreshDir("state_v1");
+  fs::copy(data / "session", dir, fs::copy_options::recursive);
+  SessionConfig config;
+  config.worker_threads = 1;
+  auto opened = ManagedSession::Open(dir, "fixture", config);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  ManagedSession& session = **opened;
+  EXPECT_EQ(session.generation(), 1);
+  for (int64_t task : {11, 12, 13}) {
+    SCOPED_TRACE("task " + std::to_string(task));
+    EXPECT_TRUE(session.HasApplied(task));
+    auto node = session.AppliedNode(task);
+    ASSERT_TRUE(node.ok()) << node.status().message();
+    EXPECT_EQ(*node, task - 10);
+  }
+  EXPECT_FALSE(session.HasApplied(14));
+  EXPECT_FALSE(session.AppliedNode(14).ok());
+  EXPECT_EQ(session.session().clock().NowMicros(), 1'076'848);
+  EXPECT_EQ(session.session().task_manager().next_execution_id(), 4);
+
+  ASSERT_TRUE(session.Checkpoint().ok());
+  EXPECT_EQ(session.generation(), 2);
+  auto state = session.session().store()->ReadSection("state");
+  ASSERT_TRUE(state.ok()) << state.status().message();
+  EXPECT_EQ(*state, ReadAll(data / "state.golden"));
+}
+
+TEST(DaemonTest, CheckinRefusesMalformedNumbers) {
+  DaemonHarness h(FreshDir("daemon_checkin_numbers"));
+  ASSERT_TRUE(h.Boot().ok());
+  const char* refused[] = {
+      "checkin ~session=a ~path=/p/spec ~type=behav ~inputs=eight",
+      "checkin ~session=a ~path=/p/spec ~type=behav ~outputs=-1",
+      "checkin ~session=a ~path=/p/spec ~type=behav ~complexity=2147483648",
+      "checkin ~session=a ~path=/p/spec ~type=behav ~seed=-7",
+      "checkin ~session=a ~path=/p/cell ~type=layout ~cells=1.5",
+      "checkin ~session=a ~path=/p/cell ~type=layout ~area=big",
+      "checkin ~session=a ~path=/p/cell ~type=layout"
+      " ~seed=99999999999999999999",
+  };
+  for (const char* line : refused) {
+    EXPECT_EQ(h.daemon->HandleLine(line).rfind("err", 0), 0u) << line;
+  }
+  auto session = h.daemon->OpenSession("a");
+  ASSERT_TRUE(session.ok()) << session.status().message();
+  oct::OctDatabase& db = (*session)->session().database();
+  EXPECT_EQ(db.TotalVersionCount(), 0);
+
+  // An absent number is 0; the largest value each field holds is taken.
+  h.Ok("checkin ~session=a ~path=/p/spec ~type=behav");
+  h.Ok("checkin ~session=a ~path=/p/cell ~type=layout ~cells=2147483647"
+       " ~area=1200 ~seed=9223372036854775807");
+  EXPECT_EQ(db.TotalVersionCount(), 2);
+  auto cell = db.LatestVisible("/p/cell");
+  ASSERT_TRUE(cell.ok()) << cell.status().message();
+  auto record = db.Peek(*cell);
+  ASSERT_TRUE(record.ok()) << record.status().message();
+  const auto* layout = std::get_if<oct::Layout>(&(*record)->payload);
+  ASSERT_NE(layout, nullptr);
+  EXPECT_EQ(layout->num_cells, 2147483647);
+  EXPECT_EQ(layout->seed, 9223372036854775807ull);
+}
+
 /// The acceptance-criteria soak: many mid-flow daemon kills, then proof
 /// of exactly-once commit and byte-identical state against a crash-free
 /// run — at two worker-pool sizes.

@@ -450,6 +450,7 @@ TEST(StorageEngineSessionTest, CrashMatrixRecoversByteIdenticalSessions) {
   }
   ASSERT_GT(reference.size(), 0u);
   ASSERT_EQ(reference.count("thread/1"), 1u);
+  ASSERT_EQ(reference.count("state"), 1u);
 
   const SessionStore::CrashPoint points[] = {
       SessionStore::CrashPoint::kAfterWalCommit,
@@ -484,6 +485,50 @@ TEST(StorageEngineSessionTest, CrashMatrixRecoversByteIdenticalSessions) {
       EXPECT_EQ(recovered[name], bytes) << "section " << name
                                         << " diverged";
     }
+  }
+}
+
+TEST(StorageEngineSessionTest, ReopenedSessionContinuesTheSameHistory) {
+  // The second phase, plus a task whose intermediate object's name
+  // embeds its execution id (".p<exec>").
+  auto second_phase = [](Papyrus& session) {
+    RunWorkloadPhase2(session);
+    ASSERT_TRUE(
+        session.Invoke(1, "Create_Logic_Description", {}, {"again.logic"})
+            .ok());
+    ASSERT_TRUE(session.CommitWal().ok());
+  };
+  // A session that never closed...
+  Papyrus live;
+  ASSERT_TRUE(live.OpenStorage(FreshDir("continue_live")).ok());
+  RunWorkloadPhase1(live);
+  second_phase(live);
+
+  // ...and one destroyed after the first phase and reopened from its
+  // store: the clock and the execution ids pick up where they stopped,
+  // so the second phase's timestamps and object names are the same.
+  const std::string dir = FreshDir("continue_reopened");
+  {
+    Papyrus first;
+    ASSERT_TRUE(first.OpenStorage(dir).ok());
+    RunWorkloadPhase1(first);
+  }
+  Papyrus reopened;
+  ASSERT_TRUE(reopened.OpenStorage(dir).ok());
+  second_phase(reopened);
+
+  EXPECT_EQ(reopened.clock().NowMicros(), live.clock().NowMicros());
+  EXPECT_EQ(reopened.task_manager().next_execution_id(),
+            live.task_manager().next_execution_id());
+  const std::map<std::string, std::string> expected =
+      SectionFingerprint(live);
+  const std::map<std::string, std::string> actual =
+      SectionFingerprint(reopened);
+  ASSERT_EQ(expected.count("state"), 1u);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [name, bytes] : expected) {
+    ASSERT_EQ(actual.count(name), 1u) << "missing section " << name;
+    EXPECT_EQ(actual.at(name), bytes) << "section " << name << " diverged";
   }
 }
 
@@ -919,37 +964,6 @@ TEST(StorageEngineSessionTest, TornCommitReplaysTheLastWholeCommit) {
   EXPECT_GT(torn_batches, 20);
 }
 
-/// A minimal embedder riding the session's WAL commits and generations:
-/// one counter, journaled when it moves.
-struct CounterState {
-  int value = 0;
-  int journaled = 0;
-
-  Papyrus::StateHooks Hooks() {
-    Papyrus::StateHooks hooks;
-    hooks.drain = [this] {
-      std::vector<std::string> bodies;
-      if (value != journaled) {
-        bodies.push_back("counter " + std::to_string(value));
-      }
-      journaled = value;
-      return bodies;
-    };
-    hooks.section = [this] {
-      return "counter " + std::to_string(value) + "\n";
-    };
-    hooks.replay = hooks.restore = [this](const std::string& text) {
-      std::vector<std::string> f = SplitWhitespace(text);
-      if (f.size() != 2 || f[0] != "counter") {
-        return Status::InvalidArgument("bad counter state: " + text);
-      }
-      value = journaled = static_cast<int>(ParseI64(f[1]));
-      return Status::OK();
-    };
-    return hooks;
-  }
-};
-
 /// The sections the records of `dir`'s WAL belong to: the db shard of
 /// each object record's name, thread/<id> for thread records, and the
 /// cache and the state for theirs.
@@ -999,17 +1013,15 @@ TEST(StorageEngineSessionTest, GenerationRewritesExactlyTheJournaledSections) {
   };
   const std::set<std::string> none;
   std::string thread_section;
+  int64_t clock = 0;
   {
-    CounterState state;
     Papyrus session;
-    session.set_state_hooks(state.Hooks());
     ASSERT_TRUE(session.OpenStorage(dir).ok());
     const int id = session.CreateThread("sections");
     thread_section = "thread/" + std::to_string(id);
     ASSERT_TRUE(
         session.Invoke(id, "Create_Logic_Description", {}, {"shifter.logic"})
             .ok());
-    ++state.value;
     // The first generation writes every live section.
     const std::set<std::string> first = SectionsWrittenBySave(session);
     EXPECT_EQ(first.size(), session.store()->CurrentSectionFiles().size());
@@ -1017,12 +1029,12 @@ TEST(StorageEngineSessionTest, GenerationRewritesExactlyTheJournaledSections) {
     // (d) No change at all.
     EXPECT_EQ(SectionsWrittenBySave(session), none);
 
-    // (a) One invocation and its commit.
+    // (a) One invocation and its commit; it moves the clock and the
+    // execution ids, so the state section is among them.
     ASSERT_TRUE(session
                     .Invoke(id, "Standard_Cell_Place_and_Route",
                             {"shifter.logic"}, {"shifter.layout"})
                     .ok());
-    ++state.value;
     ASSERT_TRUE(session.CommitWal().ok());
     const std::set<std::string> invoked = SectionsOfWalRecords(dir);
     for (const std::string& name : {shard("shifter.layout"), thread_section,
@@ -1033,7 +1045,8 @@ TEST(StorageEngineSessionTest, GenerationRewritesExactlyTheJournaledSections) {
     EXPECT_LT(invoked.size(), session.store()->CurrentSectionFiles().size());
     EXPECT_EQ(SectionsWrittenBySave(session), invoked);
 
-    // (b) A check-in alone: its shard and nothing else.
+    // (b) A check-in alone: its shard and nothing else (the clock does
+    // not move).
     ASSERT_TRUE(
         session.CheckInObject("/proj/notes", oct::TextData{"run 100"}).ok());
     EXPECT_EQ(SectionsWrittenBySave(session),
@@ -1044,22 +1057,30 @@ TEST(StorageEngineSessionTest, GenerationRewritesExactlyTheJournaledSections) {
                     .Invoke(id, "Standard_Cell_Place_and_Route",
                             {"shifter.logic"}, {"shifter.layout2"})
                     .ok());
-    ++state.value;
     ASSERT_TRUE(session.CommitWal().ok());
+    clock = session.clock().NowMicros();
   }
   // (c) A reopen replays the tail: the next generation rewrites the
   // sections of the replayed records.
   const std::set<std::string> tail = SectionsOfWalRecords(dir);
   EXPECT_EQ(tail.count(thread_section), 1u);
   EXPECT_EQ(tail.count("state"), 1u);
-  CounterState state;
-  Papyrus reopened;
-  reopened.set_state_hooks(state.Hooks());
-  ASSERT_TRUE(reopened.OpenStorage(dir).ok());
-  EXPECT_EQ(state.value, 3);
-  EXPECT_EQ(SectionsWrittenBySave(reopened), tail);
-  // (d) Again, after the reopen.
-  EXPECT_EQ(SectionsWrittenBySave(reopened), none);
+  {
+    Papyrus reopened;
+    ASSERT_TRUE(reopened.OpenStorage(dir).ok());
+    EXPECT_EQ(reopened.clock().NowMicros(), clock);
+    EXPECT_EQ(SectionsWrittenBySave(reopened), tail);
+    // (d) Again, after the reopen.
+    EXPECT_EQ(SectionsWrittenBySave(reopened), none);
+  }
+  // (b) Again, in a session reopened from a generation alone: the clock
+  // and execution ids it restored count as journaled.
+  Papyrus again;
+  ASSERT_TRUE(again.OpenStorage(dir).ok());
+  ASSERT_TRUE(
+      again.CheckInObject("/proj/notes", oct::TextData{"run 200"}).ok());
+  EXPECT_EQ(SectionsWrittenBySave(again),
+            std::set<std::string>{shard("/proj/notes")});
 }
 
 }  // namespace
