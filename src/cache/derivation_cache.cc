@@ -1,6 +1,7 @@
 #include "cache/derivation_cache.h"
 
-#include <sstream>
+#include <algorithm>
+#include <charconv>
 
 #include "base/hash.h"
 #include "base/strings.h"
@@ -11,6 +12,28 @@ namespace {
 // Field separator for the key string. Object names are user/tool derived
 // and never contain control characters, so \x1f cannot collide.
 constexpr char kSep = '\x1f';
+
+/// Appends `value` in `base`, as `std::ostream` prints it under
+/// std::hex/std::dec: lowercase digits, no padding, a sign when negative.
+template <typename T>
+void AppendNumber(std::string* out, T value, int base) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value, base).ptr);
+}
+
+/// `tool kSep tool_version kSep canonical_options kSep hex(seed_salt)`:
+/// the head both keys share.
+void AppendKeyHead(std::string* out, const std::string& tool,
+                   const std::string& tool_version,
+                   const std::string& canonical_options, uint64_t seed_salt) {
+  *out += tool;
+  *out += kSep;
+  *out += tool_version;
+  *out += kSep;
+  *out += canonical_options;
+  *out += kSep;
+  AppendNumber(out, seed_salt, 16);
+}
 
 }  // namespace
 
@@ -41,13 +64,16 @@ std::string DerivationCache::MakeKey(
     const std::string& tool, const std::string& tool_version,
     const std::string& canonical_options, uint64_t seed_salt,
     const std::vector<oct::ObjectId>& inputs) {
-  std::ostringstream os;
-  os << tool << kSep << tool_version << kSep << canonical_options << kSep
-     << std::hex << seed_salt;
+  std::string key;
+  key.reserve(tool.size() + canonical_options.size() + 32 * inputs.size() + 32);
+  AppendKeyHead(&key, tool, tool_version, canonical_options, seed_salt);
   for (const oct::ObjectId& id : inputs) {
-    os << kSep << id.name << '@' << std::dec << id.version;
+    key += kSep;
+    key += id.name;
+    key += '@';
+    AppendNumber(&key, id.version, 10);
   }
-  return os.str();
+  return key;
 }
 
 std::string DerivationCache::MakeContentKey(
@@ -58,10 +84,9 @@ std::string DerivationCache::MakeContentKey(
   // A format tag versions the key derivation itself: changing how keys
   // are built must never alias entries published by older builds.
   hasher.Update("papyrus-content-key-v1");
-  std::ostringstream head;
-  head << kSep << tool << kSep << tool_version << kSep << canonical_options
-       << kSep << std::hex << seed_salt;
-  hasher.Update(head.str());
+  std::string head(1, kSep);
+  AppendKeyHead(&head, tool, tool_version, canonical_options, seed_salt);
+  hasher.Update(head);
   for (const std::string& hash : input_content_hashes) {
     hasher.Update(std::string(1, kSep));
     hasher.Update(hash);
@@ -150,10 +175,7 @@ void DerivationCache::FlushSharedPublications() {
     unpublished_.clear();
     return;
   }
-  for (const std::string& key : unpublished_) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) PublishSharedLocked(it->second);
-  }
+  for (EntryRef ref : unpublished_) PublishSharedLocked(ref->second.entry);
   unpublished_.clear();
 }
 
@@ -193,7 +215,8 @@ const CacheEntry* DerivationCache::Probe(const std::string& key) {
     if (c_misses_ != nullptr) c_misses_->Increment();
     return nullptr;
   }
-  for (const CachedOutput& out : it->second.outputs) {
+  const CacheEntry& entry = it->second.entry;
+  for (const CachedOutput& out : entry.outputs) {
     auto rec = db_->Peek(out.id);
     bool servable = rec.ok() && !(*rec)->reclaimed &&
                     (!out.visible || (*rec)->visible);
@@ -201,7 +224,7 @@ const CacheEntry* DerivationCache::Probe(const std::string& key) {
       // A stale entry: something slipped past the invalidation hooks
       // (e.g. a task-level output was later deleted). Treat the probe as
       // the invalidation point.
-      DropEntry(key);
+      DropEntry(it);
       ++stats_.invalidated;
       ++stats_.misses;
       if (c_invalidated_ != nullptr) c_invalidated_->Increment();
@@ -210,49 +233,50 @@ const CacheEntry* DerivationCache::Probe(const std::string& key) {
     }
   }
   ++stats_.hits;
-  stats_.micros_saved += it->second.cost_micros;
+  stats_.micros_saved += entry.cost_micros;
   if (c_hits_ != nullptr) c_hits_->Increment();
-  if (c_micros_saved_ != nullptr) {
-    c_micros_saved_->Increment(it->second.cost_micros);
-  }
-  return &it->second;
+  if (c_micros_saved_ != nullptr) c_micros_saved_->Increment(entry.cost_micros);
+  return &entry;
 }
 
-bool DerivationCache::Record(const std::string& key, CacheEntry entry) {
+bool DerivationCache::Record(std::string key, CacheEntry entry) {
   base::MutexLock lock(mu_);
-  return RecordLocked(key, std::move(entry));
+  if (!RecordLocked(std::move(key), std::move(entry))) return false;
+  ++stats_.recorded;
+  if (c_recorded_ != nullptr) c_recorded_->Increment();
+  return true;
 }
 
-bool DerivationCache::RecordLocked(const std::string& key,
-                                   CacheEntry entry) {
+bool DerivationCache::RecordLocked(std::string key, CacheEntry entry) {
   for (CachedOutput& out : entry.outputs) {
     auto rec = db_->Peek(out.id);
     if (!rec.ok() || (*rec)->reclaimed) return false;
     out.visible = (*rec)->visible;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) DropEntry(key);
-  for (const CachedOutput& out : entry.outputs) {
+  auto it = entries_.lower_bound(key);
+  if (it != entries_.end() && it->first == key) {
+    EntryRef replaced = it++;
+    DropEntry(replaced);
+  }
+  EntryRef ref =
+      entries_.emplace_hint(it, std::move(key), Slot{std::move(entry)});
+  const CacheEntry& stored = ref->second.entry;
+  for (const CachedOutput& out : stored.outputs) {
     db_->Pin(out.id);
-    by_version_[out.id].insert(key);
+    IndexVersion(out.id, ref);
   }
-  for (const oct::ObjectId& in : entry.inputs) {
-    by_version_[in].insert(key);
-  }
-  auto [inserted, ok] = entries_.emplace(key, std::move(entry));
-  TouchPut(key);
-  ++stats_.recorded;
-  if (c_recorded_ != nullptr) c_recorded_->Increment();
-  if (store_ != nullptr && !inserted->second.content_key.empty()) {
+  for (const oct::ObjectId& in : stored.inputs) IndexVersion(in, ref);
+  TouchPut(ref);
+  if (store_ != nullptr && !stored.content_key.empty()) {
     if (auto_publish_) {
       // Standalone session: commit is this process's durability point, so
       // the derivation becomes shareable immediately.
-      PublishSharedLocked(inserted->second);
+      PublishSharedLocked(stored);
     } else {
       // Daemon session: hold publication until the snapshot carrying this
       // entry durably lands (FlushSharedPublications), so a crash cannot
       // leak outputs of a commit that never survived.
-      unpublished_.insert(key);
+      unpublished_.insert(ref);
     }
   }
   return true;
@@ -266,7 +290,7 @@ bool DerivationCache::Restore(CacheEntry entry) {
                             entry.canonical_options, entry.seed_salt,
                             entry.inputs);
   base::MutexLock lock(mu_);
-  return RecordLocked(key, std::move(entry));
+  return RecordLocked(std::move(key), std::move(entry));
 }
 
 void DerivationCache::OnVersionReclaimed(const oct::ObjectId& id) {
@@ -277,11 +301,13 @@ void DerivationCache::OnVersionReclaimed(const oct::ObjectId& id) {
 void DerivationCache::InvalidateVersionLocked(const oct::ObjectId& id) {
   auto it = by_version_.find(id);
   if (it == by_version_.end()) return;
-  // DropEntry mutates by_version_; detach the key set first.
-  std::set<std::string> keys = std::move(it->second);
+  // DropEntry mutates by_version_; detach the entries first. The index is
+  // hashed, so sort them: their `cdel` records go out in key order.
+  std::vector<EntryRef> refs = std::move(it->second);
   by_version_.erase(it);
-  for (const std::string& key : keys) {
-    DropEntry(key);
+  std::sort(refs.begin(), refs.end(), KeyLess());
+  for (EntryRef ref : refs) {
+    DropEntry(ref);
     ++stats_.invalidated;
     if (c_invalidated_ != nullptr) c_invalidated_->Increment();
   }
@@ -294,23 +320,35 @@ void DerivationCache::OnRework(const oct::ObjectId& id) {
 
 void DerivationCache::Clear() {
   base::MutexLock lock(mu_);
+  // Every entry goes: drop the index whole instead of entry by entry.
+  by_version_.clear();
   while (!entries_.empty()) {
-    DropEntry(entries_.begin()->first);
+    DropEntry(entries_.begin());
     ++stats_.invalidated;
     if (c_invalidated_ != nullptr) c_invalidated_->Increment();
   }
-  by_version_.clear();
 }
 
 void DerivationCache::ForEach(
     const std::function<void(const std::string&, const CacheEntry&)>& fn)
     const {
   base::MutexLock lock(mu_);
-  for (const auto& [key, entry] : entries_) fn(key, entry);
+  for (const auto& [key, slot] : entries_) fn(key, slot.entry);
 }
 
-void DerivationCache::TouchPut(const std::string& key) {
-  if (wal_put_set_.insert(key).second) wal_put_keys_.push_back(key);
+void DerivationCache::TouchPut(EntryRef ref) {
+  size_t& position = ref->second.wal_put;
+  if (!wal_dropped_puts_.empty()) {
+    auto dropped = wal_dropped_puts_.find(ref->first);
+    if (dropped != wal_dropped_puts_.end()) {
+      position = dropped->second;
+      wal_puts_[position] = ref;
+      wal_dropped_puts_.erase(dropped);
+      return;
+    }
+  }
+  position = wal_puts_.size();
+  wal_puts_.push_back(ref);
 }
 
 void DerivationCache::TouchRemoved(const std::string& key) {
@@ -323,51 +361,68 @@ void DerivationCache::DrainWalDirt(
         upsert_fn) {
   base::MutexLock lock(mu_);
   for (const std::string& key : wal_removed_keys_) removed_fn(key);
-  for (const std::string& key : wal_put_keys_) {
-    auto it = entries_.find(key);
+  for (EntryRef ref : wal_puts_) {
     // Put-then-dropped keys are covered by their removal record alone.
-    if (it != entries_.end()) upsert_fn(key, it->second);
+    if (ref != entries_.end()) upsert_fn(ref->first, ref->second.entry);
   }
-  wal_put_keys_.clear();
-  wal_put_set_.clear();
-  wal_removed_keys_.clear();
-  wal_removed_set_.clear();
+  ClearWalDirt();
 }
 
 void DerivationCache::DiscardWalDirt() {
   base::MutexLock lock(mu_);
-  wal_put_keys_.clear();
-  wal_put_set_.clear();
+  ClearWalDirt();
+}
+
+void DerivationCache::ClearWalDirt() {
+  for (EntryRef ref : wal_puts_) {
+    if (ref != entries_.end()) ref->second.wal_put = kNotDirty;
+  }
+  wal_puts_.clear();
+  wal_dropped_puts_.clear();
   wal_removed_keys_.clear();
   wal_removed_set_.clear();
 }
 
 void DerivationCache::ForgetEntry(const std::string& key) {
   base::MutexLock lock(mu_);
-  DropEntry(key);
+  auto it = entries_.find(key);
+  if (it != entries_.end()) DropEntry(it);
 }
 
-void DerivationCache::DropEntry(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
+void DerivationCache::IndexVersion(const oct::ObjectId& id, EntryRef ref) {
+  std::vector<EntryRef>& refs = by_version_[id];
+  // A version listed twice (one input fed to two formals) is indexed
+  // once: an entry's versions are indexed back to back, so a repeat is
+  // the last element.
+  if (refs.empty() || refs.back() != ref) refs.push_back(ref);
+}
+
+void DerivationCache::UnindexVersion(const oct::ObjectId& id, EntryRef ref) {
+  auto it = by_version_.find(id);
+  if (it == by_version_.end()) return;
+  std::vector<EntryRef>& refs = it->second;
+  auto at = std::find(refs.begin(), refs.end(), ref);
+  if (at == refs.end()) return;
+  *at = refs.back();
+  refs.pop_back();
+  if (refs.empty()) by_version_.erase(it);
+}
+
+void DerivationCache::DropEntry(EntryRef ref) {
+  const std::string& key = ref->first;
+  const CacheEntry& entry = ref->second.entry;
   TouchRemoved(key);
-  for (const CachedOutput& out : it->second.outputs) {
+  for (const CachedOutput& out : entry.outputs) {
     db_->Unpin(out.id);
-    auto vit = by_version_.find(out.id);
-    if (vit != by_version_.end()) {
-      vit->second.erase(key);
-      if (vit->second.empty()) by_version_.erase(vit);
-    }
+    UnindexVersion(out.id, ref);
   }
-  for (const oct::ObjectId& in : it->second.inputs) {
-    auto vit = by_version_.find(in);
-    if (vit != by_version_.end()) {
-      vit->second.erase(key);
-      if (vit->second.empty()) by_version_.erase(vit);
-    }
+  for (const oct::ObjectId& in : entry.inputs) UnindexVersion(in, ref);
+  if (ref->second.wal_put != kNotDirty) {
+    wal_puts_[ref->second.wal_put] = entries_.end();
+    wal_dropped_puts_.emplace(key, ref->second.wal_put);
   }
-  unpublished_.erase(key);
-  entries_.erase(it);
+  unpublished_.erase(ref);
+  entries_.erase(ref);
 }
 
 }  // namespace papyrus::cache

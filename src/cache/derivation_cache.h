@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/mutex.h"
@@ -141,8 +142,8 @@ class DerivationCache {
       // the session journaled them, so no `cdel` dirt is built for them
       // and no invalidation counted. Only the database pins are released.
       base::MutexLock lock(mu_);
-      for (const auto& [key, entry] : entries_) {
-        for (const CachedOutput& out : entry.outputs) db_->Unpin(out.id);
+      for (const auto& [key, slot] : entries_) {
+        for (const CachedOutput& out : slot.entry.outputs) db_->Unpin(out.id);
       }
     }
     db_->set_pinned_reclaim_handler(nullptr);
@@ -227,12 +228,14 @@ class DerivationCache {
   /// Records one committed derivation under `key`, replacing any previous
   /// entry. Snapshots each output's current visibility and pins the
   /// output versions. Returns false (and records nothing) when an output
-  /// version does not exist in the database.
-  bool Record(const std::string& key, CacheEntry entry)
+  /// version does not exist in the database. Counts as `recorded`.
+  bool Record(std::string key, CacheEntry entry)
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
   /// Re-inserts a persisted entry (the key is recomputed from the entry's
-  /// own components). Used by snapshot restore.
+  /// own components). Used by snapshot restore and WAL replay; a restored
+  /// entry was counted when it was first recorded, so it is not counted
+  /// again.
   bool Restore(CacheEntry entry)
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
@@ -290,9 +293,10 @@ class DerivationCache {
   // --- storage-engine hooks ----------------------------------------------
 
   /// Visits the removals then the surviving dirtied entries accumulated
-  /// since the last drain (first-dirtied order), then clears both lists.
-  /// Replay applies removals before upserts, so a replace (drop + put of
-  /// one key) reconstructs correctly.
+  /// since the last drain (first-dirtied order; the entries one
+  /// invalidation drops are removed in key order), then clears both
+  /// lists. Replay applies removals before upserts, so a replace (drop +
+  /// put of one key) reconstructs correctly.
   void DrainWalDirt(
       const std::function<void(const std::string& key)>& removed_fn,
       const std::function<void(const std::string& key,
@@ -308,15 +312,39 @@ class DerivationCache {
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
  private:
+  /// One entry plus the bookkeeping of the per-step indexes. The key is
+  /// stored once, as the key of `entries_`; every index refers to the
+  /// entry through an iterator, which stays valid until DropEntry erases
+  /// the entry and, with it, every reference to it.
+  struct Slot {
+    CacheEntry entry;
+    /// Position in `wal_puts_` while the entry awaits its `cput` record.
+    size_t wal_put = kNotDirty;
+  };
+  static constexpr size_t kNotDirty = static_cast<size_t>(-1);
+  /// Key-ordered: ForEach writes the cache section in key order.
+  using EntryMap = std::map<std::string, Slot>;
+  using EntryRef = EntryMap::iterator;
+  struct KeyLess {
+    bool operator()(EntryRef a, EntryRef b) const {
+      return a->first < b->first;
+    }
+  };
+
   // Internal bodies, caller holds `mu_` (and the engine role, for the
   // database pin/unpin side effects): they never take the lock
   // themselves, so paths that compose them (Restore -> Record, probe
   // invalidation -> drop) stay recursion-free.
-  void DropEntry(const std::string& key)
-      PAPYRUS_REQUIRES(mu_, base::engine_thread);
-  void TouchPut(const std::string& key) PAPYRUS_REQUIRES(mu_);
+  void DropEntry(EntryRef ref) PAPYRUS_REQUIRES(mu_, base::engine_thread);
+  /// Adds `ref` to `id`'s list in `by_version_` / removes it from there.
+  void IndexVersion(const oct::ObjectId& id, EntryRef ref)
+      PAPYRUS_REQUIRES(mu_);
+  void UnindexVersion(const oct::ObjectId& id, EntryRef ref)
+      PAPYRUS_REQUIRES(mu_);
+  void TouchPut(EntryRef ref) PAPYRUS_REQUIRES(mu_);
   void TouchRemoved(const std::string& key) PAPYRUS_REQUIRES(mu_);
-  bool RecordLocked(const std::string& key, CacheEntry entry)
+  void ClearWalDirt() PAPYRUS_REQUIRES(mu_);
+  bool RecordLocked(std::string key, CacheEntry entry)
       PAPYRUS_REQUIRES(mu_, base::engine_thread);
   /// Encodes the entry's output payloads (read from the database) and
   /// publishes them under entry.content_key. No-op for entries without a
@@ -336,23 +364,31 @@ class DerivationCache {
   obs::Counter* c_recorded_ PAPYRUS_GUARDED_BY(mu_) = nullptr;
   obs::Counter* c_invalidated_ PAPYRUS_GUARDED_BY(mu_) = nullptr;
   obs::Counter* c_micros_saved_ PAPYRUS_GUARDED_BY(mu_) = nullptr;
-  std::map<std::string, CacheEntry> entries_ PAPYRUS_GUARDED_BY(mu_);
-  /// Inverted index: object version -> keys of entries mentioning it
-  /// (inputs and outputs), driving O(entries-touched) invalidation.
-  std::map<oct::ObjectId, std::set<std::string>> by_version_
+  EntryMap entries_ PAPYRUS_GUARDED_BY(mu_);
+  /// Inverted index: object version -> entries mentioning it (inputs and
+  /// outputs), driving O(entries-touched) invalidation. Hashed, so no
+  /// order comes from it: an invalidation sorts the entries it drops.
+  std::unordered_map<oct::ObjectId, std::vector<EntryRef>> by_version_
       PAPYRUS_GUARDED_BY(mu_);
 
   /// Shared content-addressed store (not owned; may be nullptr).
   storage::ContentStore* store_ PAPYRUS_GUARDED_BY(mu_) = nullptr;
   bool auto_publish_ PAPYRUS_GUARDED_BY(mu_) = true;
   bool probe_shared_ PAPYRUS_GUARDED_BY(mu_) = true;
-  /// Session keys recorded while auto_publish was off, awaiting
-  /// FlushSharedPublications (the daemon's post-snapshot publish point).
-  std::set<std::string> unpublished_ PAPYRUS_GUARDED_BY(mu_);
+  /// Entries recorded while auto_publish was off, awaiting
+  /// FlushSharedPublications (the daemon's post-snapshot publish point),
+  /// which publishes them in key order.
+  std::set<EntryRef, KeyLess> unpublished_ PAPYRUS_GUARDED_BY(mu_);
 
-  // Storage-engine dirty state (first-dirtied order, deduplicated).
-  std::vector<std::string> wal_put_keys_ PAPYRUS_GUARDED_BY(mu_);
-  std::set<std::string> wal_put_set_ PAPYRUS_GUARDED_BY(mu_);
+  // Storage-engine dirty state, first-dirtied order, deduplicated by key.
+  /// Entries awaiting a `cput` record. A dropped entry leaves
+  /// `entries_.end()` behind (its position remembered in
+  /// `wal_dropped_puts_` by key), which the key takes back if it is
+  /// recorded again before the drain, so its record keeps its
+  /// first-dirtied position.
+  std::vector<EntryRef> wal_puts_ PAPYRUS_GUARDED_BY(mu_);
+  std::unordered_map<std::string, size_t> wal_dropped_puts_
+      PAPYRUS_GUARDED_BY(mu_);
   std::vector<std::string> wal_removed_keys_ PAPYRUS_GUARDED_BY(mu_);
   std::set<std::string> wal_removed_set_ PAPYRUS_GUARDED_BY(mu_);
 };

@@ -416,8 +416,8 @@ void FlowGraph::Finalize() {
   succ_.resize(n);
 
   for (const StepNode& node : nodes_) {
-    std::string key = node.scope + '\x1f' + node.name;
-    auto [it, inserted] = by_key_.emplace(std::move(key), node.id);
+    auto& in_scope = by_scope_name_[node.scope];
+    auto [it, inserted] = in_scope.emplace(node.name, node.id);
     if (!inserted) it->second = -2;  // ambiguous
   }
 
@@ -479,9 +479,10 @@ bool FlowGraph::Ordered(int a, int b) const {
 
 int FlowGraph::FindNode(const std::string& scope,
                         const std::string& name) const {
-  auto it = by_key_.find(scope + '\x1f' + name);
-  if (it == by_key_.end()) return -1;
-  return it->second;
+  auto in_scope = by_scope_name_.find(scope);
+  if (in_scope == by_scope_name_.end()) return -1;
+  auto it = in_scope->second.find(name);
+  return it == in_scope->second.end() ? -1 : it->second;
 }
 
 const std::vector<int>& FlowGraph::Producers(const std::string& name) const {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "lint/diagnostics.h"
@@ -85,7 +86,10 @@ class FlowGraph {
   std::vector<StepNode> nodes_;
   std::vector<std::vector<int>> succ_;
   std::vector<std::vector<bool>> reach_;  // strict reachability closure
-  std::map<std::string, int> by_key_;     // scope \x1f name -> id | -2
+  /// scope -> step name -> id, or -2 when ambiguous. Nested, so a
+  /// lookup builds no combined key.
+  std::unordered_map<std::string, std::unordered_map<std::string, int>>
+      by_scope_name_;
   std::map<std::string, std::vector<int>> producers_;  // name -> ids
   std::vector<std::string> formal_inputs_;
   std::vector<std::string> formal_outputs_;

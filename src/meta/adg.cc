@@ -9,7 +9,7 @@ int Adg::AddInvocation(const std::string& tool, const std::string& options,
                        std::vector<oct::ObjectId> inputs,
                        std::vector<oct::ObjectId> outputs, int64_t micros) {
   AdgEdge edge;
-  edge.id = next_edge_id_++;
+  edge.id = static_cast<int>(edges_.size()) + 1;
   edge.tool = tool;
   edge.options = options;
   edge.inputs = std::move(inputs);
@@ -22,7 +22,7 @@ int Adg::AddInvocation(const std::string& tool, const std::string& options,
     producers_[out] = edge.id;
   }
   int id = edge.id;
-  edges_[id] = std::move(edge);
+  edges_.emplace_back(id, std::move(edge));
   return id;
 }
 
@@ -30,7 +30,7 @@ int Adg::AddReuse(const std::string& tool, const std::string& options,
                   std::vector<oct::ObjectId> inputs,
                   std::vector<oct::ObjectId> outputs, int64_t micros) {
   AdgEdge edge;
-  edge.id = next_edge_id_++;
+  edge.id = static_cast<int>(edges_.size()) + 1;
   edge.tool = tool;
   edge.options = options;
   edge.inputs = std::move(inputs);
@@ -42,7 +42,7 @@ int Adg::AddReuse(const std::string& tool, const std::string& options,
   }
   ++reuse_edges_;
   int id = edge.id;
-  edges_[id] = std::move(edge);
+  edges_.emplace_back(id, std::move(edge));
   return id;
 }
 
@@ -66,14 +66,14 @@ Result<const AdgEdge*> Adg::Producer(const oct::ObjectId& id) const {
   if (it == producers_.end()) {
     return Status::NotFound("no recorded producer for " + id.ToString());
   }
-  return &edges_.at(it->second);
+  return &Edge(it->second);
 }
 
 std::vector<const AdgEdge*> Adg::Consumers(const oct::ObjectId& id) const {
   std::vector<const AdgEdge*> out;
   auto it = consumers_.find(id);
   if (it == consumers_.end()) return out;
-  for (int edge_id : it->second) out.push_back(&edges_.at(edge_id));
+  for (int edge_id : it->second) out.push_back(&Edge(edge_id));
   return out;
 }
 
@@ -81,7 +81,7 @@ std::vector<const AdgEdge*> Adg::Reuses(const oct::ObjectId& id) const {
   std::vector<const AdgEdge*> out;
   auto it = reuses_.find(id);
   if (it == reuses_.end()) return out;
-  for (int edge_id : it->second) out.push_back(&edges_.at(edge_id));
+  for (int edge_id : it->second) out.push_back(&Edge(edge_id));
   return out;
 }
 
@@ -94,7 +94,7 @@ std::vector<oct::ObjectId> Adg::DerivedFrom(const oct::ObjectId& id) const {
     queue.pop_front();
     auto producer = producers_.find(cur);
     if (producer == producers_.end()) continue;
-    for (const oct::ObjectId& in : edges_.at(producer->second).inputs) {
+    for (const oct::ObjectId& in : Edge(producer->second).inputs) {
       if (seen.insert(in).second) {
         out.push_back(in);
         queue.push_back(in);
@@ -114,7 +114,7 @@ std::vector<oct::ObjectId> Adg::Dependents(const oct::ObjectId& id) const {
     auto it = consumers_.find(cur);
     if (it == consumers_.end()) continue;
     for (int edge_id : it->second) {
-      for (const oct::ObjectId& produced : edges_.at(edge_id).outputs) {
+      for (const oct::ObjectId& produced : Edge(edge_id).outputs) {
         if (seen.insert(produced).second) {
           out.push_back(produced);
           queue.push_back(produced);
@@ -143,7 +143,7 @@ std::vector<const AdgEdge*> Adg::RetracePlan(
     if (it == consumers_.end()) continue;
     for (int edge_id : it->second) {
       affected.insert(edge_id);
-      for (const oct::ObjectId& out : edges_.at(edge_id).outputs) {
+      for (const oct::ObjectId& out : Edge(edge_id).outputs) {
         queue.push_back(out);
       }
     }
@@ -152,7 +152,7 @@ std::vector<const AdgEdge*> Adg::RetracePlan(
   // order within a trace (a consumer is always recorded after the
   // producer completed), so id order is a valid re-execution schedule.
   std::vector<const AdgEdge*> plan;
-  for (int edge_id : affected) plan.push_back(&edges_.at(edge_id));
+  for (int edge_id : affected) plan.push_back(&Edge(edge_id));
   return plan;
 }
 

@@ -2,8 +2,9 @@
 #define PAPYRUS_META_ADG_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -78,15 +79,19 @@ class Adg {
   size_t edge_count() const { return edges_.size(); }
   size_t object_count() const { return producers_.size(); }
   size_t reuse_count() const { return reuse_edges_; }
-  const std::map<int, AdgEdge>& edges() const { return edges_; }
+  /// Every edge as `[id, edge]`, in id (recording) order.
+  const std::vector<std::pair<int, AdgEdge>>& edges() const { return edges_; }
 
  private:
-  std::map<int, AdgEdge> edges_;
-  std::map<oct::ObjectId, int> producers_;                // object -> edge
-  std::map<oct::ObjectId, std::vector<int>> consumers_;   // object -> edges
-  std::map<oct::ObjectId, std::vector<int>> reuses_;      // object -> edges
+  const AdgEdge& Edge(int id) const { return edges_[id - 1].second; }
+
+  /// Ids are 1, 2, ... in recording order, so edge `id` is at `id - 1`.
+  std::vector<std::pair<int, AdgEdge>> edges_;
+  // Hashed by version: no order is taken from these indexes.
+  std::unordered_map<oct::ObjectId, int> producers_;  // object -> edge
+  std::unordered_map<oct::ObjectId, std::vector<int>> consumers_;
+  std::unordered_map<oct::ObjectId, std::vector<int>> reuses_;
   size_t reuse_edges_ = 0;
-  int next_edge_id_ = 1;
 };
 
 }  // namespace papyrus::meta

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <set>
 #include <sstream>
 
 #include "base/strings.h"
@@ -29,16 +30,10 @@ const char* RelKindToString(RelKind kind) {
 int RelationshipStore::Add(RelKind kind, const oct::ObjectId& from,
                            const oct::ObjectId& to,
                            const std::string& via_tool) {
-  Relationship rel;
-  rel.id = next_id_++;
-  rel.kind = kind;
-  rel.from = from;
-  rel.to = to;
-  rel.via_tool = via_tool;
-  by_from_[from].push_back(rel.id);
-  by_to_[to].push_back(rel.id);
-  int id = rel.id;
-  rels_[id] = std::move(rel);
+  int id = static_cast<int>(rels_.size()) + 1;
+  rels_.push_back(Relationship{id, kind, from, to, via_tool});
+  by_from_[from].push_back(id);
+  by_to_[to].push_back(id);
   return id;
 }
 
@@ -46,10 +41,10 @@ std::vector<const Relationship*> RelationshipStore::Of(
     const oct::ObjectId& id) const {
   std::vector<const Relationship*> out;
   if (auto it = by_from_.find(id); it != by_from_.end()) {
-    for (int rid : it->second) out.push_back(&rels_.at(rid));
+    for (int rid : it->second) out.push_back(&Rel(rid));
   }
   if (auto it = by_to_.find(id); it != by_to_.end()) {
-    for (int rid : it->second) out.push_back(&rels_.at(rid));
+    for (int rid : it->second) out.push_back(&Rel(rid));
   }
   return out;
 }
@@ -59,7 +54,7 @@ std::vector<const Relationship*> RelationshipStore::From(
   std::vector<const Relationship*> out;
   if (auto it = by_from_.find(id); it != by_from_.end()) {
     for (int rid : it->second) {
-      const Relationship& rel = rels_.at(rid);
+      const Relationship& rel = Rel(rid);
       if (rel.kind == kind) out.push_back(&rel);
     }
   }
@@ -71,7 +66,7 @@ std::vector<const Relationship*> RelationshipStore::To(
   std::vector<const Relationship*> out;
   if (auto it = by_to_.find(id); it != by_to_.end()) {
     for (int rid : it->second) {
-      const Relationship& rel = rels_.at(rid);
+      const Relationship& rel = Rel(rid);
       if (rel.kind == kind) out.push_back(&rel);
     }
   }
@@ -146,7 +141,8 @@ void MetadataEngine::InferForInvocation(const task::StepRecord& step) {
     }
   }
   for (const oct::ObjectId& out : step.outputs) {
-    TypeInfo info;
+    TypeInfo& info = types_[out];
+    info = TypeInfo{};
     if (tsd != nullptr) {
       const OutputTyping& typing = tsd->OutputFor(selector_value);
       info.type = typing.type;
@@ -158,7 +154,6 @@ void MetadataEngine::InferForInvocation(const task::StepRecord& step) {
       info.type = rec.ok() ? oct::PayloadTypeName((*rec)->payload)
                            : "unknown";
     }
-    types_[out] = info;
     // 2. Attribute attachment and evaluation.
     AttachAttributes(out, info, tsd, step.inputs);
     // Constraint attributes are checked as early as possible: right at
@@ -192,8 +187,7 @@ void MetadataEngine::AttachAttributes(
         std::find(tsd->inherit_list.begin(), tsd->inherit_list.end(),
                   spec.name) != tsd->inherit_list.end()) {
       for (const oct::ObjectId& in : inputs) {
-        auto value = attrs_->GetValue(in, spec.name);
-        if (value.ok()) {
+        if (const std::string* value = attrs_->FindValue(in, spec.name)) {
           (void)attrs_->SetComputed(id, spec.name, *value);
           ++inherited_values_;
           inherited = true;

@@ -1,9 +1,8 @@
 #ifndef PAPYRUS_META_INFERENCE_H_
 #define PAPYRUS_META_INFERENCE_H_
 
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/result.h"
@@ -51,10 +50,14 @@ class RelationshipStore {
   size_t size() const { return rels_.size(); }
 
  private:
-  std::map<int, Relationship> rels_;
-  std::map<oct::ObjectId, std::vector<int>> by_from_;
-  std::map<oct::ObjectId, std::vector<int>> by_to_;
-  int next_id_ = 1;
+  const Relationship& Rel(int id) const { return rels_[id - 1]; }
+
+  /// Ids are 1, 2, ... in insertion order, so relationship `id` is at
+  /// `id - 1`.
+  std::vector<Relationship> rels_;
+  // Hashed by version; each list keeps insertion order.
+  std::unordered_map<oct::ObjectId, std::vector<int>> by_from_;
+  std::unordered_map<oct::ObjectId, std::vector<int>> by_to_;
 };
 
 /// How a propagated attribute aggregates over configuration components
@@ -206,7 +209,7 @@ class MetadataEngine {
   const TsdRegistry* tsds_;
   Adg adg_;
   RelationshipStore rels_;
-  std::map<oct::ObjectId, TypeInfo> types_;
+  std::unordered_map<oct::ObjectId, TypeInfo> types_;
   std::vector<PropagationRule> rules_;
   std::vector<ConstraintRule> constraints_;
   std::vector<ConstraintViolation> violations_;

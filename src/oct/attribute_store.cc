@@ -72,13 +72,20 @@ Result<AttributeEntry> AttributeStore::Get(const ObjectId& id,
 
 Result<std::string> AttributeStore::GetValue(const ObjectId& id,
                                              const std::string& attr) const {
+  if (const std::string* value = FindValue(id, attr)) return *value;
   auto entry = Get(id, attr);
   if (!entry.ok()) return entry.status();
-  if (!entry->computed) {
-    return Status::FailedPrecondition("attribute " + attr + " on " +
-                                      id.ToString() + " not yet computed");
-  }
-  return entry->value;
+  return Status::FailedPrecondition("attribute " + attr + " on " +
+                                    id.ToString() + " not yet computed");
+}
+
+const std::string* AttributeStore::FindValue(const ObjectId& id,
+                                             const std::string& attr) const {
+  auto obj_it = attrs_.find(id);
+  if (obj_it == attrs_.end()) return nullptr;
+  auto it = obj_it->second.find(attr);
+  if (it == obj_it->second.end() || !it->second.computed) return nullptr;
+  return &it->second.value;
 }
 
 bool AttributeStore::Has(const ObjectId& id, const std::string& attr) const {

@@ -59,6 +59,10 @@ class AttributeStore {
   /// Returns a valid value or NotFound when absent / not yet computed.
   Result<std::string> GetValue(const ObjectId& id,
                                const std::string& attr) const;
+  /// The valid value, or null when absent / not yet computed: GetValue
+  /// without the copy and without the error on a miss.
+  const std::string* FindValue(const ObjectId& id,
+                               const std::string& attr) const;
 
   bool Has(const ObjectId& id, const std::string& attr) const;
 

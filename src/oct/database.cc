@@ -77,7 +77,7 @@ Result<ObjectId> OctDatabase::CreateVersion(const std::string& name,
   if (g_live_bytes_ != nullptr) {
     g_live_bytes_->Add(versions.back().size_bytes);
   }
-  if (obs_.trace != nullptr) {
+  if (obs_.trace != nullptr && obs_.trace->enabled()) {
     obs_.trace->Instant(
         obs::kSessionPid, kOctTrackTid, "version_created", "oct",
         {obs::TraceArg::Str("object", versions.back().id.ToString()),
@@ -219,7 +219,7 @@ Status OctDatabase::Reclaim(const ObjectId& id) {
   }
   if (c_reclaimed_ != nullptr) c_reclaimed_->Increment();
   if (g_live_bytes_ != nullptr) g_live_bytes_->Add(-rec->size_bytes);
-  if (obs_.trace != nullptr) {
+  if (obs_.trace != nullptr && obs_.trace->enabled()) {
     obs_.trace->Instant(obs::kSessionPid, kOctTrackTid,
                         "version_reclaimed", "oct",
                         {obs::TraceArg::Str("object", id.ToString()),

@@ -60,19 +60,23 @@ void Network::set_observability(const obs::Observability& sinks) {
   }
 }
 
+obs::TraceRecorder* Network::tracing() const {
+  return obs_.trace != nullptr && obs_.trace->enabled() ? obs_.trace : nullptr;
+}
+
 void Network::TraceHostEvent(HostId host, const std::string& name,
                              std::vector<obs::TraceArg> args) {
-  if (obs_.trace == nullptr) return;
-  obs_.trace->Instant(obs::kHostTrackPid, host, name, "sprite",
-                      std::move(args));
+  if (obs::TraceRecorder* tr = tracing()) {
+    tr->Instant(obs::kHostTrackPid, host, name, "sprite", std::move(args));
+  }
 }
 
 void Network::TraceLoad(HostId host) {
   base::AssertEngineThread("Network::TraceLoad");
-  if (obs_.trace == nullptr) return;
-  obs_.trace->CounterValue(obs::kHostTrackPid, host,
-                           "load host " + std::to_string(host),
-                           LoadOf(host));
+  if (obs::TraceRecorder* tr = tracing()) {
+    tr->CounterValue(obs::kHostTrackPid, host,
+                     "load host " + std::to_string(host), LoadOf(host));
+  }
 }
 
 Status Network::SetHostSpeed(HostId host, double speed) {
@@ -136,7 +140,7 @@ Status Network::CrashHost(HostId host) {
   // failure handler may call back into the network.
   std::vector<ProcessId> pids = hosts_[host].running;
   for (ProcessId pid : pids) {
-    if (processes_[pid].state != ProcessState::kRunning) continue;
+    if (Pcb(pid).state != ProcessState::kRunning) continue;
     LoseProcess(pid, now);
   }
   return Status::OK();
@@ -179,7 +183,7 @@ double Network::NextFlakyDraw() {
 }
 
 void Network::LoseProcess(ProcessId pid, int64_t now) {
-  ProcessInfo& p = processes_[pid];
+  ProcessInfo& p = Pcb(pid);
   HostId host = p.current_host;
   DetachFromHost(pid);
   p.state = ProcessState::kLost;
@@ -244,8 +248,9 @@ Result<ProcessId> Network::Spawn(ProcessId parent,
                                " is down");
   }
   AccrueProgress(clock_->NowMicros());
-  ProcessInfo p;
-  p.pid = next_pid_++;
+  const ProcessId pid = next_pid_++;
+  ProcessInfo& p = processes_.emplace_back();
+  p.pid = pid;
   p.parent_pid = parent;
   p.home_host = home_host();
   p.current_host = host;
@@ -253,23 +258,23 @@ Result<ProcessId> Network::Spawn(ProcessId parent,
   p.command = command;
   p.work_micros = work_micros;
   p.spawn_micros = clock_->NowMicros();
-  processes_[p.pid] = p;
-  hosts_[host].running.push_back(p.pid);
+  hosts_[host].running.push_back(pid);
   ++total_spawns_;
   if (c_spawns_ != nullptr) c_spawns_->Increment();
-  TraceHostEvent(host, "spawn",
-                 {obs::TraceArg::Int("pid", p.pid),
-                  obs::TraceArg::Str("command", command),
-                  obs::TraceArg::Bool("migratable", migratable)});
+  if (tracing() != nullptr) {
+    TraceHostEvent(host, "spawn",
+                   {obs::TraceArg::Int("pid", pid),
+                    obs::TraceArg::Str("command", command),
+                    obs::TraceArg::Bool("migratable", migratable)});
+  }
   TraceLoad(host);
   // Zero-work processes complete on the next Step().
-  return p.pid;
+  return pid;
 }
 
 Status Network::Migrate(ProcessId pid, HostId to) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) return Status::NotFound("no such process");
-  ProcessInfo& p = it->second;
+  if (FindProcess(pid) == nullptr) return Status::NotFound("no such process");
+  ProcessInfo& p = Pcb(pid);
   if (p.state != ProcessState::kRunning) {
     return Status::FailedPrecondition("process not running");
   }
@@ -320,9 +325,8 @@ Status Network::Migrate(ProcessId pid, HostId to) {
 }
 
 Status Network::Kill(ProcessId pid) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) return Status::NotFound("no such process");
-  ProcessInfo& p = it->second;
+  if (FindProcess(pid) == nullptr) return Status::NotFound("no such process");
+  ProcessInfo& p = Pcb(pid);
   if (p.state != ProcessState::kRunning) {
     return Status::FailedPrecondition("process not running");
   }
@@ -336,14 +340,21 @@ Status Network::Kill(ProcessId pid) {
 }
 
 Result<ProcessInfo> Network::GetProcess(ProcessId pid) const {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) return Status::NotFound("no such process");
-  return it->second;
+  const ProcessInfo* p = FindProcess(pid);
+  if (p == nullptr) return Status::NotFound("no such process");
+  return *p;
+}
+
+const ProcessInfo* Network::FindProcess(ProcessId pid) const {
+  if (pid < 1 || pid > static_cast<ProcessId>(processes_.size())) {
+    return nullptr;
+  }
+  return &processes_[pid - 1];
 }
 
 std::vector<ProcessInfo> Network::GetPcbInfo(ProcessId parent) const {
   std::vector<ProcessInfo> out;
-  for (const auto& [pid, p] : processes_) {
+  for (const ProcessInfo& p : processes_) {
     if (parent == kNoProcess || p.parent_pid == parent) out.push_back(p);
   }
   return out;
@@ -359,7 +370,7 @@ void Network::AccrueProgress(int64_t now) {
     double rate = h.rate();
     int64_t gained = static_cast<int64_t>(std::llround(dt * rate));
     for (ProcessId pid : h.running) {
-      ProcessInfo& p = processes_.at(pid);
+      ProcessInfo& p = Pcb(pid);
       p.done_micros = std::min(p.work_micros, p.done_micros + gained);
       total_busy_micros_ += std::min<int64_t>(gained, dt);
     }
@@ -373,7 +384,7 @@ int64_t Network::NextCompletionTime(ProcessId* which) const {
   for (const Host& h : hosts_) {
     double rate = h.rate();
     for (ProcessId pid : h.running) {
-      const ProcessInfo& p = processes_.at(pid);
+      const ProcessInfo& p = processes_[pid - 1];
       int64_t remaining = p.work_micros - p.done_micros;
       int64_t eta;
       if (remaining <= 0) {
@@ -393,7 +404,7 @@ int64_t Network::NextCompletionTime(ProcessId* which) const {
 }
 
 void Network::Complete(ProcessId pid, int64_t now) {
-  ProcessInfo& p = processes_[pid];
+  ProcessInfo& p = Pcb(pid);
   HostId host = p.current_host;
   DetachFromHost(pid);
   p.state = ProcessState::kCompleted;
@@ -407,7 +418,7 @@ void Network::EvictForeigners(HostId host) {
   // Copy: eviction mutates the host's running list.
   std::vector<ProcessId> pids = hosts_[host].running;
   for (ProcessId pid : pids) {
-    ProcessInfo& p = processes_[pid];
+    ProcessInfo& p = Pcb(pid);
     if (p.current_host != host) continue;
     if (p.home_host == host) continue;  // native process, not evicted
     if (!hosts_[p.home_host].up) {
@@ -433,7 +444,7 @@ void Network::EvictForeigners(HostId host) {
 }
 
 void Network::DetachFromHost(ProcessId pid) {
-  ProcessInfo& p = processes_[pid];
+  ProcessInfo& p = Pcb(pid);
   auto& running = hosts_[p.current_host].running;
   running.erase(std::remove(running.begin(), running.end(), pid),
                 running.end());

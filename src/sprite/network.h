@@ -2,8 +2,8 @@
 #define PAPYRUS_SPRITE_NETWORK_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -156,6 +156,10 @@ class Network {
   Status Kill(ProcessId pid);
 
   Result<ProcessInfo> GetProcess(ProcessId pid) const;
+  /// The process's PCB without copying it, or null when there is no such
+  /// process. PCBs are never removed or moved, so the pointer stays
+  /// valid.
+  const ProcessInfo* FindProcess(ProcessId pid) const;
 
   /// All PCBs whose parent is `parent` (kNoProcess = all processes).
   std::vector<ProcessInfo> GetPcbInfo(ProcessId parent = kNoProcess) const;
@@ -231,8 +235,7 @@ class Network {
 
   /// Applies progress to all running processes for the interval since the
   /// last accounting instant. Walks the hosts' running lists, so its cost
-  /// is O(running processes · log(processes ever spawned)): one lookup in
-  /// processes_ per running pid, no walk over every process ever spawned.
+  /// is O(running processes): no walk over every process ever spawned.
   void AccrueProgress(int64_t now);
   /// Earliest projected completion time across running processes; equal
   /// times go to the lowest pid. Walks the running lists, like
@@ -241,11 +244,15 @@ class Network {
   void Complete(ProcessId pid, int64_t now);
   void EvictForeigners(HostId host);
   void DetachFromHost(ProcessId pid);
+  /// The PCB of a spawned process (see `processes_`).
+  ProcessInfo& Pcb(ProcessId pid) { return processes_[pid - 1]; }
   /// Finalizes a process as kLost and fires the failure handler.
   void LoseProcess(ProcessId pid, int64_t now);
   void PushHostEvent(HostEvent ev);
   /// Deterministic draw in [0, 1) for flaky-migration decisions.
   double NextFlakyDraw();
+  /// The trace recorder when one is attached and enabled, else null.
+  obs::TraceRecorder* tracing() const;
   /// Emits an instant on `host`'s trace track (no-op when untraced).
   void TraceHostEvent(HostId host, const std::string& name,
                       std::vector<obs::TraceArg> args);
@@ -254,7 +261,9 @@ class Network {
 
   ManualClock* clock_;
   std::vector<Host> hosts_;
-  std::map<ProcessId, ProcessInfo> processes_;
+  /// PCBs by pid. Pids are handed out 1, 2, ... and never reused, so the
+  /// PCB of `pid` is at `pid - 1`; a deque, so appending one moves none.
+  std::deque<ProcessInfo> processes_;
   /// Sorted by time; events at one instant keep the order they were
   /// scheduled in.
   std::vector<HostEvent> host_events_;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "base/strings.h"
 #include "cache/derivation_cache.h"
@@ -239,7 +240,13 @@ class Execution {
   void Commit();
 
   // --- observability ----------------------------------------------------
-  obs::TraceRecorder* trace() const { return mgr_->obs_.trace; }
+  /// The recorder when it is enabled, else null: call sites build their
+  /// event arguments only behind this check. A sealed recorder is still
+  /// enabled, so it keeps counting the events it drops.
+  obs::TraceRecorder* trace() const {
+    obs::TraceRecorder* tr = mgr_->obs_.trace;
+    return tr != nullptr && tr->enabled() ? tr : nullptr;
+  }
   /// This execution's Chrome process-group id: thread 0 is the task span,
   /// one thread per step internal id carries that step's spans.
   int trace_pid() const { return obs::kTaskPidBase + exec_id_; }
@@ -278,8 +285,10 @@ class Execution {
 
   std::map<sprite::ProcessId, ActiveEntry> active_;
   std::map<int, SuspendedStep> suspended_;  // seq -> pending step
-  std::map<std::string, std::vector<int>> input_waiters_;  // name -> seqs
-  std::map<std::string, std::vector<int>> dep_waiters_;  // scope#uid -> seqs
+  // Waiters by object name and by scope#uid: only looked up, never
+  // iterated, so hashed.
+  std::unordered_map<std::string, std::vector<int>> input_waiters_;
+  std::unordered_map<std::string, std::vector<int>> dep_waiters_;
   std::deque<ResolvedStep> ready_queue_;
   int next_suspend_seq_ = 0;
   std::vector<PendingRetry> retry_queue_;
@@ -1185,7 +1194,7 @@ void Execution::CompleteWithoutRunning(
     checker_->OnDispatch(token, step.scope, step.name, step.output_names);
     checker_->OnSettle(token);
   }
-  step_records_.push_back(record);
+  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
   ++steps_elided_;
   mgr_->c_steps_elided_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
@@ -1196,7 +1205,7 @@ void Execution::CompleteWithoutRunning(
   }
   if (observer_ != nullptr) {
     observer_->OnCacheHit(step.name, micros_saved);
-    observer_->OnStepCompleted(record);
+    observer_->OnStepCompleted(recorded);
   }
 }
 
@@ -1288,7 +1297,7 @@ void Execution::FailStep(const ResolvedStep& step, int exit_status,
   record.exit_status = exit_status;
   record.message = message;
   record.internal_id = step.internal_id;
-  step_records_.push_back(record);
+  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
   mgr_->c_steps_failed_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
     // No process ever ran for this failure, so there is no open span to
@@ -1298,7 +1307,7 @@ void Execution::FailStep(const ResolvedStep& step, int exit_status,
                 {obs::TraceArg::Str("step", step.name),
                  obs::TraceArg::Int("exit_status", exit_status)});
   }
-  if (observer_ != nullptr) observer_->OnStepCompleted(record);
+  if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
   any_failed_ = true;
   if (!failure_messages_.empty()) failure_messages_ += "; ";
   failure_messages_ += message;
@@ -1371,13 +1380,10 @@ void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
   // revalidates each input at completion time and updates its access
   // time, exactly as serial execution does — but the payloads a worker
   // used are the dispatch-time snapshots (identical by single-assignment
-  // update whenever Get succeeds here).
+  // update whenever Get succeeds here). Only the inline run (no executor
+  // job) reads the tool context.
+  const bool inline_run = entry.job_id == 0;
   cadtools::ToolRunContext ctx;
-  ctx.options = cadtools::ToolOptions::Parse(
-      SplitWhitespace(entry.step.options));
-  ctx.seed = invocation_.seed ^
-             Fnv1a(entry.step.scope + entry.step.name + entry.step.options);
-  ctx.attempt = entry.step.attempt;
   bool inputs_ok = true;
   for (const oct::ObjectId& id : entry.input_ids) {
     auto rec = mgr_->db_->Get(id);
@@ -1385,8 +1391,10 @@ void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
       inputs_ok = false;
       break;
     }
-    ctx.inputs.push_back(&(*rec)->payload);
-    ctx.input_names.push_back(id.name);
+    if (inline_run) {
+      ctx.inputs.push_back(&(*rec)->payload);
+      ctx.input_names.push_back(id.name);
+    }
   }
   cadtools::ToolRunResult res;
   if (!inputs_ok) {
@@ -1395,12 +1403,17 @@ void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
     if (entry.job_id != 0) mgr_->executor_->Discard(entry.job_id);
     res = cadtools::ToolRunResult::Fail(
         2, entry.step.tool + ": input object disappeared");
-  } else if (entry.job_id != 0) {
+  } else if (!inline_run) {
     // Commit funnel: collect the (possibly worker-computed) result and
     // replay its captured observability effects, here on the engine
     // thread at the virtual completion event.
     res = mgr_->executor_->Take(entry.job_id);
   } else {
+    ctx.options = cadtools::ToolOptions::Parse(
+        SplitWhitespace(entry.step.options));
+    ctx.seed = invocation_.seed ^
+               Fnv1a(entry.step.scope + entry.step.name + entry.step.options);
+    ctx.attempt = entry.step.attempt;
     res = (*tool)->Run(ctx);
   }
   if (res.exit_status == 0 &&
@@ -1476,7 +1489,7 @@ void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
       ce.canonical_options = std::move(entry.canonical_options);
       ce.seed_salt = entry.seed_salt;
       ce.content_key = std::move(entry.content_key);
-      ce.inputs = entry.input_ids;
+      ce.inputs = std::move(entry.input_ids);
       for (const oct::ObjectId& id : *created) {
         ce.outputs.push_back(cache::CachedOutput{id, true});
       }
@@ -1485,31 +1498,31 @@ void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
       staged.key = std::move(entry.cache_key);
       staged_cache_.push_back(std::move(staged));
     }
-    step_records_.push_back(record);
     mgr_->c_steps_completed_->Increment();
     mgr_->h_step_latency_->Observe(record.completion_micros -
                                    record.dispatch_micros);
+    const StepRecord& recorded = step_records_.emplace_back(std::move(record));
     if (obs::TraceRecorder* tr = trace()) {
       tr->End(trace_pid(), entry.step.internal_id,
               {obs::TraceArg::Int("exit_status", 0),
                obs::TraceArg::Int("host", pinfo.current_host)});
     }
-    if (observer_ != nullptr) observer_->OnStepCompleted(record);
+    if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
     DrainReady();
     return;
   }
 
   // Step failed.
-  step_records_.push_back(record);
   mgr_->c_steps_failed_->Increment();
   mgr_->h_step_latency_->Observe(record.completion_micros -
                                  record.dispatch_micros);
+  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
   if (obs::TraceRecorder* tr = trace()) {
     tr->End(trace_pid(), entry.step.internal_id,
             {obs::TraceArg::Int("exit_status", res.exit_status),
              obs::TraceArg::Str("message", res.message)});
   }
-  if (observer_ != nullptr) observer_->OnStepCompleted(record);
+  if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
   any_failed_ = true;
   if (!failure_messages_.empty()) failure_messages_ += "; ";
   failure_messages_ += res.message;
@@ -1743,11 +1756,12 @@ void Execution::Commit() {
   // were.
   if (mgr_->cache_ != nullptr) {
     for (StagedCacheEntry& staged : staged_cache_) {
-      (void)mgr_->cache_->Record(staged.key, std::move(staged.entry));
+      (void)mgr_->cache_->Record(std::move(staged.key),
+                                 std::move(staged.entry));
     }
   }
   staged_cache_.clear();
-  record.steps = step_records_;
+  record.steps = std::move(step_records_);
   record.invoke_micros = invoke_micros_;
   record.commit_micros = mgr_->network_->clock()->NowMicros();
   record.restarts = restarts_;
@@ -1961,20 +1975,24 @@ void TaskManager::DriveAll(std::vector<internal::Execution*>& executions) {
 
 void TaskManager::TryRemigration() {
   sprite::HostId home = network_->home_host();
+  // Only worth moving when the home node is contended (§4.3.3). A
+  // migration only lowers the home node's load, so an uncontended home
+  // node stays uncontended for the whole pass.
+  auto contended = [&] {
+    return network_->IsOwnerActive(home) || network_->LoadOf(home) >= 2;
+  };
+  if (!contended()) return;
   // Snapshot pids first: migration mutates no routing, but be safe.
   std::vector<std::pair<sprite::ProcessId, internal::Execution*>> pids(
       pid_router_.begin(), pid_router_.end());
   for (const auto& [pid, exec] : pids) {
     if (!exec->remigration()) continue;
-    auto info = network_->GetProcess(pid);
-    if (!info.ok() || info->state != sprite::ProcessState::kRunning) {
+    const sprite::ProcessInfo* info = network_->FindProcess(pid);
+    if (info == nullptr || info->state != sprite::ProcessState::kRunning) {
       continue;
     }
     if (!info->migratable || info->current_host != home) continue;
-    // Only worth moving when the home node is contended (§4.3.3).
-    if (!network_->IsOwnerActive(home) && network_->LoadOf(home) < 2) {
-      continue;
-    }
+    if (!contended()) continue;
     auto idle = network_->FindIdleHost(/*exclude_home=*/true);
     if (!idle.ok()) continue;
     // The move must strictly improve this process's situation; otherwise

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "activity/persistence.h"
 #include "base/clock.h"
+#include "base/strings.h"
 #include "cache/derivation_cache.h"
 #include "cadtools/registry.h"
 #include "cadtools/tool.h"
 #include "core/papyrus.h"
+#include "obs/metrics.h"
 #include "oct/database.h"
 #include "oct/design_data.h"
 #include "sprite/network.h"
@@ -57,6 +60,16 @@ TEST(CacheKeyTest, KeyDependsOnEveryComponent) {
                                            inputs));
 }
 
+TEST(CacheKeyTest, KeyTextIsStable) {
+  // Keys are journaled (`cdel` records): their bytes must not drift. The
+  // salt is lowercase hex without padding, versions are decimal.
+  std::vector<ObjectId> in = {{"a", 1}, {"b", 12}};
+  std::string key = DerivationCache::MakeKey("t", "1.2", "-f $i0", 0xabc0, in);
+  EXPECT_EQ(key, Join({"t", "1.2", "-f $i0", "abc0", "a@1", "b@12"}, "\x1f"));
+  std::string bare = DerivationCache::MakeKey("t", "", "", 0, {});
+  EXPECT_EQ(bare, Join({"t", "", "", "0"}, "\x1f"));
+}
+
 // ---------------------------------------------------------------------------
 // Database pin semantics
 // ---------------------------------------------------------------------------
@@ -101,6 +114,67 @@ TEST(PinTest, DestroyedCacheReleasesItsPins) {
   // a database that outlives the cache gets its versions back.
   EXPECT_FALSE(db.IsPinned(*out));
   EXPECT_TRUE(db.Reclaim(*out).ok());
+}
+
+TEST(DerivationCacheTest, OneInvalidationDrainsItsRemovalsInKeyOrder) {
+  ManualClock clock(0);
+  oct::OctDatabase db(&clock);
+  auto in = db.CreateVersion("in", TextData{"x"});
+  ASSERT_TRUE(in.ok());
+  DerivationCache cache(&db);
+  // Three entries on one input version, recorded out of key order.
+  for (const std::string key : {"zeta", "alpha", "mid"}) {
+    auto out = db.CreateVersion("out." + key, TextData{key});
+    ASSERT_TRUE(out.ok());
+    CacheEntry e;
+    e.tool = "t";
+    e.inputs = {*in};
+    e.outputs = {{*out, true}};
+    ASSERT_TRUE(cache.Record(key, e));
+  }
+  cache.DiscardWalDirt();
+  cache.OnRework(*in);
+  EXPECT_EQ(cache.size(), 0u);
+  std::vector<std::string> removed;
+  auto on_removed = [&](const std::string& key) { removed.push_back(key); };
+  auto on_upsert = [&](const std::string& key, const CacheEntry&) {
+    ADD_FAILURE() << "upsert of dropped entry " << key;
+  };
+  cache.DrainWalDirt(on_removed, on_upsert);
+  EXPECT_EQ(removed, (std::vector<std::string>{"alpha", "mid", "zeta"}));
+}
+
+TEST(DerivationCacheTest, RerecordedKeyKeepsItsFirstDirtiedPosition) {
+  ManualClock clock(0);
+  oct::OctDatabase db(&clock);
+  auto in = db.CreateVersion("in", TextData{"x"});
+  auto other = db.CreateVersion("other", TextData{"y"});
+  ASSERT_TRUE(in.ok() && other.ok());
+  DerivationCache cache(&db);
+  auto record = [&](const std::string& key, const ObjectId& input) {
+    auto out = db.CreateVersion("out." + key, TextData{key});
+    ASSERT_TRUE(out.ok());
+    CacheEntry e;
+    e.tool = key;
+    e.inputs = {input};
+    e.outputs = {{*out, true}};
+    ASSERT_TRUE(cache.Record(key, e));
+  };
+  // In one batch: a is put, invalidated and put again; b is put between.
+  record("a", *in);
+  record("b", *other);
+  cache.OnRework(*in);
+  record("a", *other);
+  record("c", *other);
+  std::vector<std::string> removed, upserts;
+  auto on_removed = [&](const std::string& key) { removed.push_back(key); };
+  auto on_upsert = [&](const std::string& key, const CacheEntry&) {
+    upserts.push_back(key);
+  };
+  cache.DrainWalDirt(on_removed, on_upsert);
+  EXPECT_EQ(removed, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(upserts, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +675,106 @@ TEST(DerivationCachePersistenceTest, SessionTeardownKeepsEveryEntry) {
   ASSERT_TRUE(warm.committed);
   EXPECT_EQ(warm.executed, 0);
   EXPECT_EQ(warm.elided, 6);
+  fs::remove_all(dir);
+}
+
+TEST(DerivationCachePersistenceTest, ReopenedEntriesAreNotCountedAsRecorded) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "papyrus_cache_recorded";
+  fs::remove_all(dir);
+  ObjectId spec_id, cmds_id;
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir.string()).ok());
+    auto spec = session.database().CreateVersion(
+        "spec", BehavioralSpec{8, 8, 12, 77});
+    auto cmds = session.database().CreateVersion("sim.cmd",
+                                                 TextData{"run 100"});
+    ASSERT_TRUE(RunFlow(session, *spec, *cmds).committed);
+    ASSERT_TRUE(session.CommitWal().ok());
+    spec_id = *spec;
+    cmds_id = *cmds;
+    ASSERT_EQ(session.step_cache().size(), 6u);
+    ASSERT_EQ(session.step_cache().stats().recorded, 6);
+  }
+  auto counter = [](Papyrus& s, const char* name) {
+    return s.metrics().FindOrCreateCounter(name)->value();
+  };
+  {
+    // Reopened from the WAL (`cput` replay), then folded into a
+    // generation.
+    Papyrus fresh;
+    ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
+    EXPECT_EQ(fresh.step_cache().size(), 6u);
+    EXPECT_EQ(fresh.step_cache().stats().recorded, 0);
+    EXPECT_EQ(counter(fresh, obs::kCacheRecorded), 0);
+    ASSERT_TRUE(fresh.SaveGeneration().ok());
+  }
+  Papyrus fresh;
+  ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
+  // Reopened from the generation alone: no WAL record was replayed.
+  ASSERT_EQ(counter(fresh, obs::kWalReplayedRecords), 0);
+  EXPECT_EQ(fresh.step_cache().size(), 6u);
+  EXPECT_EQ(fresh.step_cache().stats().recorded, 0);
+  EXPECT_EQ(counter(fresh, obs::kCacheRecorded), 0);
+  // A live commit still counts: running the flow uncached re-records
+  // (replaces) all six derivations.
+  FlowRun rerun = RunFlow(fresh, spec_id, cmds_id, /*disable_step_cache=*/true);
+  ASSERT_TRUE(rerun.committed);
+  EXPECT_EQ(fresh.step_cache().stats().recorded, 6);
+  EXPECT_EQ(counter(fresh, obs::kCacheRecorded), 6);
+  fs::remove_all(dir);
+}
+
+TEST(DerivationCachePersistenceTest, ReworkJournalsTheFixtureRemovals) {
+  // tests/data/rework_cdel_v1 (see its README): the last WAL batch of a
+  // rework erase, written when one invalidation journaled its removals in
+  // key order.
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "papyrus_cache_rework_cdel";
+  fs::remove_all(dir);
+  {
+    Papyrus s;
+    ASSERT_TRUE(s.OpenStorage(dir.string()).ok());
+    int t = s.CreateThread("rework");
+    BehavioralSpec spec{8, 8, 12, 77};
+    ASSERT_TRUE(s.CheckInObject("/rework/spec", spec).ok());
+    ASSERT_TRUE(s.CheckInObject("/rework/sim.cmd", TextData{"run 100"}).ok());
+    auto p1 = s.Invoke(t, "Create_Logic_Description", {}, {"a.logic"});
+    ASSERT_TRUE(p1.ok());
+    std::vector<std::string> synthesis_in = {"/rework/spec", "/rework/sim.cmd"};
+    auto p2 = s.Invoke(t, "Structure_Synthesis", synthesis_in,
+                       {"b.layout", "b.stats"});
+    ASSERT_TRUE(p2.ok());
+    auto p3 = s.Invoke(t, "Mosaico", {"b.layout"}, {"c.layout", "c.stats"});
+    ASSERT_TRUE(p3.ok());
+    ASSERT_TRUE(s.Invoke(t, "Place_Pads", {"b.layout"}, {"d.layout"}).ok());
+    ASSERT_TRUE(s.CommitWal().ok());
+    ASSERT_EQ(s.step_cache().size(), 21u);
+    ASSERT_TRUE(s.MoveCursor(t, *p1, /*erase=*/true).ok());
+    ASSERT_EQ(s.step_cache().size(), 13u);
+    ASSERT_TRUE(s.CommitWal().ok());
+  }
+  // The `cdel` lines of the last committed batch, verbatim.
+  auto last_batch_cdels = [](const fs::path& file) {
+    std::ifstream in(file);
+    std::vector<std::string> batch, last;
+    for (std::string line; std::getline(in, line);) {
+      if (line.find(" commit !") != std::string::npos) {
+        last = std::move(batch);
+        batch.clear();
+      } else if (line.find(" cdel ") != std::string::npos) {
+        batch.push_back(line);
+      }
+    }
+    return last;
+  };
+  const fs::path fixture =
+      fs::path(PAPYRUS_SOURCE_DIR) / "tests/data/rework_cdel_v1";
+  std::vector<std::string> expected =
+      last_batch_cdels(fixture / "wal_tail.golden");
+  ASSERT_EQ(expected.size(), 8u);
+  EXPECT_EQ(last_batch_cdels(dir / "wal.log"), expected);
   fs::remove_all(dir);
 }
 

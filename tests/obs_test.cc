@@ -208,6 +208,38 @@ TEST(TraceRecorderTest, SealedRecorderDropsAndCountsEvents) {
 // ---------------------------------------------------------------------------
 // Engine integration: spans under cache hits and retries
 
+TEST(ObsIntegrationTest, SealedTraceCountsEveryEngineEvent) {
+  // Call sites skip a disabled recorder: nothing is recorded or counted.
+  Papyrus off;
+  task::TaskInvocation off_inv = SynthesisInvocation(off);
+  ASSERT_TRUE(off.task_manager().Invoke(off_inv).ok());
+  EXPECT_EQ(off.trace().event_count(), 0u);
+  EXPECT_EQ(off.trace().dropped_events(), 0);
+
+  // The events one invocation emits (metadata aside, which a track
+  // labels once).
+  Papyrus live;
+  task::TaskInvocation live_inv = SynthesisInvocation(live);
+  live.trace().set_enabled(true);
+  ASSERT_TRUE(live.task_manager().Invoke(live_inv).ok());
+  int64_t emitted = 0;
+  for (const TraceEvent& ev : live.trace().events()) {
+    if (ev.ph != 'M') ++emitted;
+  }
+  ASSERT_GT(emitted, 0);
+
+  // A sealed recorder is still enabled: every one of them still reaches
+  // it, to be dropped and counted.
+  Papyrus sealed;
+  task::TaskInvocation sealed_inv = SynthesisInvocation(sealed);
+  sealed.trace().set_enabled(true);
+  sealed.trace().Finish();
+  const size_t at_seal = sealed.trace().event_count();
+  ASSERT_TRUE(sealed.task_manager().Invoke(sealed_inv).ok());
+  EXPECT_EQ(sealed.trace().event_count(), at_seal);
+  EXPECT_GE(sealed.trace().dropped_events(), emitted);
+}
+
 TEST(ObsIntegrationTest, TraceNestsAndBalancesUnderCacheHits) {
   Papyrus session;
   session.trace().set_enabled(true);
