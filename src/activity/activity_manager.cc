@@ -149,23 +149,9 @@ Result<NodeId> ActivityManager::InvokeTask(int thread_id,
 
   // Capture the invocation cursor and its path state (§5.3): the record
   // is inserted on this cursor's logical path even if the current cursor
-  // moves while the task runs; a cursor that already has following
-  // records (a rework landed mid-stream) starts a new branch.
+  // moves while the task runs, and the branch rule is applied as of now.
   NodeId invocation_cursor = thread->current_cursor();
-  bool new_branch = false;
-  if (invocation_cursor == kInitialPoint) {
-    // At the initial point, existing roots mean the user reworked back to
-    // the very beginning: start a fresh root branch.
-    for (const auto& [id, n] : thread->nodes()) {
-      if (n.parents.empty()) {
-        new_branch = true;
-        break;
-      }
-    }
-  } else {
-    auto node = thread->GetNode(invocation_cursor);
-    if (node.ok()) new_branch = !(*node)->children.empty();
-  }
+  bool new_branch = thread->StartsNewBranch(invocation_cursor);
 
   auto record = task_manager_->Invoke(task_inv, inv.observer);
   if (!record.ok()) return record.status();  // aborted: nothing appended

@@ -142,8 +142,8 @@ const std::vector<NodeId>& DesignThread::ChildrenOf(NodeId id) const {
 
 Result<NodeId> DesignThread::Append(task::TaskHistoryRecord record,
                                     NodeId invocation_cursor) {
-  bool new_branch = !ChildrenOf(invocation_cursor).empty();
-  return Append(std::move(record), invocation_cursor, new_branch);
+  return Append(std::move(record), invocation_cursor,
+                StartsNewBranch(invocation_cursor));
 }
 
 Result<NodeId> DesignThread::Append(task::TaskHistoryRecord record,

@@ -79,9 +79,17 @@ class DesignThread {
                         NodeId invocation_cursor, bool new_branch);
 
   /// Synchronous convenience: invocation time is now, so the branch flag
-  /// is derived from the cursor's current children.
+  /// is `StartsNewBranch(invocation_cursor)` now.
   Result<NodeId> Append(task::TaskHistoryRecord record,
                         NodeId invocation_cursor);
+
+  /// The §5.3 branch rule: a record invoked at `cursor` starts a new
+  /// branch when the cursor already has following records — the user
+  /// reworked into the middle of the stream, or back to the initial
+  /// point of a non-empty thread.
+  bool StartsNewBranch(NodeId cursor) const {
+    return !ChildrenOf(cursor).empty();
+  }
 
   Result<const HistoryNode*> GetNode(NodeId id) const;
   bool HasNode(NodeId id) const;

@@ -51,17 +51,6 @@ bool IsControlCommand(const std::string& name) {
          name == "foreach";
 }
 
-/// Mirror of Execution::NeedsSync: the interpreter quiesces the network
-/// before evaluating any frame-level command that reads $status or touches
-/// attributes, which totally orders steps across that point.
-bool NeedsSync(const tcl::RawCommand& cmd) {
-  for (const tcl::RawWord& w : cmd.words) {
-    if (w.text.find("$status") != std::string::npos) return true;
-    if (w.text.find("attribute") != std::string::npos) return true;
-  }
-  return false;
-}
-
 /// One template instantiation being expanded (the root task or a subtask
 /// call site), mirroring the interpreter's FrameCtx.
 struct Frame {
@@ -122,7 +111,7 @@ class GraphBuilder {
     for (size_t i = first; i < cmds.size(); ++i) {
       const tcl::RawCommand& cmd = cmds[i];
       if (cmd.words.empty()) continue;
-      if (frame_level && NeedsSync(cmd)) {
+      if (frame_level && tdl::NeedsSync(cmd)) {
         barrier_watermark_ = static_cast<int>(graph_.nodes_.size());
       }
       int cmd_idx = frame_level ? static_cast<int>(i) : frame_cmd_idx;
@@ -367,10 +356,8 @@ class GraphBuilder {
     child.lines = &lines;
     child.file = sub->name;  // in-library template: report under its name
     child.depth = frame.depth + 1;
-    // Identical to the interpreter's FrameCtx scope construction, so the
-    // runtime checker can correlate dispatched steps back to these nodes.
-    child.scope = frame.scope + std::to_string(frame_cmd_idx) + "." +
-                  std::to_string(child.depth) + "/";
+    child.scope = tdl::SubtaskScope(
+        frame.scope, static_cast<size_t>(frame_cmd_idx), child.depth);
     for (size_t i = 0; i < ins->size(); ++i) {
       child.name_map[sub->formal_inputs[i]] = Resolve(frame, (*ins)[i]);
     }

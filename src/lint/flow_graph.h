@@ -44,8 +44,8 @@ struct StepNode {
 ///   - data: the producer of an object name precedes its consumers,
 ///   - control: `{ControlDependency N}` steps follow step N,
 ///   - barrier: a command the interpreter synchronizes on ($status or
-///     attribute reads force quiescence, task_manager.cc `NeedsSync`)
-///     orders every earlier step before every later one.
+///     attribute reads force quiescence, `tdl::NeedsSync`) orders every
+///     earlier step before every later one.
 class FlowGraph {
  public:
   const std::vector<StepNode>& nodes() const { return nodes_; }

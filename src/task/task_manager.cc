@@ -84,7 +84,7 @@ class Execution {
     // Defensive: drop any leftover router entries and executor jobs.
     for (const auto& [pid, entry] : active_) {
       mgr_->pid_router_.erase(pid);
-      if (entry.job_id != 0) mgr_->executor_->Discard(entry.job_id);
+      mgr_->executor_->Discard(entry.job_id);
     }
   }
 
@@ -108,23 +108,25 @@ class Execution {
   Result<TaskHistoryRecord> TakeResult();
 
  private:
+  /// Derivation-cache key parts of one dispatch, derived once in
+  /// DispatchStep and carried to whichever path stages the derivation.
+  struct DerivationKeys {
+    std::string tool_version;
+    std::string canonical_options;
+    uint64_t seed_salt = 0;
+    std::string key;
+    /// Content-addressed key for the shared store (empty when no store is
+    /// attached or an input's content hash was unavailable).
+    std::string content_key;
+  };
   struct ActiveEntry {
     ResolvedStep step;
     std::vector<oct::ObjectId> input_ids;
     int64_t dispatch_micros = 0;
-    sprite::HostId host = sprite::kNoHost;
-    /// Speculative executor job holding this step's tool run (0 = none;
-    /// the payload then runs inline at the completion event).
+    /// The step executor job running this step's tool.
     uint64_t job_id = 0;
-    /// Derivation-cache key parts, computed once at dispatch and reused
-    /// for commit-time staging. Valid when `have_cache_key`.
-    bool have_cache_key = false;
-    std::string canonical_options;
-    uint64_t seed_salt = 0;
-    std::string cache_key;
-    /// Content-addressed key for the shared store (empty when no store is
-    /// attached or an input's content hash was unavailable).
-    std::string content_key;
+    /// Set when a derivation cache is attached.
+    std::optional<DerivationKeys> keys;
   };
   struct ResultEntry {
     oct::ObjectId id;
@@ -145,6 +147,8 @@ class Execution {
     std::shared_ptr<FrameCtx> ctx;
     size_t idx;
   };
+  /// Suspended-step seqs by the object name or scope#uid they wait on.
+  using Waiters = std::unordered_map<std::string, std::vector<int>>;
   /// A step waiting out its exponential backoff before re-dispatch.
   struct PendingRetry {
     ResolvedStep step;
@@ -165,7 +169,6 @@ class Execution {
   std::string StepKey(const std::string& scope, int user_id) const {
     return scope + "#" + std::to_string(user_id);
   }
-  bool NeedsSync(const tcl::RawCommand& cmd) const;
   bool Quiescent() const {
     return active_.empty() && suspended_.empty() && ready_queue_.empty() &&
            retry_queue_.empty();
@@ -190,6 +193,9 @@ class Execution {
   /// Marks scope#uid complete and credits steps waiting on the control
   /// dependency.
   void MarkStepCompleted(const std::string& key);
+  /// Credits every suspended step waiting on `key` in `waiters`; a step
+  /// left with nothing unsatisfied moves to the ready queue.
+  void ReleaseWaiters(Waiters* waiters, const std::string& key);
   /// Dispatches everything in the ready queue (hits may cascade: a served
   /// step's outputs can make further steps ready mid-drain).
   void DrainReady();
@@ -199,9 +205,7 @@ class Execution {
   /// cache_hit marker, no process spawned. Returns false on a miss.
   bool TryCompleteFromCache(const ResolvedStep& step,
                             const std::vector<oct::ObjectId>& input_ids,
-                            const std::string& cache_key,
-                            const std::string& content_key,
-                            const std::string& tool_version);
+                            const DerivationKeys& keys);
   /// Second-level elision: on a session-cache miss, probes the shared
   /// content-addressed store. A verified hit re-binds the stored payloads
   /// into this session's OCT namespace as freshly created versions — the
@@ -210,9 +214,7 @@ class Execution {
   /// so a warm hit is never republished). Returns false on a miss.
   bool TryCompleteFromShared(const ResolvedStep& step,
                              const std::vector<oct::ObjectId>& input_ids,
-                             const std::string& cache_key,
-                             const std::string& content_key,
-                             const std::string& tool_version);
+                             const DerivationKeys& keys);
   /// Completes `step` without running its tool, for both elision levels:
   /// binds `outputs` (one per output name), records the step instantly
   /// with the cache_hit marker, settles it with the flow checker under a
@@ -221,6 +223,27 @@ class Execution {
                               const std::vector<oct::ObjectId>& input_ids,
                               std::vector<ResultEntry> outputs,
                               int64_t micros_saved, const char* instant);
+  /// Stages the derivation `step` just produced (`outputs` from `inputs`)
+  /// for the cache; it is recorded only if the task commits and no
+  /// restart unwinds past this step.
+  void StageDerivation(const ResolvedStep& step, DerivationKeys keys,
+                       std::vector<oct::ObjectId> inputs,
+                       const std::vector<oct::ObjectId>& outputs,
+                       int64_t cost_micros);
+  /// Binds a successful step's outputs (one per output name), sets
+  /// $status to 0, credits its waiters and appends `record`, which gets
+  /// the output ids. Returns the appended record.
+  const StepRecord& RecordSuccess(const ResolvedStep& step,
+                                  std::vector<ResultEntry> outputs,
+                                  StepRecord record);
+  /// The history record of a settled step, without inputs, outputs or the
+  /// cache_hit marker.
+  StepRecord MakeRecord(const ResolvedStep& step, int64_t dispatch_micros,
+                        int64_t completion_micros, sprite::HostId host,
+                        int exit_status, std::string message) const;
+  /// Takes the active step running as `pid` off the active list, the pid
+  /// router and the flow checker (nullopt when `pid` is not active).
+  std::optional<ActiveEntry> Deactivate(sprite::ProcessId pid);
   /// Queues an environmental retry with exponential backoff. Returns
   /// false when the step has exhausted its retry budget (the caller then
   /// surfaces the failure through the normal step-failure path).
@@ -228,14 +251,19 @@ class Execution {
   /// Dispatches retries whose backoff has elapsed. Returns true when any
   /// step was re-dispatched.
   bool DispatchDueRetries();
-  /// Records a step failure with `exit_status`/`message` and runs the
-  /// §4.3.4 failure policy (ResumedStep restart or $status surfacing).
-  void FailStep(const ResolvedStep& step, int exit_status,
-                const std::string& message, int64_t dispatch_micros,
-                sprite::HostId host);
+  /// Appends a failed step's `record`, sets $status to its exit status and
+  /// runs the §4.3.4 failure policy (ResumedStep restart or $status
+  /// surfacing). `span_open`: the step's tool span is still open and ends
+  /// with the failure; otherwise the failure is a `step_failed` instant.
+  void FailStep(const ResolvedStep& step, StepRecord record, bool span_open);
   void HandleStepFailure(const ResolvedStep& step);
   void ScheduleRestart(int resumed_internal_id);
   void DoRestart(int resumed_internal_id);
+  /// §4.3.4 undo: kills the active processes, drops the pending steps and
+  /// staged derivations, and removes the Result entries and history
+  /// records of every step with internal ID greater than `j` (-1: the
+  /// whole task), then re-dispatches the surviving ready steps.
+  void Unwind(int j);
   void AbortTask(Status status);
   void Commit();
 
@@ -260,6 +288,7 @@ class Execution {
   sprite::ProcessId exec_token_;
 
   const tdl::TaskTemplate* template_ = nullptr;
+  /// Armed by a successful Init, so present whenever steps run.
   std::unique_ptr<lint::RuntimeFlowChecker> checker_;
   std::unique_ptr<tcl::Interp> interp_;
   std::shared_ptr<FrameCtx> root_ctx_;
@@ -287,8 +316,8 @@ class Execution {
   std::map<int, SuspendedStep> suspended_;  // seq -> pending step
   // Waiters by object name and by scope#uid: only looked up, never
   // iterated, so hashed.
-  std::unordered_map<std::string, std::vector<int>> input_waiters_;
-  std::unordered_map<std::string, std::vector<int>> dep_waiters_;
+  Waiters input_waiters_;
+  Waiters dep_waiters_;
   std::deque<ResolvedStep> ready_queue_;
   int next_suspend_seq_ = 0;
   std::vector<PendingRetry> retry_queue_;
@@ -444,14 +473,6 @@ std::string Execution::ResolveName(const std::string& formal) const {
   return formal + current_frame_->intermediate_suffix;
 }
 
-bool Execution::NeedsSync(const tcl::RawCommand& cmd) const {
-  for (const tcl::RawWord& w : cmd.words) {
-    if (w.text.find("$status") != std::string::npos) return true;
-    if (w.text.find("attribute") != std::string::npos) return true;
-  }
-  return false;
-}
-
 bool Execution::Advance() {
   if (done_) return false;
   bool progress = false;
@@ -493,16 +514,10 @@ bool Execution::Advance() {
       continue;
     }
     const tcl::RawCommand& cmd = (*top.ctx->cmds)[top.idx];
-    if (NeedsSync(cmd) && !Quiescent()) {
+    if (tdl::NeedsSync(cmd) && !Quiescent()) {
       return progress;  // wait for outstanding steps to settle
     }
-    bool observes_status = false;
-    for (const tcl::RawWord& w : cmd.words) {
-      if (w.text.find("$status") != std::string::npos) {
-        observes_status = true;
-        break;
-      }
-    }
+    const bool observes_status = tdl::ReadsStatus(cmd);
     current_internal_id_ = static_cast<int>(stream_.size());
     stream_.push_back(StreamEntry{top.ctx, top.idx});
     current_frame_ = top.ctx;
@@ -679,8 +694,8 @@ tcl::EvalResult Execution::CmdSubtask(
   ctx->parent = current_frame_;
   ctx->depth = current_frame_->depth + 1;
   ctx->push_site_idx = current_cmd_idx_;
-  ctx->scope = current_frame_->scope + std::to_string(current_cmd_idx_) +
-               "." + std::to_string(ctx->depth) + "/";
+  ctx->scope =
+      tdl::SubtaskScope(current_frame_->scope, current_cmd_idx_, ctx->depth);
   {
     std::string sanitized = ctx->scope;
     for (char& c : sanitized) {
@@ -855,29 +870,22 @@ void Execution::ParkStep(ResolvedStep step) {
 
 void Execution::BindResult(const std::string& name, ResultEntry entry) {
   result_[name] = std::move(entry);
-  auto it = input_waiters_.find(name);
-  if (it == input_waiters_.end()) return;
-  std::vector<int> seqs = std::move(it->second);
-  input_waiters_.erase(it);
-  for (int seq : seqs) {
-    auto sit = suspended_.find(seq);
-    if (sit == suspended_.end()) continue;  // dropped by restart/abort
-    if (--sit->second.unsatisfied == 0) {
-      ready_queue_.push_back(std::move(sit->second.step));
-      suspended_.erase(sit);
-    }
-  }
+  ReleaseWaiters(&input_waiters_, name);
 }
 
 void Execution::MarkStepCompleted(const std::string& key) {
   completed_keys_.insert(key);
-  auto it = dep_waiters_.find(key);
-  if (it == dep_waiters_.end()) return;
+  ReleaseWaiters(&dep_waiters_, key);
+}
+
+void Execution::ReleaseWaiters(Waiters* waiters, const std::string& key) {
+  auto it = waiters->find(key);
+  if (it == waiters->end()) return;
   std::vector<int> seqs = std::move(it->second);
-  dep_waiters_.erase(it);
+  waiters->erase(it);
   for (int seq : seqs) {
     auto sit = suspended_.find(seq);
-    if (sit == suspended_.end()) continue;
+    if (sit == suspended_.end()) continue;  // dropped by restart/abort
     if (--sit->second.unsatisfied == 0) {
       ready_queue_.push_back(std::move(sit->second.step));
       suspended_.erase(sit);
@@ -891,9 +899,12 @@ void Execution::DispatchNow(ResolvedStep step) {
     // Environmental: no host can take the process right now (e.g. the
     // home node is down). Back off and retry rather than aborting.
     if (!RequeueEnvironmental(step)) {
-      FailStep(step, cadtools::kToolExitTransient,
-               st.message() + " (retries exhausted)",
-               mgr_->network_->clock()->NowMicros(), sprite::kNoHost);
+      int64_t now = mgr_->network_->clock()->NowMicros();
+      FailStep(step,
+               MakeRecord(step, now, now, sprite::kNoHost,
+                          cadtools::kToolExitTransient,
+                          st.message() + " (retries exhausted)"),
+               /*span_open=*/false);
     }
   } else if (!st.ok()) {
     pending_abort_ = true;
@@ -946,23 +957,21 @@ Status Execution::DispatchStep(const ResolvedStep& step) {
     total_bytes += mgr_->db_->PayloadBytes(entry.id);
   }
 
-  // Derivation-cache key parts are computed once here and cached on the
-  // ActiveEntry, so the cache probe and the commit-time staging share one
-  // canonicalization pass per dispatch.
-  bool have_cache_key = mgr_->cache_ != nullptr;
-  std::string canonical_options;
-  uint64_t seed_salt = 0;
-  std::string cache_key;
-  std::string content_key;
-  if (have_cache_key) {
-    canonical_options = cache::DerivationCache::CanonicalizeOptions(
-        dispatched.options, dispatched.input_names,
-        dispatched.output_names);
-    seed_salt = invocation_.seed ^
-                Fnv1a(dispatched.scope + dispatched.name + canonical_options);
-    cache_key = cache::DerivationCache::MakeKey(
-        dispatched.tool, (*tool)->descriptor().version, canonical_options,
-        seed_salt, input_ids);
+  // Derivation-cache key parts are derived once here: the cache probe,
+  // the shared-store probe and the staging of whichever derivation the
+  // step produces all use these.
+  std::optional<DerivationKeys> keys;
+  if (mgr_->cache_ != nullptr) {
+    DerivationKeys& k = keys.emplace();
+    k.tool_version = (*tool)->descriptor().version;
+    k.canonical_options = cache::DerivationCache::CanonicalizeOptions(
+        dispatched.options, dispatched.input_names, dispatched.output_names);
+    k.seed_salt = invocation_.seed ^
+                  Fnv1a(dispatched.scope + dispatched.name +
+                        k.canonical_options);
+    k.key = cache::DerivationCache::MakeKey(dispatched.tool, k.tool_version,
+                                            k.canonical_options, k.seed_salt,
+                                            input_ids);
     if (mgr_->cache_->shared_store() != nullptr) {
       // Content-addressed key: identical bytes-in (not just identical
       // version ids) derive the same key in any session or daemon epoch.
@@ -978,19 +987,14 @@ Status Execution::DispatchStep(const ResolvedStep& step) {
         input_hashes.push_back(std::move(*h));
       }
       if (hashed) {
-        content_key = cache::DerivationCache::MakeContentKey(
-            dispatched.tool, (*tool)->descriptor().version,
-            canonical_options, seed_salt, input_hashes);
+        k.content_key = cache::DerivationCache::MakeContentKey(
+            dispatched.tool, k.tool_version, k.canonical_options, k.seed_salt,
+            input_hashes);
       }
     }
-  }
-
-  // History-based elision: an identical committed derivation completes
-  // the step instantly from its recorded outputs, spawning no process.
-  if (have_cache_key &&
-      TryCompleteFromCache(dispatched, input_ids, cache_key, content_key,
-                           (*tool)->descriptor().version)) {
-    return Status::OK();
+    // History-based elision: an identical committed derivation completes
+    // the step instantly from its recorded outputs, spawning no process.
+    if (TryCompleteFromCache(dispatched, input_ids, k)) return Status::OK();
   }
 
   bool migratable =
@@ -1006,61 +1010,41 @@ Status Execution::DispatchStep(const ResolvedStep& step) {
                                    host, migratable);
   if (!pid.ok()) return pid.status();
 
-  // Speculative submission: snapshot the input payloads (immutable under
-  // single-assignment update) and hand the tool run to the step executor,
-  // which may compute it on a worker thread while virtual time advances.
-  // The result is consumed — and every side effect applied — at the
-  // step's virtual completion event, keeping execution byte-identical to
-  // serial mode. A failed snapshot (job_id 0) falls back to running the
-  // payload inline at completion.
-  uint64_t job_id = 0;
-  {
-    std::vector<oct::DesignPayload> payloads;
-    std::vector<std::string> payload_names;
-    payloads.reserve(input_ids.size());
-    payload_names.reserve(input_ids.size());
-    bool snapshot_ok = true;
-    for (const oct::ObjectId& id : input_ids) {
-      auto rec = mgr_->db_->Peek(id);
-      if (!rec.ok()) {
-        snapshot_ok = false;
-        break;
-      }
-      payloads.push_back((*rec)->payload);
-      payload_names.push_back(id.name);
-    }
-    if (snapshot_ok) {
-      cadtools::ToolOptions options = cadtools::ToolOptions::Parse(
-          SplitWhitespace(dispatched.options));
-      uint64_t seed =
-          invocation_.seed ^ Fnv1a(dispatched.scope + dispatched.name +
-                                   dispatched.options);
-      job_id = mgr_->executor_->Submit(
-          *tool, std::move(payloads), std::move(payload_names),
-          std::move(options), seed, dispatched.attempt);
-    }
+  // Every tool run goes through the step executor: snapshot the input
+  // payloads (immutable under single-assignment update) and submit the
+  // run, which a worker may compute while virtual time advances (serial
+  // mode runs it inline at Take). The result is consumed — and every side
+  // effect applied — at the step's virtual completion event, keeping
+  // execution byte-identical at any worker count. The database never
+  // erases a record, so only an invocation input naming a version that
+  // does not exist misses the snapshot; the completion-time Get fails on
+  // it as well and discards the job unrun.
+  std::vector<oct::DesignPayload> payloads;
+  std::vector<std::string> payload_names;
+  payloads.reserve(input_ids.size());
+  payload_names.reserve(input_ids.size());
+  for (const oct::ObjectId& id : input_ids) {
+    auto rec = mgr_->db_->Peek(id);
+    if (!rec.ok()) continue;
+    payloads.push_back((*rec)->payload);
+    payload_names.push_back(id.name);
   }
-
   ActiveEntry entry;
+  entry.job_id = mgr_->executor_->Submit(
+      *tool, std::move(payloads), std::move(payload_names),
+      cadtools::ToolOptions::Parse(SplitWhitespace(dispatched.options)),
+      invocation_.seed ^
+          Fnv1a(dispatched.scope + dispatched.name + dispatched.options),
+      dispatched.attempt);
   entry.step = std::move(dispatched);
   entry.input_ids = std::move(input_ids);
   entry.dispatch_micros = mgr_->network_->clock()->NowMicros();
-  entry.host = host;
-  entry.job_id = job_id;
-  entry.have_cache_key = have_cache_key;
-  entry.canonical_options = std::move(canonical_options);
-  entry.seed_salt = seed_salt;
-  entry.cache_key = std::move(cache_key);
-  entry.content_key = std::move(content_key);
-  active_[*pid] = std::move(entry);
+  entry.keys = std::move(keys);
+  const ResolvedStep& placed =
+      active_.emplace(*pid, std::move(entry)).first->second.step;
   mgr_->pid_router_[*pid] = this;
-  if (checker_ != nullptr) {
-    const ResolvedStep& placed = active_[*pid].step;
-    checker_->OnDispatch(*pid, placed.scope, placed.name,
-                         placed.output_names);
-  }
+  checker_->OnDispatch(*pid, placed.scope, placed.name, placed.output_names);
   if (obs::TraceRecorder* tr = trace()) {
-    const ResolvedStep& placed = active_[*pid].step;
     NameStepTrack(placed);
     tr->Begin(trace_pid(), placed.internal_id, placed.name, "step",
               {obs::TraceArg::Str("tool", placed.tool),
@@ -1072,18 +1056,15 @@ Status Execution::DispatchStep(const ResolvedStep& step) {
 
 bool Execution::TryCompleteFromCache(
     const ResolvedStep& step, const std::vector<oct::ObjectId>& input_ids,
-    const std::string& cache_key, const std::string& content_key,
-    const std::string& tool_version) {
+    const DerivationKeys& keys) {
   base::AssertEngineThread("Execution::TryCompleteFromCache");
-  cache::DerivationCache* cache = mgr_->cache_;
-  if (cache == nullptr || invocation_.disable_step_cache) return false;
-  const cache::CacheEntry* hit = cache->Probe(cache_key);
+  if (invocation_.disable_step_cache) return false;
+  const cache::CacheEntry* hit = mgr_->cache_->Probe(keys.key);
   if (hit == nullptr) {
     // Session-cache miss: fall through to the shared content-addressed
     // store, where another session (or a previous daemon epoch) may have
     // committed this exact derivation.
-    return TryCompleteFromShared(step, input_ids, cache_key, content_key,
-                                 tool_version);
+    return TryCompleteFromShared(step, input_ids, keys);
   }
   if (hit->outputs.size() != step.output_names.size()) return false;
 
@@ -1109,12 +1090,10 @@ bool Execution::TryCompleteFromCache(
 
 bool Execution::TryCompleteFromShared(
     const ResolvedStep& step, const std::vector<oct::ObjectId>& input_ids,
-    const std::string& cache_key, const std::string& content_key,
-    const std::string& tool_version) {
+    const DerivationKeys& keys) {
   base::AssertEngineThread("Execution::TryCompleteFromShared");
-  cache::DerivationCache* cache = mgr_->cache_;
-  if (content_key.empty()) return false;
-  auto fetched = cache->ProbeShared(content_key);
+  if (keys.content_key.empty()) return false;
+  auto fetched = mgr_->cache_->ProbeShared(keys.content_key);
   if (!fetched.has_value()) return false;
   if (fetched->outputs.size() != step.output_names.size()) return false;
 
@@ -1131,27 +1110,13 @@ bool Execution::TryCompleteFromShared(
   auto created = txn.Commit();
   if (!created.ok()) return false;  // fall back to running the tool
 
-  // Stage the derivation for the session cache so later probes in this
-  // session hit locally. The content key is left empty: a shared hit is
-  // never republished back into the store it came from.
-  StagedCacheEntry staged;
-  staged.internal_id = step.internal_id;
-  cache::CacheEntry& ce = staged.entry;
-  ce.tool = step.tool;
-  ce.tool_version = tool_version;
-  ce.canonical_options = cache::DerivationCache::CanonicalizeOptions(
-      step.options, step.input_names, step.output_names);
-  // Same formula as DispatchStep: Restore() re-derives the entry's key
-  // from these fields after a daemon restart, so the salt must be real.
-  ce.seed_salt = invocation_.seed ^
-                 Fnv1a(step.scope + step.name + ce.canonical_options);
-  ce.inputs = input_ids;
-  for (const oct::ObjectId& id : *created) {
-    ce.outputs.push_back(cache::CachedOutput{id, true});
-  }
-  ce.cost_micros = fetched->cost_micros;
-  staged.key = cache_key;
-  staged_cache_.push_back(std::move(staged));
+  // Stage the derivation so later probes in this session hit locally,
+  // without its content key: a shared hit is never republished back into
+  // the store it came from.
+  DerivationKeys staged = keys;
+  staged.content_key.clear();
+  StageDerivation(step, std::move(staged), input_ids, *created,
+                  fetched->cost_micros);
 
   std::vector<ResultEntry> outputs;
   for (const oct::ObjectId& id : *created) {
@@ -1167,34 +1132,17 @@ void Execution::CompleteWithoutRunning(
     std::vector<ResultEntry> outputs, int64_t micros_saved,
     const char* instant) {
   int64_t now = mgr_->network_->clock()->NowMicros();
-  StepRecord record;
-  record.step_name = step.name;
-  record.tool = step.tool;
-  record.invocation =
-      step.tool + (step.options.empty() ? "" : " " + step.options);
+  // Instant in virtual time, and no process ran anywhere.
+  StepRecord record = MakeRecord(step, now, now, sprite::kNoHost, 0, "");
   record.inputs = input_ids;
-  record.dispatch_micros = now;
-  record.completion_micros = now;  // instant in virtual time
-  record.host = sprite::kNoHost;   // no process ran anywhere
-  record.exit_status = 0;
-  record.internal_id = step.internal_id;
   record.cache_hit = true;
-  for (size_t i = 0; i < outputs.size(); ++i) {
-    record.outputs.push_back(outputs[i].id);
-    BindResult(step.output_names[i], std::move(outputs[i]));
-  }
-  interp_->SetVar("status", "0");
-  if (step.user_id > 0) {
-    MarkStepCompleted(StepKey(step.scope, step.user_id));
-  }
-  if (checker_ != nullptr) {
-    // The flow checker still sees the step (so happens-before coverage
-    // stays complete) under a synthetic token that settles immediately.
-    int64_t token = -(++cache_token_seq_);
-    checker_->OnDispatch(token, step.scope, step.name, step.output_names);
-    checker_->OnSettle(token);
-  }
-  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
+  const StepRecord& recorded =
+      RecordSuccess(step, std::move(outputs), std::move(record));
+  // The flow checker still sees the step (so happens-before coverage
+  // stays complete) under a synthetic token that settles immediately.
+  const int64_t token = -(++cache_token_seq_);
+  checker_->OnDispatch(token, step.scope, step.name, step.output_names);
+  checker_->OnSettle(token);
   ++steps_elided_;
   mgr_->c_steps_elided_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
@@ -1207,6 +1155,61 @@ void Execution::CompleteWithoutRunning(
     observer_->OnCacheHit(step.name, micros_saved);
     observer_->OnStepCompleted(recorded);
   }
+}
+
+void Execution::StageDerivation(const ResolvedStep& step,
+                                DerivationKeys keys,
+                                std::vector<oct::ObjectId> inputs,
+                                const std::vector<oct::ObjectId>& outputs,
+                                int64_t cost_micros) {
+  StagedCacheEntry staged;
+  staged.internal_id = step.internal_id;
+  staged.key = std::move(keys.key);
+  cache::CacheEntry& ce = staged.entry;
+  ce.tool = step.tool;
+  ce.tool_version = std::move(keys.tool_version);
+  ce.canonical_options = std::move(keys.canonical_options);
+  ce.seed_salt = keys.seed_salt;
+  ce.content_key = std::move(keys.content_key);
+  ce.inputs = std::move(inputs);
+  for (const oct::ObjectId& id : outputs) {
+    ce.outputs.push_back(cache::CachedOutput{id, true});
+  }
+  ce.cost_micros = cost_micros;
+  staged_cache_.push_back(std::move(staged));
+}
+
+const StepRecord& Execution::RecordSuccess(const ResolvedStep& step,
+                                           std::vector<ResultEntry> outputs,
+                                           StepRecord record) {
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    record.outputs.push_back(outputs[i].id);
+    BindResult(step.output_names[i], std::move(outputs[i]));
+  }
+  interp_->SetVar("status", "0");
+  if (step.user_id > 0) {
+    MarkStepCompleted(StepKey(step.scope, step.user_id));
+  }
+  return step_records_.emplace_back(std::move(record));
+}
+
+StepRecord Execution::MakeRecord(const ResolvedStep& step,
+                                 int64_t dispatch_micros,
+                                 int64_t completion_micros,
+                                 sprite::HostId host, int exit_status,
+                                 std::string message) const {
+  StepRecord record;
+  record.step_name = step.name;
+  record.tool = step.tool;
+  record.invocation =
+      step.tool + (step.options.empty() ? "" : " " + step.options);
+  record.dispatch_micros = dispatch_micros;
+  record.completion_micros = completion_micros;
+  record.host = host;
+  record.exit_status = exit_status;
+  record.message = std::move(message);
+  record.internal_id = step.internal_id;
+  return record;
 }
 
 bool Execution::RequeueEnvironmental(const ResolvedStep& step) {
@@ -1251,9 +1254,11 @@ bool Execution::DispatchDueRetries() {
       // successful pop double-counted papyrus.steps.retried after a host
       // crash.
       if (!RequeueEnvironmental(retry.step)) {
-        FailStep(retry.step, cadtools::kToolExitTransient,
-                 st.message() + " (retries exhausted)", now,
-                 sprite::kNoHost);
+        FailStep(retry.step,
+                 MakeRecord(retry.step, now, now, sprite::kNoHost,
+                            cadtools::kToolExitTransient,
+                            st.message() + " (retries exhausted)"),
+                 /*span_open=*/false);
         return true;
       }
       continue;
@@ -1282,68 +1287,70 @@ bool Execution::DispatchDueRetries() {
   return dispatched;
 }
 
-void Execution::FailStep(const ResolvedStep& step, int exit_status,
-                         const std::string& message,
-                         int64_t dispatch_micros, sprite::HostId host) {
-  interp_->SetVar("status", std::to_string(exit_status));
-  StepRecord record;
-  record.step_name = step.name;
-  record.tool = step.tool;
-  record.invocation =
-      step.tool + (step.options.empty() ? "" : " " + step.options);
-  record.dispatch_micros = dispatch_micros;
-  record.completion_micros = mgr_->network_->clock()->NowMicros();
-  record.host = host;
-  record.exit_status = exit_status;
-  record.message = message;
-  record.internal_id = step.internal_id;
-  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
+void Execution::FailStep(const ResolvedStep& step, StepRecord record,
+                         bool span_open) {
+  interp_->SetVar("status", std::to_string(record.exit_status));
   mgr_->c_steps_failed_->Increment();
-  if (obs::TraceRecorder* tr = trace()) {
-    // No process ever ran for this failure, so there is no open span to
-    // close — record the failure as an instant on the step's track.
-    NameStepTrack(step);
-    tr->Instant(trace_pid(), step.internal_id, "step_failed", "step",
-                {obs::TraceArg::Str("step", step.name),
-                 obs::TraceArg::Int("exit_status", exit_status)});
-  }
-  if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
   any_failed_ = true;
   if (!failure_messages_.empty()) failure_messages_ += "; ";
-  failure_messages_ += message;
+  failure_messages_ += record.message;
+  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
+  if (obs::TraceRecorder* tr = trace()) {
+    if (span_open) {
+      tr->End(trace_pid(), step.internal_id,
+              {obs::TraceArg::Int("exit_status", recorded.exit_status),
+               obs::TraceArg::Str("message", recorded.message)});
+    } else {
+      // No process ran for this failure (or its span already ended), so
+      // record it as an instant on the step's track.
+      NameStepTrack(step);
+      tr->Instant(trace_pid(), step.internal_id, "step_failed", "step",
+                  {obs::TraceArg::Str("step", step.name),
+                   obs::TraceArg::Int("exit_status", recorded.exit_status)});
+    }
+  }
+  if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
   HandleStepFailure(step);
+}
+
+std::optional<Execution::ActiveEntry> Execution::Deactivate(
+    sprite::ProcessId pid) {
+  auto node = active_.extract(pid);
+  if (node.empty()) return std::nullopt;
+  mgr_->pid_router_.erase(pid);
+  checker_->OnSettle(pid);
+  return std::move(node.mapped());
 }
 
 void Execution::OnProcessLost(const sprite::ProcessInfo& pinfo) {
   base::AssertEngineThread("Execution::OnProcessLost");
-  auto it = active_.find(pinfo.pid);
-  if (it == active_.end()) return;
-  ActiveEntry entry = std::move(it->second);
-  active_.erase(it);
-  mgr_->pid_router_.erase(pinfo.pid);
+  std::optional<ActiveEntry> lost = Deactivate(pinfo.pid);
+  if (!lost.has_value()) return;
   // The tool "never ran": drop the speculative result and every side
   // effect it captured, exactly as serial execution (which would only
   // now have run the payload) produces nothing for a lost step.
-  if (entry.job_id != 0) mgr_->executor_->Discard(entry.job_id);
-  if (checker_ != nullptr) checker_->OnSettle(pinfo.pid);
+  mgr_->executor_->Discard(lost->job_id);
   ++steps_lost_;
   mgr_->c_steps_lost_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
-    tr->End(trace_pid(), entry.step.internal_id,
+    tr->End(trace_pid(), lost->step.internal_id,
             {obs::TraceArg::Bool("lost", true),
              obs::TraceArg::Int("host", pinfo.current_host)});
   }
   if (observer_ != nullptr) {
-    observer_->OnHostFailed(pinfo.current_host, entry.step.name);
+    observer_->OnHostFailed(pinfo.current_host, lost->step.name);
   }
   // A lost step is an environmental failure: the tool never ran, so there
   // is nothing to undo — re-dispatch on a surviving host with backoff.
-  if (RequeueEnvironmental(entry.step)) return;
-  FailStep(entry.step, cadtools::kToolExitTransient,
-           entry.step.tool + ": host " +
-               std::to_string(pinfo.current_host) +
-               " crashed (retries exhausted)",
-           entry.dispatch_micros, pinfo.current_host);
+  if (RequeueEnvironmental(lost->step)) return;
+  FailStep(lost->step,
+           MakeRecord(lost->step, lost->dispatch_micros,
+                      mgr_->network_->clock()->NowMicros(),
+                      pinfo.current_host, cadtools::kToolExitTransient,
+                      lost->step.tool + ": host " +
+                          std::to_string(pinfo.current_host) +
+                          " crashed (retries exhausted)"),
+           /*span_open=*/false);
 }
 
 int64_t Execution::NextRetryMicros() const {
@@ -1356,65 +1363,34 @@ int64_t Execution::NextRetryMicros() const {
 
 void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
   base::AssertEngineThread("Execution::OnProcessComplete");
-  auto it = active_.find(pinfo.pid);
-  if (it == active_.end()) return;
-  ActiveEntry entry = std::move(it->second);
-  active_.erase(it);
-  mgr_->pid_router_.erase(pinfo.pid);
-  if (checker_ != nullptr) checker_->OnSettle(pinfo.pid);
+  std::optional<ActiveEntry> settled = Deactivate(pinfo.pid);
+  if (!settled.has_value()) return;
+  ActiveEntry& entry = *settled;
 
-  auto tool = mgr_->tools_->Find(entry.step.tool);
-  if (!tool.ok()) {
-    if (entry.job_id != 0) mgr_->executor_->Discard(entry.job_id);
-    if (obs::TraceRecorder* tr = trace()) {
-      tr->End(trace_pid(), entry.step.internal_id,
-              {obs::TraceArg::Str("error", tool.status().message())});
-    }
-    pending_abort_ = true;
-    abort_status_ = tool.status();
-    return;
-  }
-
-  // The simulated process has "finished computing": consume the actual
-  // transformation. The input validity loop runs unchanged — Get both
-  // revalidates each input at completion time and updates its access
-  // time, exactly as serial execution does — but the payloads a worker
-  // used are the dispatch-time snapshots (identical by single-assignment
-  // update whenever Get succeeds here). Only the inline run (no executor
-  // job) reads the tool context.
-  const bool inline_run = entry.job_id == 0;
-  cadtools::ToolRunContext ctx;
+  // The simulated process has "finished computing": consume its tool
+  // run. Get revalidates each input at completion time and updates its
+  // access time, as serial execution always has; the job ran on the
+  // dispatch-time snapshots, identical by single-assignment update
+  // whenever Get succeeds here.
   bool inputs_ok = true;
   for (const oct::ObjectId& id : entry.input_ids) {
-    auto rec = mgr_->db_->Get(id);
-    if (!rec.ok()) {
+    if (!mgr_->db_->Get(id).ok()) {
       inputs_ok = false;
       break;
     }
-    if (inline_run) {
-      ctx.inputs.push_back(&(*rec)->payload);
-      ctx.input_names.push_back(id.name);
-    }
   }
   cadtools::ToolRunResult res;
-  if (!inputs_ok) {
-    // Serial execution would have failed before running the tool; the
-    // speculative result (if any) is dropped with its captured effects.
-    if (entry.job_id != 0) mgr_->executor_->Discard(entry.job_id);
-    res = cadtools::ToolRunResult::Fail(
-        2, entry.step.tool + ": input object disappeared");
-  } else if (!inline_run) {
+  if (inputs_ok) {
     // Commit funnel: collect the (possibly worker-computed) result and
     // replay its captured observability effects, here on the engine
     // thread at the virtual completion event.
     res = mgr_->executor_->Take(entry.job_id);
   } else {
-    ctx.options = cadtools::ToolOptions::Parse(
-        SplitWhitespace(entry.step.options));
-    ctx.seed = invocation_.seed ^
-               Fnv1a(entry.step.scope + entry.step.name + entry.step.options);
-    ctx.attempt = entry.step.attempt;
-    res = (*tool)->Run(ctx);
+    // Serial execution would have failed before running the tool; the
+    // speculative result is dropped with its captured effects.
+    mgr_->executor_->Discard(entry.job_id);
+    res = cadtools::ToolRunResult::Fail(
+        2, entry.step.tool + ": input object disappeared");
   }
   if (res.exit_status == 0 &&
       res.outputs.size() != entry.step.output_names.size()) {
@@ -1440,93 +1416,47 @@ void Execution::OnProcessComplete(const sprite::ProcessInfo& pinfo) {
     res.message += " (retries exhausted)";
   }
 
-  interp_->SetVar("status", std::to_string(res.exit_status));
-
-  StepRecord record;
-  record.step_name = entry.step.name;
-  record.tool = entry.step.tool;
-  record.invocation = entry.step.tool +
-                      (entry.step.options.empty()
-                           ? ""
-                           : " " + entry.step.options);
+  StepRecord record = MakeRecord(entry.step, entry.dispatch_micros,
+                                 pinfo.finish_micros, pinfo.current_host,
+                                 res.exit_status, std::move(res.message));
   record.inputs = entry.input_ids;
-  record.dispatch_micros = entry.dispatch_micros;
-  record.completion_micros = pinfo.finish_micros;
-  record.host = pinfo.current_host;
-  record.exit_status = res.exit_status;
-  record.message = res.message;
-  record.internal_id = entry.step.internal_id;
-
-  if (res.exit_status == 0) {
-    oct::Transaction txn(mgr_->db_);
-    for (size_t i = 0; i < res.outputs.size(); ++i) {
-      txn.StageCreate(entry.step.output_names[i],
-                      std::move(res.outputs[i]), entry.step.tool);
-    }
-    auto created = txn.Commit();
-    if (!created.ok()) {
-      pending_abort_ = true;
-      abort_status_ = created.status();
-      return;
-    }
-    for (size_t i = 0; i < created->size(); ++i) {
-      BindResult(entry.step.output_names[i],
-                 ResultEntry{(*created)[i], entry.step.internal_id});
-    }
-    record.outputs = *created;
-    if (entry.step.user_id > 0) {
-      MarkStepCompleted(StepKey(entry.step.scope, entry.step.user_id));
-    }
-    if (mgr_->cache_ != nullptr && entry.have_cache_key) {
-      // Stage this derivation for the cache; it is recorded only if the
-      // task commits and no restart unwinds past this step. The key
-      // parts were canonicalized once at dispatch (ActiveEntry).
-      StagedCacheEntry staged;
-      staged.internal_id = entry.step.internal_id;
-      cache::CacheEntry& ce = staged.entry;
-      ce.tool = entry.step.tool;
-      ce.tool_version = (*tool)->descriptor().version;
-      ce.canonical_options = std::move(entry.canonical_options);
-      ce.seed_salt = entry.seed_salt;
-      ce.content_key = std::move(entry.content_key);
-      ce.inputs = std::move(entry.input_ids);
-      for (const oct::ObjectId& id : *created) {
-        ce.outputs.push_back(cache::CachedOutput{id, true});
-      }
-      ce.cost_micros =
-          record.completion_micros - record.dispatch_micros;
-      staged.key = std::move(entry.cache_key);
-      staged_cache_.push_back(std::move(staged));
-    }
-    mgr_->c_steps_completed_->Increment();
-    mgr_->h_step_latency_->Observe(record.completion_micros -
-                                   record.dispatch_micros);
-    const StepRecord& recorded = step_records_.emplace_back(std::move(record));
-    if (obs::TraceRecorder* tr = trace()) {
-      tr->End(trace_pid(), entry.step.internal_id,
-              {obs::TraceArg::Int("exit_status", 0),
-               obs::TraceArg::Int("host", pinfo.current_host)});
-    }
-    if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
-    DrainReady();
+  const int64_t latency = record.completion_micros - record.dispatch_micros;
+  if (res.exit_status != 0) {
+    mgr_->h_step_latency_->Observe(latency);
+    FailStep(entry.step, std::move(record), /*span_open=*/true);
     return;
   }
 
-  // Step failed.
-  mgr_->c_steps_failed_->Increment();
-  mgr_->h_step_latency_->Observe(record.completion_micros -
-                                 record.dispatch_micros);
-  const StepRecord& recorded = step_records_.emplace_back(std::move(record));
+  oct::Transaction txn(mgr_->db_);
+  for (size_t i = 0; i < res.outputs.size(); ++i) {
+    txn.StageCreate(entry.step.output_names[i], std::move(res.outputs[i]),
+                    entry.step.tool);
+  }
+  auto created = txn.Commit();
+  if (!created.ok()) {
+    pending_abort_ = true;
+    abort_status_ = created.status();
+    return;
+  }
+  if (entry.keys.has_value()) {
+    StageDerivation(entry.step, std::move(*entry.keys),
+                    std::move(entry.input_ids), *created, latency);
+  }
+  std::vector<ResultEntry> outputs;
+  for (const oct::ObjectId& id : *created) {
+    outputs.push_back(ResultEntry{id, entry.step.internal_id});
+  }
+  const StepRecord& recorded =
+      RecordSuccess(entry.step, std::move(outputs), std::move(record));
+  mgr_->c_steps_completed_->Increment();
+  mgr_->h_step_latency_->Observe(latency);
   if (obs::TraceRecorder* tr = trace()) {
     tr->End(trace_pid(), entry.step.internal_id,
-            {obs::TraceArg::Int("exit_status", res.exit_status),
-             obs::TraceArg::Str("message", res.message)});
+            {obs::TraceArg::Int("exit_status", 0),
+             obs::TraceArg::Int("host", pinfo.current_host)});
   }
   if (observer_ != nullptr) observer_->OnStepCompleted(recorded);
-  any_failed_ = true;
-  if (!failure_messages_.empty()) failure_messages_ += "; ";
-  failure_messages_ += res.message;
-  HandleStepFailure(entry.step);
+  DrainReady();
 }
 
 void Execution::HandleStepFailure(const ResolvedStep& step) {
@@ -1575,83 +1505,7 @@ void Execution::DoRestart(int j) {
   if (observer_ != nullptr) {
     observer_->OnTaskRestarted(template_->name, j);
   }
-  // §4.3.4 undo: kill active processes, drop suspended steps, remove
-  // Result entries and history records created by steps with internal ID
-  // greater than J.
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.step.internal_id > j) {
-      (void)mgr_->network_->Kill(it->first);
-      mgr_->pid_router_.erase(it->first);
-      if (it->second.job_id != 0) {
-        mgr_->executor_->Discard(it->second.job_id);
-      }
-      if (checker_ != nullptr) checker_->OnSettle(it->first);
-      if (obs::TraceRecorder* tr = trace()) {
-        tr->End(trace_pid(), it->second.step.internal_id,
-                {obs::TraceArg::Bool("killed", true)});
-      }
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Collect surviving pending steps, then rebuild the ready-set index
-  // from scratch: result_ entries removed below can re-block steps whose
-  // unsatisfied counts were already credited.
-  std::vector<ResolvedStep> survivors;
-  for (auto& [seq, s] : suspended_) {
-    if (s.step.internal_id <= j) survivors.push_back(std::move(s.step));
-  }
-  for (ResolvedStep& s : ready_queue_) {
-    if (s.internal_id <= j) survivors.push_back(std::move(s));
-  }
-  suspended_.clear();
-  ready_queue_.clear();
-  input_waiters_.clear();
-  dep_waiters_.clear();
-  retry_queue_.erase(
-      std::remove_if(retry_queue_.begin(), retry_queue_.end(),
-                     [j](const PendingRetry& r) {
-                       return r.step.internal_id > j;
-                     }),
-      retry_queue_.end());
-  staged_cache_.erase(
-      std::remove_if(staged_cache_.begin(), staged_cache_.end(),
-                     [j](const StagedCacheEntry& s) {
-                       return s.internal_id > j;
-                     }),
-      staged_cache_.end());
-  for (auto it = result_.begin(); it != result_.end();) {
-    if (it->second.creating_internal_id > j) {
-      // Undo: hide what this attempt created — but a version bound from
-      // the cache belongs to committed history; only re-hide it when the
-      // hit rematerialized it.
-      if (!it->second.reused || it->second.restored_visibility) {
-        (void)mgr_->db_->MarkInvisible(it->second.id);
-      }
-      it = result_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = key_internal_ids_.begin();
-       it != key_internal_ids_.end();) {
-    if (it->second > j) {
-      completed_keys_.erase(it->first);
-      it = key_internal_ids_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  step_records_.erase(
-      std::remove_if(step_records_.begin(), step_records_.end(),
-                     [j](const StepRecord& r) { return r.internal_id > j; }),
-      step_records_.end());
-  interp_->SetVar("status", "0");
-  // Re-index the survivors against the post-undo Result list; anything
-  // (still) ready dispatches below rather than waiting for an event.
-  for (ResolvedStep& s : survivors) ParkStep(std::move(s));
-  DrainReady();
+  Unwind(j);
 
   // Rebuild the interpretation stack so the next command interpreted is
   // the (J+1)-th — §4.3.4.
@@ -1678,43 +1532,79 @@ void Execution::DoRestart(int j) {
   current_frame_ = entry.ctx;
 }
 
-void Execution::AbortTask(Status status) {
-  base::AssertEngineThread("Execution::AbortTask");
-  pending_abort_ = false;
-  pending_restart_.reset();
-  for (const auto& [pid, entry] : active_) {
+void Execution::Unwind(int j) {
+  for (auto it = active_.begin(); it != active_.end();) {
+    const sprite::ProcessId pid = it->first;
+    if ((it++)->second.step.internal_id <= j) continue;
     (void)mgr_->network_->Kill(pid);
-    mgr_->pid_router_.erase(pid);
-    if (entry.job_id != 0) mgr_->executor_->Discard(entry.job_id);
-    if (checker_ != nullptr) checker_->OnSettle(pid);
+    std::optional<ActiveEntry> killed = Deactivate(pid);
+    mgr_->executor_->Discard(killed->job_id);
     if (obs::TraceRecorder* tr = trace()) {
-      tr->End(trace_pid(), entry.step.internal_id,
+      tr->End(trace_pid(), killed->step.internal_id,
               {obs::TraceArg::Bool("killed", true)});
     }
   }
-  active_.clear();
+  // Collect surviving pending steps, then rebuild the ready-set index
+  // from scratch: result_ entries removed below can re-block steps whose
+  // unsatisfied counts were already credited.
+  std::vector<ResolvedStep> survivors;
+  for (auto& [seq, s] : suspended_) {
+    if (s.step.internal_id <= j) survivors.push_back(std::move(s.step));
+  }
+  for (ResolvedStep& s : ready_queue_) {
+    if (s.internal_id <= j) survivors.push_back(std::move(s));
+  }
   suspended_.clear();
   ready_queue_.clear();
   input_waiters_.clear();
   dep_waiters_.clear();
-  retry_queue_.clear();
-  staged_cache_.clear();  // an aborted task never populates the cache
-  // Remove all side effects: every object the task created becomes
-  // invisible (§3.3.1 "deletes" via visibility). Versions bound from the
-  // cache belong to committed history and are only re-hidden when the hit
-  // had rematerialized them.
-  for (const auto& [name, entry] : result_) {
-    if (entry.creating_internal_id >= 0 &&
-        (!entry.reused || entry.restored_visibility)) {
-      (void)mgr_->db_->MarkInvisible(entry.id);
+  std::erase_if(retry_queue_, [j](const PendingRetry& r) {
+    return r.step.internal_id > j;
+  });
+  // An unwound step's derivation never populates the cache.
+  std::erase_if(staged_cache_, [j](const StagedCacheEntry& s) {
+    return s.internal_id > j;
+  });
+  for (auto it = result_.begin(); it != result_.end();) {
+    if (it->second.creating_internal_id > j) {
+      // Undo: hide what the unwound steps created (§3.3.1 "deletes" via
+      // visibility) — but a version bound from the cache belongs to
+      // committed history; only re-hide it when the hit rematerialized it.
+      if (!it->second.reused || it->second.restored_visibility) {
+        (void)mgr_->db_->MarkInvisible(it->second.id);
+      }
+      it = result_.erase(it);
+    } else {
+      ++it;
     }
   }
+  for (auto it = key_internal_ids_.begin();
+       it != key_internal_ids_.end();) {
+    if (it->second > j) {
+      completed_keys_.erase(it->first);
+      it = key_internal_ids_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  std::erase_if(step_records_,
+                [j](const StepRecord& r) { return r.internal_id > j; });
+  interp_->SetVar("status", "0");
+  // Re-index the survivors against the post-undo Result list; anything
+  // (still) ready dispatches below rather than waiting for an event.
+  for (ResolvedStep& s : survivors) ParkStep(std::move(s));
+  DrainReady();
+}
+
+void Execution::AbortTask(Status status) {
+  base::AssertEngineThread("Execution::AbortTask");
+  pending_abort_ = false;
+  pending_restart_.reset();
+  Unwind(-1);  // every step's effects go; task inputs stay
   result_status_ = status.ok()
                        ? Status::Aborted("task aborted")
                        : status;
-  if (checker_ != nullptr) {
-    mgr_->c_flow_violations_->Increment(checker_->violations());
-  }
+  mgr_->c_flow_violations_->Increment(checker_->violations());
   done_ = true;
   mgr_->c_tasks_aborted_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
@@ -1771,9 +1661,7 @@ void Execution::Commit() {
   record.steps_elided = steps_elided_;
   record_ = std::move(record);
   result_status_ = Status::OK();
-  if (checker_ != nullptr) {
-    mgr_->c_flow_violations_->Increment(checker_->violations());
-  }
+  mgr_->c_flow_violations_->Increment(checker_->violations());
   done_ = true;
   mgr_->c_tasks_committed_->Increment();
   if (obs::TraceRecorder* tr = trace()) {
@@ -1903,12 +1791,7 @@ const TaskManager::TemplatePlan& TaskManager::PlanFor(
 
 Result<TaskHistoryRecord> TaskManager::Invoke(
     const TaskInvocation& invocation, TaskObserver* observer) {
-  internal::Execution exec(this, invocation, observer,
-                           next_execution_id_++);
-  PAPYRUS_RETURN_IF_ERROR(exec.Init());
-  std::vector<internal::Execution*> execs = {&exec};
-  DriveAll(execs);
-  return exec.TakeResult();
+  return std::move(InvokeMany({invocation}, {observer}).front());
 }
 
 std::vector<Result<TaskHistoryRecord>> TaskManager::InvokeMany(

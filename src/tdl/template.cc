@@ -100,6 +100,27 @@ std::vector<std::string> TemplateLibrary::TemplateNames() const {
   return names;
 }
 
+bool ReadsStatus(const tcl::RawCommand& cmd) {
+  for (const tcl::RawWord& w : cmd.words) {
+    if (w.text.find("$status") != std::string::npos) return true;
+  }
+  return false;
+}
+
+bool NeedsSync(const tcl::RawCommand& cmd) {
+  if (ReadsStatus(cmd)) return true;
+  for (const tcl::RawWord& w : cmd.words) {
+    if (w.text.find("attribute") != std::string::npos) return true;
+  }
+  return false;
+}
+
+std::string SubtaskScope(const std::string& parent_scope, size_t cmd_idx,
+                         int depth) {
+  return parent_scope + std::to_string(cmd_idx) + "." +
+         std::to_string(depth) + "/";
+}
+
 Status RegisterThesisTemplates(TemplateLibrary* library) {
   // §4.2.3: the single-tool pad placement task.
   const char* kPadp = R"TDL(

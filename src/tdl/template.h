@@ -9,6 +9,10 @@
 #include "base/result.h"
 #include "base/status.h"
 
+namespace papyrus::tcl {
+struct RawCommand;
+}  // namespace papyrus::tcl
+
 namespace papyrus::tdl {
 
 /// A task template: a TDL script plus the formal input/output lists
@@ -67,6 +71,28 @@ class TemplateLibrary {
   std::map<std::string, TaskTemplate> templates_;
   uint64_t generation_ = 0;
 };
+
+// --- interpretation rules ---------------------------------------------
+// Stated once for the task manager, which follows them when it
+// interprets a template, and for the linter, which models them in the
+// template's static flow graph. The runtime flow checker matches each
+// dispatched step to its lint node by scope, so the two must agree.
+
+/// True when `cmd` reads `$status`, the exit status of the latest
+/// settled step (§4.2.3).
+bool ReadsStatus(const tcl::RawCommand& cmd);
+
+/// True when the interpreter waits, before evaluating the frame-level
+/// command `cmd`, until every dispatched step has settled: the command
+/// reads `$status` or computes an attribute (§4.3.6). Steps are totally
+/// ordered across such a command.
+bool NeedsSync(const tcl::RawCommand& cmd);
+
+/// The scope of a subtask frame expanded by command `cmd_idx` of a frame
+/// whose scope is `parent_scope` ("" for the root task), `depth` levels
+/// below the root: "3.1/", then "3.1/2.2/" one level further down.
+std::string SubtaskScope(const std::string& parent_scope, size_t cmd_idx,
+                         int depth);
 
 /// Registers the example templates from the thesis (Padp §4.2.3,
 /// Structure_Synthesis Figure 4.2, Mosaico Figure 4.3, plus the tasks of

@@ -628,6 +628,33 @@ TEST_F(ActivityManagerTest, AbortedTaskLeavesNoHistoryRecord) {
   EXPECT_EQ(activity_.records_appended(), 0);
 }
 
+TEST_F(ActivityManagerTest, InvocationAtReworkedInitialPointStartsNewRoot) {
+  int tid = activity_.CreateThread("T");
+  ActivityInvocation create;
+  create.template_name = "Create_Logic_Description";
+  create.output_names = {"cell.logic"};
+  auto first = activity_.InvokeTask(tid, create);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  // Rework back to the very beginning (§5.3): the initial point already
+  // has a following record, so the next invocation starts a fresh root
+  // branch instead of chaining after the first record.
+  ASSERT_TRUE(activity_.MoveCursor(tid, kInitialPoint).ok());
+  auto second = activity_.InvokeTask(tid, create);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  auto thread = activity_.GetThread(tid);
+  ASSERT_TRUE(thread.ok());
+  EXPECT_EQ((*thread)->roots(), (std::vector<NodeId>{*first, *second}));
+  auto node = (*thread)->GetNode(*second);
+  ASSERT_TRUE(node.ok());
+  EXPECT_TRUE((*node)->parents.empty());
+  auto head = (*thread)->GetNode(*first);
+  ASSERT_TRUE(head.ok());
+  EXPECT_TRUE((*head)->children.empty());
+  EXPECT_EQ((*thread)->current_cursor(), *second);
+}
+
 TEST_F(ActivityManagerTest, EraseBranchMakesObjectsInvisible) {
   int tid = activity_.CreateThread("T");
   ActivityInvocation create;

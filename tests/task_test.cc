@@ -1,17 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/clock.h"
+#include "cache/derivation_cache.h"
 #include "cadtools/registry.h"
 #include "cadtools/tool.h"
+#include "fault/fault_plan.h"
 #include "lint/diagnostics.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "oct/database.h"
 #include "oct/design_data.h"
 #include "sprite/network.h"
+#include "storage/cas.h"
 #include "task/task_manager.h"
 #include "tdl/template.h"
 
@@ -1029,6 +1036,274 @@ TEST_F(TaskManagerTest, SingleAssignmentCreatesNewVersions) {
   // Both versions visible: updates never overwrite (§3.2).
   EXPECT_TRUE(db_.Get(r1->outputs[0]).ok());
   EXPECT_TRUE(db_.Get(r2->outputs[0]).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Step lifecycle golden (tests/data/step_lifecycle_v1/)
+
+/// Logs every observer callback, in order, one line each. A restarted step
+/// that was dispatched with the impossible "-maxarea 1" constraint gets it
+/// dropped, so the ResumedStep scenario recovers.
+class CallbackLog : public TaskObserver {
+ public:
+  void OnStepReady(const std::string& step_name, int restart_count,
+                   std::string* options) override {
+    out << "ready " << step_name << " restarts=" << restart_count
+        << " options=" << *options << '\n';
+    if (restart_count > 0 && *options == "-maxarea 1") options->clear();
+  }
+  void OnStepCompleted(const StepRecord& record) override {
+    out << "completed " << SerializeStep(record) << '\n';
+  }
+  void OnTaskRestarted(const std::string& task_name,
+                       int resumed_internal_id) override {
+    out << "restarted " << task_name << " at=" << resumed_internal_id
+        << '\n';
+  }
+  void OnStepRetried(const std::string& step_name, int attempt,
+                     int64_t backoff_micros) override {
+    out << "retried " << step_name << " attempt=" << attempt
+        << " backoff=" << backoff_micros << '\n';
+  }
+  void OnHostFailed(sprite::HostId host,
+                    const std::string& step_name) override {
+    out << "host_failed " << host << ' ' << step_name << '\n';
+  }
+  void OnLintDiagnostic(const lint::Diagnostic& diagnostic) override {
+    out << "lint " << diagnostic.ToString() << '\n';
+  }
+  void OnCacheHit(const std::string& step_name,
+                  int64_t micros_saved) override {
+    out << "cache_hit " << step_name << " saved=" << micros_saved << '\n';
+  }
+
+  std::ostringstream out;
+};
+
+/// What one lifecycle run leaves behind, rendered for byte comparison.
+struct LifecycleRun {
+  std::string log;    // per invocation: result, then its callbacks
+  std::string trace;  // the virtual trace (Chrome JSON)
+};
+
+/// Drives one TaskManager — derivation cache, a temp-dir shared store and
+/// a seeded fault plan attached — through every way a design step can
+/// settle: tool completions, a failure read through $status, a ResumedStep
+/// restart, `abort` of one step and of the whole task, session-cache and
+/// shared-store hits, lost-host and transient-failure retries, and
+/// exhausted retries.
+LifecycleRun RunStepLifecycle(int workers) {
+  namespace fs = std::filesystem;
+  ManualClock clock(0);
+  oct::OctDatabase db(&clock);
+  sprite::Network network(&clock, 4);
+  auto registry = cadtools::CreateStandardRegistry();
+  tdl::TemplateLibrary library;
+  EXPECT_TRUE(tdl::RegisterThesisTemplates(&library).ok());
+  EXPECT_TRUE(library
+                  .Add("task Cond {In} {Out}\n"
+                       "step Try {In} {Out} {panda -maxarea 1 In}\n"
+                       "if {$status} {step Fallback {In} {Out} {panda In}}\n")
+                  .ok());
+  // `abort B` kills the still-running B and resumes after A (B's
+  // ResumedStep); the interpreter keeps `n`, so the second pass commits.
+  EXPECT_TRUE(library
+                  .Add("task Abort_Step {In} {Out}\n"
+                       "set n 0\n"
+                       "step {1 A} {In} {tmp} {espresso In}\n"
+                       "step {2 B} {In} {Out} {espresso -o equitott In} "
+                       "{ResumedStep 1}\n"
+                       "incr n\n"
+                       "if {$n < 2} {abort B}\n")
+                  .ok());
+  EXPECT_TRUE(library
+                  .Add("task Doomed {In} {Out}\n"
+                       "step A {In} {tmp} {espresso In}\n"
+                       "abort\n"
+                       "step B {tmp} {Out} {pleasure tmp}\n")
+                  .ok());
+
+  fault::FaultPlan plan([] {
+    fault::FaultPlanOptions opt;
+    opt.seed = 8;
+    opt.host_crash_rate = 0.9;
+    opt.horizon_micros = 2'500'000;
+    opt.reboot_delay_micros = 60'000;
+    opt.max_crashes_per_host = 3;
+    opt.spare_home = false;
+    opt.tool_transient_rate = 0.2;
+    return opt;
+  }());
+  EXPECT_TRUE(plan.Apply(&network, registry.get()).ok());
+
+  TaskManager manager(&db, registry.get(), &network, &library);
+  manager.set_worker_threads(workers);
+  cache::DerivationCache cache(&db);
+  manager.set_derivation_cache(&cache);
+  fs::path store_dir = fs::path(::testing::TempDir()) /
+                       ("step_lifecycle_cas_" + std::to_string(workers));
+  std::error_code ec;
+  fs::remove_all(store_dir, ec);
+  auto store = storage::ContentStore::Open(store_dir.string());
+  EXPECT_TRUE(store.ok());
+  cache.AttachSharedStore(store->get(), /*auto_publish=*/true);
+  obs::TraceRecorder trace(&clock);
+  trace.set_enabled(true);
+  obs::MetricsRegistry metrics;
+  manager.set_observability(obs::Observability{&trace, &metrics});
+  plan.set_observability(obs::Observability{&trace, &metrics});
+
+  auto spec = db.CreateVersion("shifter", BehavioralSpec{8, 8, 12, 77});
+  auto cmds = db.CreateVersion("sim.cmd", TextData{"run 100"});
+  auto logic = db.CreateVersion(
+      "pla", LogicNetwork{.num_inputs = 8,
+                          .num_outputs = 4,
+                          .minterms = 60,
+                          .literals = 120,
+                          .format = oct::DesignFormat::kBlif,
+                          .seed = 21});
+  auto plain = db.CreateVersion(
+      "plain", LogicNetwork{.num_inputs = 4,
+                            .num_outputs = 2,
+                            .minterms = 20,
+                            .format = oct::DesignFormat::kPla,
+                            .seed = 2});
+  auto cell = db.CreateVersion(
+      "cell", Layout{.num_cells = 5, .area = 900.0, .seed = 3});
+  EXPECT_TRUE(spec.ok() && cmds.ok() && logic.ok() && plain.ok() &&
+              cell.ok());
+
+  auto invocation = [](const std::string& tmpl,
+                       std::vector<ObjectId> inputs,
+                       std::vector<std::string> outputs) {
+    TaskInvocation inv;
+    inv.template_name = tmpl;
+    inv.inputs = std::move(inputs);
+    inv.output_names = std::move(outputs);
+    inv.seed = 42;
+    inv.max_step_retries = 6;
+    return inv;
+  };
+  TaskInvocation synthesis = invocation("Structure_Synthesis",
+                                        {*spec, *cmds},
+                                        {"shifter.layout", "shifter.stats"});
+  TaskInvocation pla =
+      invocation("PLA_Generation", {*logic}, {"pla.layout"});
+  pla.option_overrides["Array_Layout"] = "-maxarea 1";
+
+  std::ostringstream log;
+  auto run = [&](const std::string& label,
+                 std::vector<TaskInvocation> invocations) {
+    std::vector<CallbackLog> observers(invocations.size());
+    std::vector<TaskObserver*> observer_ptrs;
+    for (CallbackLog& o : observers) observer_ptrs.push_back(&o);
+    auto results = manager.InvokeMany(invocations, observer_ptrs);
+    for (size_t i = 0; i < results.size(); ++i) {
+      log << "== " << label << ' ' << i << '\n';
+      if (results[i].ok()) {
+        log << SerializeHistory(*results[i]);
+      } else {
+        log << "status " << results[i].status().ToString() << '\n';
+      }
+      log << observers[i].out.str();
+    }
+  };
+  auto run_one = [&](const std::string& label, const TaskInvocation& inv) {
+    CallbackLog observer;
+    auto result = manager.Invoke(inv, &observer);
+    log << "== " << label << '\n';
+    if (result.ok()) {
+      log << SerializeHistory(*result);
+    } else {
+      log << "status " << result.status().ToString() << '\n';
+    }
+    log << observer.out.str();
+  };
+
+  // Concurrent tool runs under host crashes and transient failures.
+  run("concurrent",
+      {synthesis, invocation("Padp", {*cell}, {"cell.padded"}),
+       invocation("Cond", {*plain}, {"cond.out"})});
+  run_one("resumed_step", pla);
+  run_one("abort_step", invocation("Abort_Step", {*logic}, {"ab.out"}));
+  run_one("abort_task", invocation("Doomed", {*logic}, {"never"}));
+  run_one("session_hit", synthesis);
+  // Identical bytes under fresh version ids: the session cache misses,
+  // the shared store serves every step.
+  auto spec2 = db.CreateVersion("shifter", BehavioralSpec{8, 8, 12, 77});
+  auto cmds2 = db.CreateVersion("sim.cmd", TextData{"run 100"});
+  EXPECT_TRUE(spec2.ok() && cmds2.ok());
+  run_one("cas_hit", invocation("Structure_Synthesis", {*spec2, *cmds2},
+                                {"shifter.layout", "shifter.stats"}));
+  TaskInvocation exhausted = invocation("Mosaico", {*cell}, {"m.out",
+                                                             "m.stats"});
+  exhausted.max_step_retries = 0;
+  exhausted.max_restarts = 2;
+  run_one("exhausted", exhausted);
+
+  db.ForEach([&](const oct::ObjectRecord& rec) {
+    log << rec.id.ToString() << '|' << rec.visible << '|' << rec.reclaimed
+        << '|' << rec.size_bytes << '|' << rec.last_access_micros << '|'
+        << oct::PayloadToString(rec.payload) << '\n';
+  });
+  cache::CacheStats stats = cache.stats();
+  log << "committed=" << manager.tasks_committed()
+      << " aborted=" << manager.tasks_aborted()
+      << " executed=" << manager.steps_executed()
+      << " lost=" << manager.steps_lost()
+      << " retried=" << manager.steps_retried()
+      << " elided=" << manager.steps_elided()
+      << " violations=" << manager.flow_violations()
+      << " cache_hits=" << stats.hits << " shared_hits=" << stats.shared_hits
+      << " recorded=" << stats.recorded
+      << " transients=" << plan.transient_injections()
+      << " crashes=" << network.total_crashes() << '\n';
+  trace.Finish();
+  LifecycleRun result;
+  result.log = log.str();
+  result.trace = trace.ToJson();
+  return result;
+}
+
+/// Compares `actual` against tests/data/step_lifecycle_v1/`file`; on a
+/// mismatch writes the actual bytes next to the test's temp files.
+void ExpectMatchesLifecycleGolden(const std::string& actual,
+                                  const std::string& file, int workers) {
+  std::ifstream in(std::string(PAPYRUS_SOURCE_DIR) +
+                   "/tests/data/step_lifecycle_v1/" + file);
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (actual != golden.str()) {
+    const std::string out = ::testing::TempDir() + "step_lifecycle." +
+                            std::to_string(workers) + "." + file;
+    std::ofstream(out) << actual;
+    ADD_FAILURE() << "tests/data/step_lifecycle_v1/" << file
+                  << " differs at " << workers
+                  << " worker(s); this run's bytes are in " << out;
+  }
+}
+
+// Pins every observable of the step lifecycle — histories, the observer
+// callback order, the virtual trace and the database end state — to a
+// golden written by the task manager before its settling paths were
+// unified, at one worker and at four.
+TEST(StepLifecycleGoldenTest, EverySettlingPathMatchesTheGolden) {
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    LifecycleRun run = RunStepLifecycle(workers);
+    ExpectMatchesLifecycleGolden(run.log, "lifecycle.log", workers);
+    ExpectMatchesLifecycleGolden(run.trace, "trace.json", workers);
+    // The scenario exercises every path it claims to.
+    for (const char* marker :
+         {"host_failed ", "retried ", "restarted PLA_Generation",
+          "restarted Abort_Step", "status Aborted: task aborted by abort",
+          "cache_hit ", "(retries exhausted)", "completed ", "|1\n",
+          "\"cas_hit\"", "\"killed\": true", "\"lost\": true",
+          "\"transient\": true", "\"step_failed\""}) {
+      EXPECT_NE((run.log + run.trace).find(marker), std::string::npos)
+          << marker;
+    }
+  }
 }
 
 }  // namespace
