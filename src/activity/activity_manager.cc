@@ -54,16 +54,6 @@ Status ActivityManager::AdoptThread(std::unique_ptr<DesignThread> thread) {
   return Status::OK();
 }
 
-Result<oct::AttributeStore*> ActivityManager::AttributeStoreOf(
-    int thread_id) {
-  auto it = attribute_stores_.find(thread_id);
-  if (it == attribute_stores_.end()) {
-    return Status::NotFound("no design thread " +
-                            std::to_string(thread_id));
-  }
-  return it->second.get();
-}
-
 Result<int> ActivityManager::ForkThread(int source, const std::string& name,
                                         std::optional<NodeId> point) {
   PAPYRUS_ASSIGN_OR_RETURN(DesignThread * src, GetThread(source));
@@ -155,8 +145,6 @@ Result<NodeId> ActivityManager::InvokeTask(int thread_id,
 
   auto record = task_manager_->Invoke(task_inv, inv.observer);
   if (!record.ok()) return record.status();  // aborted: nothing appended
-
-  if (record_sink_) record_sink_(*record);
 
   if (record_filter_ && !record_filter_(inv.template_name)) {
     // §5.4 filtering: facility tasks leave no trace in the design history.

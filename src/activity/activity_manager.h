@@ -41,7 +41,9 @@ struct ActivityInvocation {
 /// The Papyrus Design Activity Manager (§5): owns the design threads,
 /// resolves object names against the current cursor's data scope, invokes
 /// the task manager, and appends the returned history records to the
-/// invoking thread's control stream at the correct insertion point.
+/// invoking thread's control stream at the correct insertion point. The
+/// threads' surviving records are the design history, from which
+/// Papyrus::metadata() derives metadata when it is read.
 class ActivityManager {
  public:
   ActivityManager(oct::OctDatabase* db, task::TaskManager* task_manager,
@@ -77,9 +79,6 @@ class ActivityManager {
   /// id (crash recovery, §5.3). Fails when the id is taken.
   Status AdoptThread(std::unique_ptr<DesignThread> thread);
 
-  /// The attribute database associated with a thread's workspace (§4.3.6).
-  Result<oct::AttributeStore*> AttributeStoreOf(int thread_id);
-
   // --- task invocation (§5.1) ----------------------------------------------
 
   /// Resolves the invocation's object names in the thread's data scope,
@@ -110,13 +109,6 @@ class ActivityManager {
     record_filter_ = std::move(filter);
   }
 
-  /// Observation hook fired with every committed task's history record
-  /// (before filtering). The Papyrus session wires this to the metadata
-  /// inference engine, which builds the ADG "as a by-product of activity
-  /// management" (§6.1).
-  using RecordSink = std::function<void(const task::TaskHistoryRecord&)>;
-  void set_record_sink(RecordSink sink) { record_sink_ = std::move(sink); }
-
   // --- statistics -----------------------------------------------------------
 
   int64_t records_appended() const { return records_appended_; }
@@ -136,7 +128,6 @@ class ActivityManager {
   std::map<int, std::unique_ptr<DesignThread>> threads_;
   std::map<int, std::unique_ptr<oct::AttributeStore>> attribute_stores_;
   RecordFilter record_filter_;
-  RecordSink record_sink_;
   cache::DerivationCache* cache_ = nullptr;  // optional, not owned
   int next_thread_id_ = 1;
   int64_t records_appended_ = 0;

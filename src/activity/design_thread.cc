@@ -20,6 +20,7 @@ void DesignThread::TouchMeta() { wal_meta_dirty_ = true; }
 
 void DesignThread::TouchDeleted(NodeId id) {
   wal_deleted_nodes_.push_back(id);
+  ++record_revision_;
 }
 
 bool DesignThread::HasWalDirt() const {
@@ -64,6 +65,7 @@ Status DesignThread::UpsertNode(HistoryNode node) {
   NodeId id = node.id;
   bool is_root = node.parents.empty();
   auto [it, inserted] = nodes_.insert_or_assign(id, std::move(node));
+  if (!inserted) ++record_revision_;
   if (is_root) {
     MarkRoot(id);
   } else {
@@ -86,7 +88,7 @@ Status DesignThread::UpsertNode(HistoryNode node) {
 }
 
 Status DesignThread::ForgetNode(NodeId id) {
-  nodes_.erase(id);
+  if (nodes_.erase(id) > 0) ++record_revision_;
   UnmarkRoot(id);
   for (auto it = hour_index_.begin(); it != hour_index_.end();) {
     if (it->second == id) {
@@ -499,7 +501,10 @@ Status DesignThread::StripStepDetails(
       if (task_level.count(id) == 0) dropped.insert(id);
     }
   }
-  if (!n->record.steps.empty()) TouchNode(node);
+  if (!n->record.steps.empty()) {
+    TouchNode(node);
+    ++record_revision_;
+  }
   n->record.steps.clear();
   n->record.steps.shrink_to_fit();
   if (intermediates != nullptr) {

@@ -193,6 +193,12 @@ class DesignThread {
   /// and renderers.
   const std::map<NodeId, HistoryNode>& nodes() const { return nodes_; }
 
+  /// Moves whenever a recorded node is removed or its record rewritten
+  /// (erase, prune, splice, strip, and their restore or replay). Appends
+  /// leave it alone, so what was derived from the stream's records is
+  /// stale exactly when it moved.
+  uint64_t record_revision() const { return record_revision_; }
+
   // --- low-level graph surgery (thread-combination operators) -----------
 
   /// Adds a node with a fresh id and no links; returns the id. Cached
@@ -273,6 +279,7 @@ class DesignThread {
   std::map<int64_t, NodeId> hour_index_;  // hour -> first node that hour
   int cache_interval_ = 8;
   int64_t traversal_visits_ = 0;
+  uint64_t record_revision_ = 0;
 
   // Storage-engine dirty state.
   std::vector<NodeId> wal_dirty_nodes_;   // first-dirtied order

@@ -206,11 +206,20 @@ void DerivationCache::set_observability(const obs::Observability& sinks) {
       bind(c_micros_saved_, obs::kCacheMicrosSaved, stats_.micros_saved);
 }
 
-const CacheEntry* DerivationCache::Probe(const std::string& key) {
+const CacheEntry* DerivationCache::Probe(
+    const std::string& key, const std::vector<std::string>& output_names) {
   base::MutexLock lock(mu_);
   if (!enabled_) return nullptr;
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  auto serves = [&](const CacheEntry& entry) {
+    if (entry.outputs.size() != output_names.size()) return false;
+    for (size_t i = 0; i < output_names.size(); ++i) {
+      const CachedOutput& out = entry.outputs[i];
+      if (out.visible && out.id.name != output_names[i]) return false;
+    }
+    return true;
+  };
+  if (it == entries_.end() || !serves(it->second.entry)) {
     ++stats_.misses;
     if (c_misses_ != nullptr) c_misses_->Increment();
     return nullptr;

@@ -217,10 +217,15 @@ class DerivationCache {
 
   /// Returns the entry for `key` when present and still servable: every
   /// recorded output exists un-reclaimed, and outputs that were visible at
-  /// commit are still visible. Counts a hit (crediting `micros_saved`) or
-  /// a miss. Returns nullptr without counting when the cache is disabled.
-  /// The returned pointer is invalidated by any mutating call.
-  const CacheEntry* Probe(const std::string& key)
+  /// commit are still visible. It must also serve the probing step, which
+  /// writes `output_names`: one recorded output per name, and an output
+  /// that was visible at commit (a task-level output) only under its own
+  /// name — another name asks for another object, which this entry does
+  /// not hold. Counts a hit (crediting `micros_saved`) or a miss. Returns
+  /// nullptr without counting when the cache is disabled. The returned
+  /// pointer is invalidated by any mutating call.
+  const CacheEntry* Probe(const std::string& key,
+                          const std::vector<std::string>& output_names)
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
   // --- population --------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "core/papyrus.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -74,11 +75,6 @@ Papyrus::Papyrus(const SessionOptions& options)
                                                      &attributes_, &tsds_);
   if (options.standard_environment) {
     meta::RegisterStandardPropagationRules(metadata_.get());
-  }
-  if (options.metadata_inference) {
-    activity_->set_record_sink([this](const task::TaskHistoryRecord& rec) {
-      (void)metadata_->Observe(rec);
-    });
   }
   // Filtering is delegated to the reclamation manager's task filter list.
   activity_->set_record_filter([this](const std::string& task_name) {
@@ -156,6 +152,76 @@ Result<activity::NodeId> Papyrus::Invoke(
 Status Papyrus::MoveCursor(int thread_id, activity::NodeId point,
                            bool erase) {
   return activity_->MoveCursor(thread_id, point, erase);
+}
+
+meta::MetadataEngine& Papyrus::metadata() {
+  if (options_.metadata_inference) DeriveMetadata();
+  return *metadata_;
+}
+
+void Papyrus::DeriveMetadata() {
+  base::AssertEngineThread("Papyrus::DeriveMetadata");
+  struct Entry {
+    ObservationKey key;
+    const task::TaskHistoryRecord* record;
+  };
+  std::vector<std::pair<int, activity::DesignThread*>> threads;
+  for (int id : activity_->ThreadIds()) {
+    threads.emplace_back(id, *activity_->GetThread(id));
+  }
+  // Start over when a record already observed is gone or rewritten: a
+  // thread changed its records, or vanished (ids are never reused).
+  bool rederive = false;
+  size_t kept = 0;
+  for (const auto& [id, thread] : threads) {
+    auto seen = observed_threads_.find(id);
+    if (seen == observed_threads_.end()) continue;
+    ++kept;
+    rederive |= seen->second.revision != thread->record_revision();
+  }
+  rederive |= kept != observed_threads_.size();
+  // The records to observe, in observation order: all of them, or those
+  // appended since the last read (node ids only grow).
+  auto collect = [&](bool all) {
+    std::vector<Entry> entries;
+    for (const auto& [id, thread] : threads) {
+      activity::NodeId after = activity::kInitialPoint;
+      auto seen = observed_threads_.find(id);
+      if (!all && seen != observed_threads_.end()) {
+        after = seen->second.last_node;
+      }
+      const auto& nodes = thread->nodes();
+      for (auto it = nodes.upper_bound(after); it != nodes.end(); ++it) {
+        const activity::HistoryNode& node = it->second;
+        if (node.is_junction || node.record.task_name.empty()) continue;
+        entries.push_back({{node.appended_micros, id, it->first},
+                           &node.record});
+      }
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.key < b.key; });
+    return entries;
+  };
+  std::vector<Entry> entries = collect(rederive);
+  if (!rederive && !entries.empty() && entries.front().key < last_observed_) {
+    // A new record sorts before one already observed: appending it would
+    // observe out of order.
+    rederive = true;
+    entries = collect(true);
+  }
+  if (rederive) {
+    metadata_->Reset();
+    last_observed_ = kNothingObserved;
+  }
+  for (const Entry& e : entries) (void)metadata_->Observe(*e.record);
+  if (!entries.empty()) last_observed_ = entries.back().key;
+  observed_threads_.clear();
+  for (const auto& [id, thread] : threads) {
+    const auto& nodes = thread->nodes();
+    observed_threads_[id] = {
+        thread->record_revision(),
+        nodes.empty() ? activity::kInitialPoint : nodes.rbegin()->first};
+  }
 }
 
 void Papyrus::RecordApplied(int64_t request_id, int thread_id,

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "activity/activity_manager.h"
@@ -34,7 +35,8 @@ struct SessionOptions {
   int num_workstations = 4;
   /// Thread-state cache interval for new design threads (0 disables).
   int cache_interval = 8;
-  /// Feed every committed task record to the metadata inference engine.
+  /// Derive metadata from the design history when it is read
+  /// (metadata()); false leaves the metadata engine empty.
   bool metadata_inference = true;
   /// Preload the thesis' example task templates and the standard mock OCT
   /// tool suite + TSDs.
@@ -83,8 +85,8 @@ struct SessionOptions {
 /// A session opened on a store (`OpenStorage`) persists its database,
 /// design threads, derivation cache, virtual clock, execution ids and
 /// applied-request ledger, so reopening it continues the same history.
-/// Metadata inference state (the ADG) is not persisted; papyrusd's
-/// ManagedSession re-derives it from the histories.
+/// Metadata (the ADG and what is inferred with it) is not persisted: it is
+/// a function of the surviving history, derived when it is read.
 ///
 /// Quickstart:
 /// ```
@@ -110,9 +112,8 @@ class Papyrus {
   int CreateThread(const std::string& name);
 
   /// Invokes a task in a thread: resolves `input_refs` in the thread's
-  /// data scope (§5.2 naming formats), runs the template, appends the
-  /// history record, and feeds the metadata engine. Returns the new
-  /// design point.
+  /// data scope (§5.2 naming formats), runs the template and appends the
+  /// history record. Returns the new design point.
   Result<activity::NodeId> Invoke(
       int thread_id, const std::string& template_name,
       const std::vector<std::string>& input_refs,
@@ -220,7 +221,14 @@ class Papyrus {
   void AttachSharedStore(storage::ContentStore* store, bool auto_publish) {
     step_cache_->AttachSharedStore(store, auto_publish);
   }
-  meta::MetadataEngine& metadata() { return *metadata_; }
+  /// The history-based metadata engine (Ch. 6), first brought up to date
+  /// with the surviving design history: the one place metadata is
+  /// derived. Each surviving record is observed once, in (appended_micros,
+  /// thread id, node id) order: new records incrementally, the whole
+  /// history again after a record was removed or rewritten or when a new
+  /// one sorts before one already observed. A live session and its
+  /// reopened store therefore read the same metadata.
+  meta::MetadataEngine& metadata();
   meta::TsdRegistry& tsds() { return tsds_; }
   /// The attribute store the metadata engine populates.
   oct::AttributeStore& attributes() { return attributes_; }
@@ -258,6 +266,8 @@ class Papyrus {
   Status ApplyStateFields(const std::vector<std::string>& f);
   /// Marks everything in memory as journaled (restored state is durable).
   void DiscardAllWalDirt();
+  /// Observes what metadata() has not yet seen of the history.
+  void DeriveMetadata();
   void SyncStorageMetrics();
 
   // Declared before every subsystem so trace + metrics are destroyed
@@ -285,6 +295,17 @@ class Papyrus {
 
   /// request id -> where it committed (RecordApplied).
   std::map<int64_t, AppliedRequest> applied_;
+
+  /// How far DeriveMetadata got: per thread, the record revision and the
+  /// highest node id it saw, and the sort key of the last record observed.
+  struct ObservedThread {
+    uint64_t revision = 0;
+    activity::NodeId last_node = activity::kInitialPoint;
+  };
+  std::map<int, ObservedThread> observed_threads_;
+  using ObservationKey = std::tuple<int64_t, int, activity::NodeId>;
+  static constexpr ObservationKey kNothingObserved{-1, 0, 0};
+  ObservationKey last_observed_ = kNothingObserved;
 
   // --- storage engine state ---
   std::unique_ptr<storage::SessionStore> store_;

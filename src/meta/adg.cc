@@ -5,59 +5,82 @@
 
 namespace papyrus::meta {
 
+namespace {
+
+/// Hashes what makes two edges the same (ids aside).
+size_t ContentHash(const AdgEdge& edge) {
+  size_t h = std::hash<std::string>()(edge.tool);
+  auto mix = [&h](size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  };
+  mix(std::hash<std::string>()(edge.options));
+  const std::hash<oct::ObjectId> id_hash;
+  for (const oct::ObjectId& in : edge.inputs) mix(id_hash(in));
+  mix(edge.inputs.size());  // where the inputs end and the outputs start
+  for (const oct::ObjectId& out : edge.outputs) mix(id_hash(out));
+  mix(static_cast<size_t>(edge.micros));
+  mix(edge.reuse ? 1 : 0);
+  return h;
+}
+
+bool SameContent(const AdgEdge& a, const AdgEdge& b) {
+  return a.reuse == b.reuse && a.micros == b.micros && a.tool == b.tool &&
+         a.options == b.options && a.inputs == b.inputs &&
+         a.outputs == b.outputs;
+}
+
+}  // namespace
+
 int Adg::AddInvocation(const std::string& tool, const std::string& options,
                        std::vector<oct::ObjectId> inputs,
                        std::vector<oct::ObjectId> outputs, int64_t micros) {
-  AdgEdge edge;
-  edge.id = static_cast<int>(edges_.size()) + 1;
-  edge.tool = tool;
-  edge.options = options;
-  edge.inputs = std::move(inputs);
-  edge.outputs = std::move(outputs);
-  edge.micros = micros;
-  for (const oct::ObjectId& in : edge.inputs) {
-    consumers_[in].push_back(edge.id);
-  }
-  for (const oct::ObjectId& out : edge.outputs) {
-    producers_[out] = edge.id;
-  }
-  int id = edge.id;
-  edges_.emplace_back(id, std::move(edge));
-  return id;
+  task::StepRecord step;
+  step.tool = tool;
+  step.invocation = options;
+  step.inputs = std::move(inputs);
+  step.outputs = std::move(outputs);
+  step.completion_micros = micros;
+  return AddStep(step);
 }
 
-int Adg::AddReuse(const std::string& tool, const std::string& options,
-                  std::vector<oct::ObjectId> inputs,
-                  std::vector<oct::ObjectId> outputs, int64_t micros) {
+int Adg::AddStep(const task::StepRecord& step) {
   AdgEdge edge;
-  edge.id = static_cast<int>(edges_.size()) + 1;
-  edge.tool = tool;
-  edge.options = options;
-  edge.inputs = std::move(inputs);
-  edge.outputs = std::move(outputs);
-  edge.micros = micros;
-  edge.reuse = true;
-  for (const oct::ObjectId& out : edge.outputs) {
-    reuses_[out].push_back(edge.id);
+  edge.tool = step.tool;
+  edge.options = step.invocation;
+  edge.inputs = step.inputs;
+  edge.outputs = step.outputs;
+  edge.micros = step.completion_micros;
+  // An elided step reused an earlier derivation's versions: a reuse edge
+  // instead of a second (shadowing) derivation.
+  edge.reuse = step.cache_hit;
+  const size_t hash = ContentHash(edge);
+  auto [held, end] = by_content_.equal_range(hash);
+  for (; held != end; ++held) {
+    if (SameContent(Edge(held->second), edge)) return 0;
   }
-  ++reuse_edges_;
-  int id = edge.id;
+  edge.id = static_cast<int>(edges_.size()) + 1;
+  if (edge.reuse) {
+    for (const oct::ObjectId& out : edge.outputs) {
+      reuses_[out].push_back(edge.id);
+    }
+    ++reuse_edges_;
+  } else {
+    for (const oct::ObjectId& in : edge.inputs) {
+      consumers_[in].push_back(edge.id);
+    }
+    for (const oct::ObjectId& out : edge.outputs) {
+      producers_[out] = edge.id;
+    }
+  }
+  by_content_.emplace(hash, edge.id);
+  const int id = edge.id;
   edges_.emplace_back(id, std::move(edge));
   return id;
 }
 
 void Adg::AddFromHistoryRecord(const task::TaskHistoryRecord& record) {
   for (const task::StepRecord& step : record.steps) {
-    if (step.exit_status != 0) continue;  // failed steps created nothing
-    if (step.cache_hit) {
-      // An elided step reused an earlier derivation's versions: record a
-      // reuse edge instead of a second (shadowing) derivation.
-      AddReuse(step.tool, step.invocation, step.inputs, step.outputs,
-               step.completion_micros);
-      continue;
-    }
-    AddInvocation(step.tool, step.invocation, step.inputs, step.outputs,
-                  step.completion_micros);
+    if (step.exit_status == 0) AddStep(step);  // failed steps created nothing
   }
 }
 

@@ -38,21 +38,23 @@ struct AdgEdge {
 /// all metadata inference (§6.4) and for Make-style retracing.
 class Adg {
  public:
-  /// Records one tool invocation; returns its edge id.
+  /// Records one tool invocation (AddStep of a step the tool ran).
   int AddInvocation(const std::string& tool, const std::string& options,
                     std::vector<oct::ObjectId> inputs,
                     std::vector<oct::ObjectId> outputs, int64_t micros);
 
-  /// Records a cache-served (elided) step as a reuse edge: visible in the
+  /// Records one successful step unless the graph already holds the same
+  /// edge: same reuse flag, tool, options, inputs, outputs and completion
+  /// time. Returns the new edge's id, or 0 when the edge was held, so
+  /// re-observing a history node, or a fork's copy of one, adds nothing.
+  /// A cache-served (elided) step becomes a reuse edge: visible in the
   /// graph and in the per-version reuse index, but not wired into the
   /// producer/consumer maps — the original derivation already is.
-  int AddReuse(const std::string& tool, const std::string& options,
-               std::vector<oct::ObjectId> inputs,
-               std::vector<oct::ObjectId> outputs, int64_t micros);
+  int AddStep(const task::StepRecord& step);
 
-  /// Extends the graph with every step of a committed task's history
-  /// record — the ADG is collected "as a by-product of activity
-  /// management" (§6.1).
+  /// Extends the graph with every successful step of a committed task's
+  /// history record (AddStep) — the ADG is collected "as a by-product of
+  /// activity management" (§6.1).
   void AddFromHistoryRecord(const task::TaskHistoryRecord& record);
 
   /// The invocation that produced this version, if recorded.
@@ -91,6 +93,8 @@ class Adg {
   std::unordered_map<oct::ObjectId, int> producers_;  // object -> edge
   std::unordered_map<oct::ObjectId, std::vector<int>> consumers_;
   std::unordered_map<oct::ObjectId, std::vector<int>> reuses_;
+  /// Every edge by a hash of its content, for AddStep's "already held".
+  std::unordered_multimap<size_t, int> by_content_;
   size_t reuse_edges_ = 0;
 };
 

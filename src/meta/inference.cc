@@ -114,14 +114,23 @@ const std::vector<MetadataEngine::AttrSpec>& MetadataEngine::AttrSpecsFor(
 }
 
 Status MetadataEngine::Observe(const task::TaskHistoryRecord& record) {
-  adg_.AddFromHistoryRecord(record);
   for (const task::StepRecord& step : record.steps) {
+    // Failed steps created nothing. A step whose edge the ADG already
+    // holds was observed before (the same node again, or a fork's copy
+    // of it): nothing to add, nothing to infer.
+    if (step.exit_status != 0 || adg_.AddStep(step) == 0) continue;
     // Cache-served steps re-bind versions an earlier execution already
     // taught the engine about; re-observing them would double-count.
-    if (step.exit_status != 0 || step.cache_hit) continue;
-    InferForInvocation(step);
+    if (!step.cache_hit) InferForInvocation(step);
   }
   return Status::OK();
+}
+
+void MetadataEngine::Reset() {
+  adg_ = Adg();
+  rels_ = RelationshipStore();
+  types_.clear();
+  violations_.clear();
 }
 
 void MetadataEngine::InferForInvocation(const task::StepRecord& step) {

@@ -98,8 +98,8 @@ struct ConstraintViolation {
 /// "Rather than requiring users to supply design meta-data, the system
 /// maintains and analyzes the design history to deduce the metadata."
 /// The engine observes committed task history records (the same records
-/// the activity manager stores), extends the ADG, and incrementally
-/// constructs:
+/// the activity manager stores; Papyrus::metadata() feeds it the surviving
+/// history), extends the ADG, and incrementally constructs:
 ///  - object *types and formats*, from the creating tool's TSD;
 ///  - *intrinsic attributes*, attached per type and evaluated immediately
 ///    or lazily, with values propagated through tool inherit lists;
@@ -117,7 +117,16 @@ class MetadataEngine {
   MetadataEngine& operator=(const MetadataEngine&) = delete;
 
   /// Ingests one committed task's history: the whole Chapter 6 pipeline.
+  /// Idempotent per step: a step whose ADG edge is already held (same
+  /// reuse flag, tool, options, inputs, outputs and completion time) is
+  /// skipped, inference included.
   Status Observe(const task::TaskHistoryRecord& record);
+
+  /// Forgets what observation derived — the ADG, relationships, inferred
+  /// types and violations — so the history can be observed afresh.
+  /// Propagation rules, constraints, attribute values (measurements of
+  /// immutable versions) and the statistics stay.
+  void Reset();
 
   // --- inferred types -----------------------------------------------------
 
@@ -143,7 +152,8 @@ class MetadataEngine {
   /// Registers a propagated-attribute rule.
   void AddPropagationRule(PropagationRule rule);
 
-  /// Registers a constraint attribute; checked eagerly at creation time.
+  /// Registers a constraint attribute; checked eagerly when a creation
+  /// is observed.
   void AddConstraint(ConstraintRule rule);
   /// Violations detected so far, in detection order.
   const std::vector<ConstraintViolation>& violations() const {

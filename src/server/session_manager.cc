@@ -1,9 +1,5 @@
 #include "server/session_manager.h"
 
-#include <algorithm>
-#include <tuple>
-#include <vector>
-
 #include "base/macros.h"
 #include "base/thread_annotations.h"
 
@@ -43,7 +39,6 @@ Result<std::unique_ptr<ManagedSession>> ManagedSession::Open(
   // crashed incarnation held back (idempotent — whatever its missing
   // flush would have published).
   managed->session_->step_cache().FlushSharedPublications();
-  PAPYRUS_RETURN_IF_ERROR(managed->ReplayMetadata());
 
   // Intra-session chaos lands after restore so crash times are relative
   // to the restored virtual clock.
@@ -60,37 +55,6 @@ Result<std::unique_ptr<ManagedSession>> ManagedSession::Open(
         &managed->session_->network(), &managed->session_->tools()));
   }
   return managed;
-}
-
-Status ManagedSession::ReplayMetadata() {
-  // Metadata inference state is not persisted; re-observe every restored
-  // record in commit order (commit timestamps strictly increase under
-  // the serial daemon, so the order is the live observation order).
-  struct Entry {
-    int64_t micros;
-    int thread_id;
-    activity::NodeId node_id;
-    const task::TaskHistoryRecord* record;
-  };
-  std::vector<Entry> entries;
-  for (int thread_id : session_->activity().ThreadIds()) {
-    auto thread = session_->activity().GetThread(thread_id);
-    if (!thread.ok()) continue;
-    for (const auto& [node_id, node] : (*thread)->nodes()) {
-      if (node.is_junction || node.record.task_name.empty()) continue;
-      entries.push_back(
-          {node.appended_micros, thread_id, node_id, &node.record});
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return std::tie(a.micros, a.thread_id, a.node_id) <
-                     std::tie(b.micros, b.thread_id, b.node_id);
-            });
-  for (const Entry& e : entries) {
-    PAPYRUS_RETURN_IF_ERROR(session_->metadata().Observe(*e.record));
-  }
-  return Status::OK();
 }
 
 Result<activity::NodeId> ManagedSession::AppliedNode(

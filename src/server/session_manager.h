@@ -38,8 +38,10 @@ struct SessionConfig {
 /// The applied-task ledger mapping queue task ids to committed history
 /// nodes is the session's own (Papyrus::RecordApplied): it journals in
 /// the same WAL commit as the history node, after it, so "task applied"
-/// and "task recorded" are one atomic unit. What the daemon adds at open
-/// is the ADG, re-derived from the restored histories.
+/// and "task recorded" are one atomic unit. Opening a session restores
+/// its store and nothing else: the daemon never reads metadata while
+/// serving, and whoever does reads it derived from the restored history
+/// (Papyrus::metadata()).
 ///
 /// Pre-engine layouts (CURRENT -> snap.<N>/ whole-file snapshot
 /// directories, including their state.pss) load transparently and
@@ -110,10 +112,6 @@ class ManagedSession {
 
  private:
   explicit ManagedSession(std::string name) : name_(std::move(name)) {}
-
-  /// Re-derives the ADG by re-observing every restored history record in
-  /// commit order (metadata inference state is not persisted).
-  Status ReplayMetadata() PAPYRUS_REQUIRES(base::engine_thread);
 
   std::string name_;
   std::unique_ptr<Papyrus> session_;

@@ -365,6 +365,14 @@ Status Execution::Init() {
         " outputs, got " +
         std::to_string(invocation_.output_names.size()));
   }
+  // Every input must name a version that exists before anything runs.
+  // Exists, not Get: Get bumps the record's access time, which journals.
+  for (const oct::ObjectId& id : invocation_.inputs) {
+    if (!mgr_->db_->Exists(id)) {
+      return Status::NotFound("task " + template_->name + " input " +
+                              id.ToString() + " does not exist");
+    }
+  }
   // Pre-flight static verification: lint the template against the tool
   // registry and template library before any step is dispatched. Error
   // findings refuse the invocation unless explicitly overridden; the
@@ -1015,10 +1023,10 @@ Status Execution::DispatchStep(const ResolvedStep& step) {
   // run, which a worker may compute while virtual time advances (serial
   // mode runs it inline at Take). The result is consumed — and every side
   // effect applied — at the step's virtual completion event, keeping
-  // execution byte-identical at any worker count. The database never
-  // erases a record, so only an invocation input naming a version that
-  // does not exist misses the snapshot; the completion-time Get fails on
-  // it as well and discards the job unrun.
+  // execution byte-identical at any worker count. Init refuses inputs
+  // that do not exist and the database never erases a record, so every
+  // input has its snapshot; the completion-time Get revalidates
+  // visibility and discards the job unrun when an input went invisible.
   std::vector<oct::DesignPayload> payloads;
   std::vector<std::string> payload_names;
   payloads.reserve(input_ids.size());
@@ -1059,14 +1067,14 @@ bool Execution::TryCompleteFromCache(
     const DerivationKeys& keys) {
   base::AssertEngineThread("Execution::TryCompleteFromCache");
   if (invocation_.disable_step_cache) return false;
-  const cache::CacheEntry* hit = mgr_->cache_->Probe(keys.key);
+  const cache::CacheEntry* hit =
+      mgr_->cache_->Probe(keys.key, step.output_names);
   if (hit == nullptr) {
     // Session-cache miss: fall through to the shared content-addressed
     // store, where another session (or a previous daemon epoch) may have
     // committed this exact derivation.
     return TryCompleteFromShared(step, input_ids, keys);
   }
-  if (hit->outputs.size() != step.output_names.size()) return false;
 
   std::vector<ResultEntry> outputs;
   for (const cache::CachedOutput& out : hit->outputs) {

@@ -536,9 +536,8 @@ TEST(DerivationCacheTest, RerunAddsAdgReuseEdgesNotDuplicateProducers) {
                           {"/lib/spec", "/lib/sim.cmd"},
                           {"cell.layout", "cell.stats"})
                   .ok());
-  const meta::Adg& adg = session.metadata().adg();
-  size_t edges_cold = adg.edge_count();
-  ASSERT_EQ(adg.reuse_count(), 0u);
+  size_t edges_cold = session.metadata().adg().edge_count();
+  ASSERT_EQ(session.metadata().adg().reuse_count(), 0u);
 
   ASSERT_TRUE(session
                   .Invoke(tid, "Structure_Synthesis",
@@ -547,6 +546,7 @@ TEST(DerivationCacheTest, RerunAddsAdgReuseEdgesNotDuplicateProducers) {
                   .ok());
   // Every elided step shows up as a reuse edge; the real derivations are
   // not re-recorded, so the producer index is unchanged.
+  const meta::Adg& adg = session.metadata().adg();
   EXPECT_EQ(adg.reuse_count(), 6u);
   EXPECT_EQ(adg.edge_count(), edges_cold + 6);
 
@@ -583,6 +583,43 @@ TEST(DerivationCacheTest, ReworkEraseInvalidatesThroughTheCursor) {
                           {"cell.logic"}, {"cell.layout"})
                   .ok());
   EXPECT_GT(session.task_manager().steps_executed(), e0);
+}
+
+TEST(DerivationCacheTest, TaskLevelOutputIsServedOnlyUnderItsOwnName) {
+  // Two designers run the same tasks for different cells. The second
+  // thread's format transformation matches the first's derivation, but
+  // that derivation's output is the first thread's task-level object,
+  // not the one the second thread names.
+  Papyrus session;
+  const std::vector<std::pair<int, std::string>> cells = {
+      {session.CreateThread("Shifter"), "shifter"},
+      {session.CreateThread("Arith"), "arith"}};
+  auto run = [&](int tid, const std::string& cell) {
+    ASSERT_TRUE(session
+                    .Invoke(tid, "Create_Logic_Description", {},
+                            {cell + ".logic"})
+                    .ok());
+    auto layout = session.Invoke(tid, "Standard_Cell_Place_and_Route",
+                                 {cell + ".logic"}, {cell + ".layout"});
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  };
+  for (const auto& [tid, cell] : cells) run(tid, cell);
+  for (const auto& [tid, cell] : cells) {
+    auto thread = session.activity().GetThread(tid);
+    ASSERT_TRUE(thread.ok());
+    for (const std::string& name : {cell + ".logic", cell + ".layout"}) {
+      auto id = (*thread)->ResolveInScope(name);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      EXPECT_EQ(id->name, name);
+    }
+  }
+
+  // A rerun under the same names still elides every step.
+  int64_t e0 = session.task_manager().steps_executed();
+  int64_t l0 = session.task_manager().steps_elided();
+  run(cells[1].first, cells[1].second);
+  EXPECT_EQ(session.task_manager().steps_executed(), e0);
+  EXPECT_EQ(session.task_manager().steps_elided(), l0 + 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -81,12 +81,13 @@ TEST(PapyrusSessionTest, FilteredTasksLeaveNoHistory) {
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->size(), 1);  // only the creation task recorded
   EXPECT_EQ(session.activity().records_filtered(), 1);
-  // But the metadata engine still saw the invocation (the ADG covers it).
+  // Metadata is derived from the surviving history, so the filtered
+  // invocation leaves no ADG edge either.
   bool saw_musa = false;
   for (const auto& [id, edge] : session.metadata().adg().edges()) {
     if (edge.tool == "musa") saw_musa = true;
   }
-  EXPECT_TRUE(saw_musa);
+  EXPECT_FALSE(saw_musa);
 }
 
 TEST(PapyrusSessionTest, CheckInAndUseExternalObject) {

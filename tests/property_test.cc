@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "activity/design_thread.h"
 #include "base/clock.h"
 #include "base/strings.h"
 #include "core/papyrus.h"
+#include "server/fingerprint.h"
 #include "tcl/interp.h"
 #include "tcl/parser.h"
 
@@ -304,6 +308,205 @@ TEST_P(SpriteConservationProperty, CompletedWorkEqualsRequestedWork) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpriteConservationProperty,
                          ::testing::Range(0, 12));
+
+// --- Metadata is a function of the surviving history ------------------------
+
+/// What a reopened session must derive again: the rendered ADG, every
+/// relationship and every inferred type, by object version.
+std::string RenderMetadata(Papyrus& session) {
+  meta::MetadataEngine& engine = session.metadata();
+  std::set<oct::ObjectId> ids;
+  session.database().ForEach(
+      [&](const oct::ObjectRecord& rec) { ids.insert(rec.id); });
+  std::ostringstream out;
+  out << server::RenderAdg(engine.adg());
+  for (const oct::ObjectId& id : ids) {
+    if (auto type = engine.TypeOf(id); type.ok()) {
+      out << id.ToString() << " : " << *type << ' ' << *engine.FormatOf(id)
+          << '\n';
+    }
+    for (const meta::Relationship* rel : engine.relationships().Of(id)) {
+      if (rel->from != id) continue;  // listed once, under its `from`
+      out << rel->id << ' ' << meta::RelKindToString(rel->kind) << ' '
+          << rel->from.ToString() << " -> " << rel->to.ToString() << " via "
+          << rel->via_tool << '\n';
+    }
+  }
+  return out.str();
+}
+
+/// (seed, executor workers)
+class MetadataDerivationProperty
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MetadataDerivationProperty, LiveSessionReadsWhatItsStoreReopensTo) {
+  namespace fs = std::filesystem;
+  const auto [seed, workers] = GetParam();
+  Rng rng(seed + 1000);
+  const fs::path root =
+      fs::path(::testing::TempDir()) /
+      ("metadata_derivation_" + std::to_string(seed) + "_w" +
+       std::to_string(workers));
+  fs::remove_all(root);
+  const std::string dir = (root / "store").string();
+  SessionOptions options;
+  options.worker_threads = workers;
+  Papyrus live(options);
+  ASSERT_TRUE(live.OpenStorage(dir).ok());
+  live.reclamation().AddFilteredTask("Logic_Simulation");
+  std::vector<int> threads = {live.CreateThread("A"),
+                              live.CreateThread("B")};
+  auto thread = [&](int id) { return *live.activity().GetThread(id); };
+  auto any_thread = [&] { return threads[rng.Below(threads.size())]; };
+
+  // Reads the live metadata, and what a session reopened from a copy of
+  // the store derives.
+  int checkpoints = 0;
+  auto checkpoint = [&] {
+    ASSERT_TRUE(live.CommitWal().ok());
+    const fs::path copy = root / ("reopen" + std::to_string(++checkpoints));
+    fs::copy(dir, copy, fs::copy_options::recursive);
+    Papyrus reopened(options);
+    ASSERT_TRUE(reopened.OpenStorage(copy.string()).ok());
+    EXPECT_EQ(RenderMetadata(live), RenderMetadata(reopened))
+        << "checkpoint " << checkpoints;
+  };
+  // Output names come from small pools, and a rerun with the same names
+  // (and seed) is served by the step cache in either thread: every step
+  // elided, at one virtual instant.
+  auto create = [&](int t, int k) {
+    (void)live.Invoke(t, "Create_Logic_Description", {},
+                      {"c" + std::to_string(k) + ".logic"});
+  };
+  auto derive = [&](int t) {
+    const std::string logic = "c" + std::to_string(rng.Below(3)) + ".logic";
+    if (rng.Below(2) == 0) {
+      (void)live.Invoke(t, "PLA_Generation", {logic}, {logic + ".pla"});
+    } else {
+      (void)live.Invoke(t, "Standard_Cell_Place_and_Route", {logic},
+                        {logic + ".sc"});
+    }
+  };
+  auto random_point = [&](int t) {
+    std::vector<activity::NodeId> points = {activity::kInitialPoint};
+    for (const auto& [id, node] : thread(t)->nodes()) points.push_back(id);
+    return points[rng.Below(points.size())];
+  };
+  // Erases the node at the thread's cursor (with everything after it).
+  auto erase_cursor = [&](int t) {
+    auto node = thread(t)->GetNode(thread(t)->current_cursor());
+    if (!node.ok()) return;
+    activity::NodeId parent = (*node)->parents.empty()
+                                  ? activity::kInitialPoint
+                                  : (*node)->parents.front();
+    ASSERT_TRUE(live.MoveCursor(t, parent, /*erase=*/true).ok());
+  };
+
+  enum Op {
+    kTiedReruns,      // two threads rerun one task at one instant
+    kEraseObserved,   // an erasing rework of a node already read
+    kFork,
+    kFiltered,        // a §5.4-filtered task
+    kReclaim,         // the one reclamation pass
+    kCreate,
+    kDerive,
+    kRework,
+    kReworkErase,
+    kCommit,
+    kSave,
+    kCheckpoint,
+  };
+  std::vector<Op> ops = {kTiedReruns, kEraseObserved, kFork, kFiltered,
+                         kReclaim};
+  for (int i = 0; i < 24; ++i) ops.push_back(Op(kCreate + rng.Below(7)));
+  for (size_t i = ops.size() - 1; i > 0; --i) {
+    std::swap(ops[i], ops[rng.Below(static_cast<int>(i) + 1)]);
+  }
+  for (Op op : ops) {
+    const int t = any_thread();
+    switch (op) {
+      case kTiedReruns:
+        // The second thread's rerun is read before the first thread's
+        // lands at the same instant, which sorts before it.
+        create(threads[0], 3);
+        create(threads[1], 3);
+        checkpoint();
+        create(threads[0], 3);
+        checkpoint();
+        break;
+      case kEraseObserved:
+        derive(t);
+        create(t, rng.Below(3));
+        checkpoint();
+        erase_cursor(t);
+        checkpoint();
+        break;
+      case kFork: {
+        const size_t edges = live.metadata().adg().edge_count();
+        ASSERT_TRUE(live.activity()
+                        .ForkThread(t, "F" + std::to_string(threads.size()))
+                        .ok());
+        threads.push_back(live.activity().ThreadIds().back());
+        // The copies carry their source records' edges: counted once.
+        EXPECT_EQ(live.metadata().adg().edge_count(), edges);
+        break;
+      }
+      case kFiltered:
+        (void)live.Invoke(t, "Logic_Simulation",
+                          {"c" + std::to_string(rng.Below(3)) + ".logic"},
+                          {});
+        break;
+      case kReclaim:
+        if (rng.Below(2) == 0) {
+          ASSERT_TRUE(live.reclamation()
+                          .VerticalAge(thread(t), live.clock().NowMicros())
+                          .ok());
+        } else {
+          ASSERT_TRUE(
+              live.reclamation().PruneDeadBranches(thread(t), 0).ok());
+        }
+        break;
+      case kCreate:
+        create(t, rng.Below(3));
+        break;
+      case kDerive:
+        derive(t);
+        break;
+      case kRework:
+        ASSERT_TRUE(live.MoveCursor(t, random_point(t)).ok());
+        break;
+      case kReworkErase:
+        ASSERT_TRUE(live.MoveCursor(t, random_point(t), true).ok());
+        break;
+      case kCommit:
+        ASSERT_TRUE(live.CommitWal().ok());
+        break;
+      case kSave:
+        ASSERT_TRUE(live.SaveGeneration().ok());
+        break;
+      case kCheckpoint:
+        checkpoint();
+        break;
+    }
+    if (HasFatalFailure()) return;
+  }
+  checkpoint();
+
+  // Observation is idempotent: observing every surviving node again
+  // changes nothing.
+  const std::string derived = RenderMetadata(live);
+  for (int id : live.activity().ThreadIds()) {
+    for (const auto& [node_id, node] : thread(id)->nodes()) {
+      ASSERT_TRUE(live.metadata().Observe(node.record).ok());
+    }
+  }
+  EXPECT_EQ(RenderMetadata(live), derived);
+  fs::remove_all(root);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MetadataDerivationProperty,
+    ::testing::Combine(::testing::Range(0, 8), ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace papyrus

@@ -387,6 +387,7 @@ struct DaemonHarness {
     options.root = root;
     options.session.worker_threads = workers;
     options.session.fault = fault;
+    options.max_open_sessions = max_open_sessions;
     options.crash_plan = plan;
     options.clock = &clock;
     options.trace = &trace;
@@ -427,6 +428,7 @@ struct DaemonHarness {
   obs::TraceRecorder trace;
   DaemonCrashPlan* plan = nullptr;
   int workers = 1;
+  int max_open_sessions = 0;
   fault::FaultPlanOptions fault = {.seed = 0};
   int boots = 0;
   std::unique_ptr<PapyrusDaemon> daemon;
@@ -875,6 +877,33 @@ TEST(DaemonTest, IntraSessionFaultPlanStillCommitsExactlyOnce) {
         << "two done tasks share node " << *node;
   }
   EXPECT_TRUE(h.daemon->Shutdown().ok());
+}
+
+TEST(DaemonTest, TiedCommitsKeepTheirAdgAcrossEvictionAndReopen) {
+  // Two threads of one session run the same task under the same names,
+  // alternately: after the first run every step is served by the step
+  // cache, so the commits of both threads land at one virtual instant.
+  // The ADG derived from the history orders them alike, live and after
+  // the session was evicted and reopened.
+  DaemonHarness h(FreshDir("daemon_tie"));
+  h.max_open_sessions = 1;
+  ASSERT_TRUE(h.Boot().ok());
+  for (int k = 0; k < 3; ++k) {
+    for (const std::string thread : {"a", "b"}) {
+      h.Ok("submit ~session=tie ~thread=" + thread +
+           " ~template=Create_Logic_Description ~out=cell.logic ~seed=5");
+    }
+  }
+  std::string drained = h.Ok("drain");
+  EXPECT_NE(drained.find("~done=6"), std::string::npos) << drained;
+  ReplayFingerprint live = Fingerprint(h, {"tie"});
+  ASSERT_NE(live.adg.find("|1\n"), std::string::npos)  // reuse edges
+      << live.adg;
+
+  // Opening another session evicts "tie" under the one-session cap.
+  ASSERT_TRUE(h.daemon->OpenSession("other").ok());
+  ASSERT_EQ(h.daemon->open_sessions(), 1);
+  ExpectSameFingerprint(live, Fingerprint(h, {"tie"}));
 }
 
 TEST(DaemonTest, GracefulShutdownCheckpointsTheQueue) {

@@ -94,6 +94,19 @@ TEST_F(TaskManagerTest, InvocationValidation) {
   EXPECT_TRUE(manager_.Invoke(inv).status().IsInvalidArgument());
 }
 
+TEST_F(TaskManagerTest, MissingInputIsRefusedBeforeAnyStepRuns) {
+  TaskInvocation inv;
+  inv.template_name = "Padp";
+  inv.inputs = {ObjectId{"nothere", 3}};
+  inv.output_names = {"nothere.padded"};
+  auto rec = manager_.Invoke(inv);
+  ASSERT_TRUE(rec.status().IsNotFound()) << rec.status().ToString();
+  EXPECT_NE(rec.status().message().find("nothere@3"), std::string::npos)
+      << rec.status().ToString();
+  EXPECT_EQ(clock_.NowMicros(), 0);
+  EXPECT_EQ(manager_.steps_executed(), 0);
+}
+
 TEST_F(TaskManagerTest, StructureSynthesisFullFlow) {
   ObjectId in = MustCreate("shifter", BehavioralSpec{8, 8, 12, 77});
   ObjectId cmds = MustCreate("sim.cmd", TextData{"run 100"});
