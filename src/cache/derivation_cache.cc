@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <unordered_set>
 
 #include "base/hash.h"
 #include "base/strings.h"
@@ -147,8 +148,8 @@ std::optional<SharedFetch> DerivationCache::ProbeShared(
   return result;
 }
 
-void DerivationCache::PublishSharedLocked(const CacheEntry& entry) {
-  if (store_ == nullptr || entry.content_key.empty()) return;
+bool DerivationCache::PublishSharedLocked(const CacheEntry& entry) {
+  if (store_ == nullptr || entry.content_key.empty()) return false;
   storage::CasEntryMeta meta;
   meta.tool = entry.tool;
   meta.tool_version = entry.tool_version;
@@ -159,23 +160,38 @@ void DerivationCache::PublishSharedLocked(const CacheEntry& entry) {
   outputs.reserve(entry.outputs.size());
   for (const CachedOutput& out : entry.outputs) {
     auto rec = db_->Peek(out.id);
-    if (!rec.ok() || (*rec)->reclaimed) return;  // no longer publishable
+    if (!rec.ok() || (*rec)->reclaimed) return false;  // not publishable
     storage::CasPublishOutput pub;
     pub.name_hint = out.id.name;
     pub.visible = out.visible;
     pub.bytes = oct::EncodePayloadText((*rec)->payload);
     outputs.push_back(std::move(pub));
   }
-  (void)store_->Publish(entry.content_key, meta, outputs);
+  return store_->Publish(entry.content_key, meta, outputs).ok();
 }
 
 void DerivationCache::FlushSharedPublications() {
   base::MutexLock lock(mu_);
-  if (store_ == nullptr) {
-    unpublished_.clear();
-    return;
+  if (unpublished_.empty()) return;
+  if (store_ != nullptr) {
+    // One batched question instead of a publication per entry: a key the
+    // store already holds is left as it is (no `touch`, no replacement).
+    std::vector<std::string> keys;
+    keys.reserve(unpublished_.size());
+    for (EntryRef ref : unpublished_) {
+      keys.push_back(ref->second.entry.content_key);
+    }
+    std::unordered_set<std::string> missing = store_->Missing(keys);
+    for (EntryRef ref : unpublished_) {
+      // Entries sharing a content key publish it once; a later one gets
+      // its turn when an earlier one's outputs were no longer readable.
+      const CacheEntry& entry = ref->second.entry;
+      if (missing.count(entry.content_key) != 0 &&
+          PublishSharedLocked(entry)) {
+        missing.erase(entry.content_key);
+      }
+    }
   }
-  for (EntryRef ref : unpublished_) PublishSharedLocked(ref->second.entry);
   unpublished_.clear();
 }
 
@@ -250,13 +266,16 @@ const CacheEntry* DerivationCache::Probe(
 
 bool DerivationCache::Record(std::string key, CacheEntry entry) {
   base::MutexLock lock(mu_);
-  if (!RecordLocked(std::move(key), std::move(entry))) return false;
+  if (!RecordLocked(std::move(key), std::move(entry), auto_publish_)) {
+    return false;
+  }
   ++stats_.recorded;
   if (c_recorded_ != nullptr) c_recorded_->Increment();
   return true;
 }
 
-bool DerivationCache::RecordLocked(std::string key, CacheEntry entry) {
+bool DerivationCache::RecordLocked(std::string key, CacheEntry entry,
+                                   bool publish_now) {
   for (CachedOutput& out : entry.outputs) {
     auto rec = db_->Peek(out.id);
     if (!rec.ok() || (*rec)->reclaimed) return false;
@@ -277,14 +296,15 @@ bool DerivationCache::RecordLocked(std::string key, CacheEntry entry) {
   for (const oct::ObjectId& in : stored.inputs) IndexVersion(in, ref);
   TouchPut(ref);
   if (store_ != nullptr && !stored.content_key.empty()) {
-    if (auto_publish_) {
+    if (publish_now) {
       // Standalone session: commit is this process's durability point, so
       // the derivation becomes shareable immediately.
       PublishSharedLocked(stored);
     } else {
-      // Daemon session: hold publication until the snapshot carrying this
-      // entry durably lands (FlushSharedPublications), so a crash cannot
-      // leak outputs of a commit that never survived.
+      // Held for FlushSharedPublications. A daemon session flushes after
+      // the save carrying the entry durably landed, so a crash cannot leak
+      // outputs of a commit that never survived; a restored entry waits
+      // for the flush that ends the reopen.
       unpublished_.insert(ref);
     }
   }
@@ -299,7 +319,7 @@ bool DerivationCache::Restore(CacheEntry entry) {
                             entry.canonical_options, entry.seed_salt,
                             entry.inputs);
   base::MutexLock lock(mu_);
-  return RecordLocked(std::move(key), std::move(entry));
+  return RecordLocked(std::move(key), std::move(entry), /*publish_now=*/false);
 }
 
 void DerivationCache::OnVersionReclaimed(const oct::ObjectId& id) {

@@ -184,10 +184,13 @@ class DerivationCache {
   ///    immediately — a commit is this process's durability point.
   ///  - `!auto_publish` (papyrusd): entries queue as unpublished until
   ///    FlushSharedPublications(), which the daemon calls only after the
-  ///    session snapshot durably landed. Publishing after — never before —
-  ///    the snapshot keeps crashy and crash-free runs byte-identical: a
+  ///    session save durably landed. Publishing after — never before —
+  ///    the save keeps crashy and crash-free runs byte-identical: a
   ///    task that re-runs after a crash sees exactly the store its
   ///    durably-committed predecessors built, nothing more.
+  ///  - Either way, Restore() queues: a reopen (Papyrus::OpenStorage)
+  ///    ends with one flush, which publishes only the restored keys the
+  ///    store lacks.
   ///  - `probe`: when false the store is write-through only (published to,
   ///    never fetched from) — used by benches/CI to re-derive content
   ///    independently and measure deduplication.
@@ -208,8 +211,11 @@ class DerivationCache {
   std::optional<SharedFetch> ProbeShared(const std::string& content_key)
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
-  /// Publishes every entry recorded while auto_publish was off. The
-  /// daemon calls this right after its durable session save.
+  /// Publishes the queued entries (recorded while auto_publish was off,
+  /// or restored) whose content keys the store lacks, asked in one batch
+  /// (ContentStore::Missing); a held key is neither touched nor replaced.
+  /// Free on an empty queue. The daemon calls this right after each
+  /// durable session save, and every reopen ends with it.
   void FlushSharedPublications()
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
@@ -240,7 +246,8 @@ class DerivationCache {
   /// Re-inserts a persisted entry (the key is recomputed from the entry's
   /// own components). Used by snapshot restore and WAL replay; a restored
   /// entry was counted when it was first recorded, so it is not counted
-  /// again.
+  /// again, and it queues for the next FlushSharedPublications instead of
+  /// publishing.
   bool Restore(CacheEntry entry)
       PAPYRUS_REQUIRES(base::engine_thread) PAPYRUS_EXCLUDES(mu_);
 
@@ -349,12 +356,15 @@ class DerivationCache {
   void TouchPut(EntryRef ref) PAPYRUS_REQUIRES(mu_);
   void TouchRemoved(const std::string& key) PAPYRUS_REQUIRES(mu_);
   void ClearWalDirt() PAPYRUS_REQUIRES(mu_);
-  bool RecordLocked(std::string key, CacheEntry entry)
+  /// `publish_now`: publish to the shared store at once instead of
+  /// queueing for FlushSharedPublications.
+  bool RecordLocked(std::string key, CacheEntry entry, bool publish_now)
       PAPYRUS_REQUIRES(mu_, base::engine_thread);
   /// Encodes the entry's output payloads (read from the database) and
   /// publishes them under entry.content_key. No-op for entries without a
-  /// content key or outputs that are no longer readable.
-  void PublishSharedLocked(const CacheEntry& entry)
+  /// content key or outputs that are no longer readable. True when the
+  /// store accepted the publication.
+  bool PublishSharedLocked(const CacheEntry& entry)
       PAPYRUS_REQUIRES(mu_, base::engine_thread);
   void InvalidateVersionLocked(const oct::ObjectId& id)
       PAPYRUS_REQUIRES(mu_, base::engine_thread);
@@ -380,9 +390,9 @@ class DerivationCache {
   storage::ContentStore* store_ PAPYRUS_GUARDED_BY(mu_) = nullptr;
   bool auto_publish_ PAPYRUS_GUARDED_BY(mu_) = true;
   bool probe_shared_ PAPYRUS_GUARDED_BY(mu_) = true;
-  /// Entries recorded while auto_publish was off, awaiting
-  /// FlushSharedPublications (the daemon's post-snapshot publish point),
-  /// which publishes them in key order.
+  /// Entries recorded while auto_publish was off, or restored, awaiting
+  /// FlushSharedPublications (the daemon's post-save publish point, and
+  /// the end of every reopen), which publishes them in key order.
   std::set<EntryRef, KeyLess> unpublished_ PAPYRUS_GUARDED_BY(mu_);
 
   // Storage-engine dirty state, first-dirtied order, deduplicated by key.

@@ -338,6 +338,10 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
     // a generation, whose WAL reset starts a fresh current-format log.
     PAPYRUS_RETURN_IF_ERROR(WriteGeneration());
   }
+  // The restored derivations are durable by definition. Publish the ones
+  // the shared store lacks: those a crash kept from their post-save
+  // flush, or every one when the store was wiped.
+  step_cache_->FlushSharedPublications();
   SyncStorageMetrics();
   return Status::OK();
 }

@@ -173,7 +173,9 @@ class Papyrus {
   /// applied; both are reported through last_restore_stats(). A WAL of an
   /// older header version, or one that ended in a torn batch, is folded
   /// into a generation after replay, so new records always start a
-  /// current-format log.
+  /// current-format log. With a shared store attached, the open ends by
+  /// publishing the restored derivations whose content keys the store
+  /// lacks; entries it already holds are left untouched.
   Status OpenStorage(const std::string& directory);
 
   bool storage_open() const { return store_ != nullptr; }
@@ -217,7 +219,7 @@ class Papyrus {
   /// Attaches an externally owned shared store (the daemon's, shared by
   /// every managed session). With `auto_publish` false, publications are
   /// held until step_cache().FlushSharedPublications() — the daemon calls
-  /// it only after the snapshot carrying the entries is durable.
+  /// it only after the save carrying the entries is durable.
   void AttachSharedStore(storage::ContentStore* store, bool auto_publish) {
     step_cache_->AttachSharedStore(store, auto_publish);
   }

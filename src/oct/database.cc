@@ -1,5 +1,6 @@
 #include "oct/database.h"
 
+#include "base/macros.h"
 #include "base/strings.h"
 #include "base/thread_annotations.h"
 
@@ -104,8 +105,7 @@ const ObjectRecord* OctDatabase::Find(const ObjectId& id) const {
   return const_cast<OctDatabase*>(this)->Find(id);
 }
 
-Result<const ObjectRecord*> OctDatabase::Get(const ObjectId& id) {
-  ObjectRecord* rec = Find(id);
+Status OctDatabase::Readable(const ObjectRecord* rec, const ObjectId& id) {
   if (rec == nullptr) {
     return Status::NotFound("no such object: " + id.ToString());
   }
@@ -115,6 +115,16 @@ Result<const ObjectRecord*> OctDatabase::Get(const ObjectId& id) {
   if (rec->reclaimed) {
     return Status::NotFound("object was reclaimed: " + id.ToString());
   }
+  return Status::OK();
+}
+
+Status OctDatabase::CheckReadable(const ObjectId& id) const {
+  return Readable(Find(id), id);
+}
+
+Result<const ObjectRecord*> OctDatabase::Get(const ObjectId& id) {
+  ObjectRecord* rec = Find(id);
+  PAPYRUS_RETURN_IF_ERROR(Readable(rec, id));
   // The access-time bump is persisted state (it drives §5.4 aging), so a
   // read dirties the record for the journal.
   rec->last_access_micros = clock_->NowMicros();
@@ -255,10 +265,6 @@ void OctDatabase::Unpin(const ObjectId& id) {
 bool OctDatabase::IsPinned(const ObjectId& id) const {
   const ObjectRecord* rec = Find(id);
   return rec != nullptr && rec->pin_count > 0;
-}
-
-bool OctDatabase::Exists(const ObjectId& id) const {
-  return Find(id) != nullptr;
 }
 
 int64_t OctDatabase::TotalLiveBytes() const {

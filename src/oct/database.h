@@ -95,11 +95,15 @@ class OctDatabase {
                                  const std::string& creator_tool = "")
       PAPYRUS_REQUIRES(base::engine_thread);
 
-  /// Looks up a specific version. Fails with NotFound for unknown ids,
-  /// invisible ("deleted") versions, and reclaimed versions.
+  /// Looks up a specific version. Fails as CheckReadable does.
   /// Updates the record's last-access time (hence engine-only).
   Result<const ObjectRecord*> Get(const ObjectId& id)
       PAPYRUS_REQUIRES(base::engine_thread);
+
+  /// OK when Get would return the version: NotFound for unknown ids,
+  /// invisible ("deleted") versions, and reclaimed versions. Bumps no
+  /// access time, so it journals nothing.
+  Status CheckReadable(const ObjectId& id) const;
 
   /// Looks up without updating access time or filtering invisible records.
   /// Used by managers that need bookkeeping state (reclaimer, renderers).
@@ -154,8 +158,6 @@ class OctDatabase {
       PAPYRUS_REQUIRES(base::engine_thread) {
     pinned_reclaim_handler_ = std::move(fn);
   }
-
-  bool Exists(const ObjectId& id) const;
 
   /// Sum of payload bytes of all non-reclaimed versions.
   int64_t TotalLiveBytes() const;
@@ -222,6 +224,8 @@ class OctDatabase {
 
   ObjectRecord* Find(const ObjectId& id);
   const ObjectRecord* Find(const ObjectId& id) const;
+  /// CheckReadable of `rec`, the record Find returned for `id`.
+  static Status Readable(const ObjectRecord* rec, const ObjectId& id);
   /// Records a persisted-state mutation of (sym, version) for the WAL
   /// drain.
   void MarkDirty(base::Symbol sym, int version);

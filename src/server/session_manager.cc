@@ -35,10 +35,6 @@ Result<std::unique_ptr<ManagedSession>> ManagedSession::Open(
   }
 
   PAPYRUS_RETURN_IF_ERROR(managed->session_->OpenStorage(directory));
-  // The restored state is durable by definition: flush publications the
-  // crashed incarnation held back (idempotent — whatever its missing
-  // flush would have published).
-  managed->session_->step_cache().FlushSharedPublications();
 
   // Intra-session chaos lands after restore so crash times are relative
   // to the restored virtual clock.

@@ -63,10 +63,12 @@ class ManagedSession {
   /// trace span every session and incarnation.
   /// `shared_store` (optional, not owned — the daemon's, shared by every
   /// hosted session) is attached with deferred publication: entries land
-  /// in the store only after the snapshot generation carrying them is
-  /// durable, so a daemon crash can never leak outputs of a commit that
-  /// did not survive. Entries restored from CURRENT republish at Open
-  /// (idempotent — they are durable by definition).
+  /// in the store only after the save carrying them is durable, so a
+  /// daemon crash can never leak outputs of a commit that did not
+  /// survive. Restored entries are durable by definition: the reopen
+  /// publishes those whose keys the store lacks (a crash between a save's
+  /// WAL commit and its flush, or a wiped store), and leaves the ones it
+  /// holds untouched (Papyrus::OpenStorage).
   static Result<std::unique_ptr<ManagedSession>> Open(
       const std::string& directory, const std::string& name,
       const SessionConfig& config, const obs::Observability& obs = {},

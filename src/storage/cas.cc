@@ -65,11 +65,18 @@ Result<std::unique_ptr<ContentStore>> ContentStore::Open(
       store->journal_.Open(std::move(journal), apply, reload));
 
   // An entry whose blob file vanished (partial crash, manual damage) can
-  // never be fetched; drop it now so the index matches the disk.
+  // never be fetched; drop it now so the index matches the disk. Each
+  // blob is looked up once, however many entries share it.
+  std::set<std::string> vanished;
+  for (const auto& [hash, blob] : store->blobs_) {
+    if (!std::filesystem::exists(store->BlobPath(hash), ec)) {
+      vanished.insert(hash);
+    }
+  }
   std::vector<std::string> broken;
   for (const auto& [key, entry] : store->entries_) {
     for (const CasOutput& out : entry.outputs) {
-      if (!std::filesystem::exists(store->BlobPath(out.blob_hash), ec)) {
+      if (vanished.count(out.blob_hash) != 0) {
         broken.push_back(key);
         break;
       }
@@ -401,6 +408,19 @@ Result<CasFetchResult> ContentStore::Fetch(const std::string& key) {
   if (c_hits_ != nullptr) c_hits_->Increment();
   (void)MaybeCheckpoint();
   return result;
+}
+
+std::unordered_set<std::string> ContentStore::Missing(
+    const std::vector<std::string>& keys) {
+  base::MutexLock lock(mu_);
+  // Not synced, the index may lag a sibling's publications: report every
+  // key, and let Publish, which syncs itself, settle each one.
+  const bool synced = journal_.Sync().ok();
+  std::unordered_set<std::string> missing;
+  for (const std::string& key : keys) {
+    if (!synced || entries_.count(key) == 0) missing.insert(key);
+  }
+  return missing;
 }
 
 bool ContentStore::Contains(const std::string& key) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "base/mutex.h"
@@ -156,6 +157,14 @@ class ContentStore {
   /// True iff an entry exists (no verification, no LRU refresh). Consults
   /// and feeds the negative-entry cache like Fetch.
   bool Contains(const std::string& key) PAPYRUS_EXCLUDES(mu_);
+
+  /// The subset of `keys` the store holds no entry for, after one sync
+  /// with siblings under one lock. Writes no journal line, refreshes no
+  /// LRU position, and neither consults nor feeds the negative-entry
+  /// cache: a reopened session asks it which restored derivations to
+  /// publish. When the sync fails, every key is reported.
+  std::unordered_set<std::string> Missing(const std::vector<std::string>& keys)
+      PAPYRUS_EXCLUDES(mu_);
 
   /// Compacts the journal into the checkpoint immediately.
   Status Checkpoint() PAPYRUS_EXCLUDES(mu_);

@@ -365,12 +365,14 @@ Status Execution::Init() {
         " outputs, got " +
         std::to_string(invocation_.output_names.size()));
   }
-  // Every input must name a version that exists before anything runs.
-  // Exists, not Get: Get bumps the record's access time, which journals.
+  // Every input must name a version a step can read before anything
+  // runs. CheckReadable, not Get: Get bumps the record's access time,
+  // which journals.
   for (const oct::ObjectId& id : invocation_.inputs) {
-    if (!mgr_->db_->Exists(id)) {
-      return Status::NotFound("task " + template_->name + " input " +
-                              id.ToString() + " does not exist");
+    Status readable = mgr_->db_->CheckReadable(id);
+    if (!readable.ok()) {
+      return Status::NotFound("task " + template_->name + " input: " +
+                              readable.message());
     }
   }
   // Pre-flight static verification: lint the template against the tool

@@ -3,9 +3,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "base/hash.h"
@@ -14,6 +16,7 @@
 #include "core/papyrus.h"
 #include "oct/design_data.h"
 #include "server/daemon.h"
+#include "server/session_manager.h"
 #include "storage/cas.h"
 #include "task/task_manager.h"
 
@@ -385,6 +388,27 @@ TEST(ContentStoreTest, TwoWritersOnOneRootKeepEachOthersEntries) {
   EXPECT_TRUE(fs::exists(BlobFile(root, "b after")));
 }
 
+TEST(ContentStoreTest, MissingNamesAbsentKeysAndWritesNothing) {
+  std::string root = FreshDir("missing");
+  auto store = ContentStore::Open(root);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(
+      (*store)->Publish("key-a", Meta("misII"), OneOutput("aaaa")).ok());
+  const fs::path journal = fs::path(root) / "cas.journal";
+  const std::string journal_bytes = ReadAll(journal);
+  const CasStats before = (*store)->stats();
+
+  auto missing = (*store)->Missing({"key-a", "absent", "absent"});
+  EXPECT_EQ(missing, std::unordered_set<std::string>{"absent"});
+  // No journal line (so no LRU touch and no fsync), no negative entry.
+  EXPECT_EQ(ReadAll(journal), journal_bytes);
+  const CasStats after = (*store)->stats();
+  EXPECT_EQ(after.journal_syncs, before.journal_syncs);
+  EXPECT_EQ(after.neg_entries, 0);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits);
+}
+
 // ---------------------------------------------------------------------------
 // Eviction
 // ---------------------------------------------------------------------------
@@ -515,13 +539,13 @@ struct FlowRun {
   std::vector<ObjectId> outputs;
 };
 
-FlowRun RunFlow(Papyrus& session, const ObjectId& spec,
-                const ObjectId& cmds) {
+FlowRun RunFlow(Papyrus& session, const ObjectId& spec, const ObjectId& cmds,
+                uint64_t seed = 42) {
   task::TaskInvocation inv;
   inv.template_name = "Structure_Synthesis";
   inv.inputs = {spec, cmds};
   inv.output_names = {"spec.layout", "spec.stats"};
-  inv.seed = 42;
+  inv.seed = seed;
   FlowRun r;
   int64_t e0 = session.task_manager().steps_executed();
   int64_t l0 = session.task_manager().steps_elided();
@@ -544,6 +568,25 @@ std::vector<std::string> OutputHashes(Papyrus& session,
     hashes.push_back(hash.ok() ? *hash : "");
   }
   return hashes;
+}
+
+/// Checks in the flow's inputs (the same bytes in every session) and runs
+/// it.
+FlowRun CheckInAndRunFlow(Papyrus& session, uint64_t seed = 42) {
+  auto spec = session.database().CreateVersion(
+      "spec", BehavioralSpec{8, 8, 12, 77});
+  auto cmds =
+      session.database().CreateVersion("sim.cmd", TextData{"run 100"});
+  return RunFlow(session, *spec, *cmds, seed);
+}
+
+/// A session hosted the way papyrusd hosts one: stored in `dir`, with
+/// deferred publication into `store`.
+Result<std::unique_ptr<server::ManagedSession>> OpenHosted(
+    const std::string& dir, ContentStore* store) {
+  server::SessionConfig config;
+  config.worker_threads = 1;
+  return server::ManagedSession::Open(dir, "hosted", config, {}, store);
 }
 
 TEST(SharedStoreSessionTest, FreshSessionElidesStepsAnotherSessionRan) {
@@ -724,6 +767,38 @@ TEST(SharedStoreSessionTest, SessionCacheSnapshotCarriesContentKeys) {
   EXPECT_GE(restored.shared_store()->stats().entries, 6);
 }
 
+TEST(SharedStoreSessionTest, ReopenAgainstAFullStoreAppendsNoJournalLine) {
+  // A reopen publishes only the restored derivations the store lacks.
+  // Here it holds all of them (from the section and from the WAL tail),
+  // so the reopen leaves the store's journal as it found it.
+  std::string store_dir = FreshDir("reopen_full");
+  std::string snap_dir = FreshDir("reopen_full_snap");
+  SessionOptions options;
+  options.shared_store_path = store_dir;
+  {
+    Papyrus session(options);
+    ASSERT_TRUE(session.OpenStorage(snap_dir).ok());
+    ASSERT_TRUE(CheckInAndRunFlow(session).committed);
+    ASSERT_TRUE(session.SaveGeneration().ok());
+    ASSERT_TRUE(CheckInAndRunFlow(session, /*seed=*/43).committed);
+    ASSERT_TRUE(session.CommitWal().ok());
+  }
+
+  // Opening the store may fold the first session's journal lines into a
+  // checkpoint; the session's own reopen must add none.
+  Papyrus restored(options);
+  const fs::path journal = fs::path(store_dir) / "cas.journal";
+  const std::string journal_bytes = ReadAll(journal);
+  const CasStats before = restored.shared_store()->stats();
+  ASSERT_TRUE(restored.OpenStorage(snap_dir).ok());
+  EXPECT_EQ(restored.step_cache().size(), 12u);
+  EXPECT_EQ(ReadAll(journal), journal_bytes);
+  const CasStats after = restored.shared_store()->stats();
+  EXPECT_EQ(after.journal_syncs, before.journal_syncs);
+  EXPECT_EQ(after.published, before.published);
+  EXPECT_EQ(after.entries, before.entries);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon integration: deferred publication + shared stat surface
 // ---------------------------------------------------------------------------
@@ -765,6 +840,79 @@ TEST(SharedStoreDaemonTest, PublishesOnlyDurablyCommittedDerivations) {
   auto restarted = server::PapyrusDaemon::Start(options);
   ASSERT_TRUE(restarted.ok());
   EXPECT_GE((*restarted)->shared_store().stats().entries, 6);
+}
+
+TEST(SharedStoreDaemonTest, ReopenAgainstAFullStoreLeavesItByteIdentical) {
+  // Every derivation a daemon session restores is already shared: the
+  // reopen asks the store which keys it lacks, finds none, and writes
+  // nothing — no `touch` line, no checkpoint, no fsync.
+  const std::string root = FreshDir("daemon_reopen_full");
+  const fs::path cas_dir = fs::path(root) / "cas";
+  auto store = ContentStore::Open(cas_dir.string());
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  {
+    auto opened = OpenHosted(root + "/alpha", store->get());
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    Papyrus& engine = (*opened)->session();
+    // One flow restores from a generation's cache section, the other from
+    // the WAL tail's `cput` records.
+    ASSERT_TRUE(CheckInAndRunFlow(engine).committed);
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+    ASSERT_TRUE(CheckInAndRunFlow(engine, /*seed=*/43).committed);
+    ASSERT_TRUE((*opened)->Save().ok());
+  }
+  const std::string journal = ReadAll(cas_dir / "cas.journal");
+  const std::string state = ReadAll(cas_dir / "cas.state");
+  const CasStats before = (*store)->stats();
+  EXPECT_EQ(before.entries, 12);
+
+  auto reopened = OpenHosted(root + "/alpha", store->get());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ((*reopened)->session().step_cache().size(), 12u);
+  EXPECT_EQ(ReadAll(cas_dir / "cas.journal"), journal);
+  EXPECT_EQ(ReadAll(cas_dir / "cas.state"), state);
+  const CasStats after = (*store)->stats();
+  EXPECT_EQ(after.journal_syncs, before.journal_syncs);
+  EXPECT_EQ(after.published, before.published);
+}
+
+TEST(SharedStoreDaemonTest, CommitWithoutItsFlushPublishesAtTheNextOpen) {
+  // The crash window between a save's WAL commit and its flush: the task
+  // is durable, its derivations never reached the store. The next open
+  // finds exactly those keys missing and publishes them.
+  const std::string root = FreshDir("daemon_crash_window");
+  auto store = ContentStore::Open(root + "/cas");
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  {
+    auto opened = OpenHosted(root + "/alpha", store->get());
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    ASSERT_TRUE(CheckInAndRunFlow((*opened)->session()).committed);
+    ASSERT_TRUE((*opened)->session().CommitWal().ok());
+    // Dropped right after the commit, as by a crash: no flush ran.
+  }
+  EXPECT_EQ((*store)->stats().entries, 0);
+
+  auto reopened = OpenHosted(root + "/alpha", store->get());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  std::set<std::string> keys;
+  auto collect = [&keys](const std::string&, const cache::CacheEntry& e) {
+    keys.insert(e.content_key);
+  };
+  (*reopened)->session().step_cache().ForEach(collect);
+  ASSERT_EQ(keys.size(), 6u);
+  const CasStats s = (*store)->stats();
+  EXPECT_EQ(s.published, 6);
+  EXPECT_EQ(s.entries, 6);
+  for (const std::string& key : keys) EXPECT_TRUE((*store)->Contains(key));
+
+  // Another session elides the whole flow through them.
+  auto beta = OpenHosted(root + "/beta", store->get());
+  ASSERT_TRUE(beta.ok()) << beta.status().message();
+  FlowRun run = CheckInAndRunFlow((*beta)->session());
+  ASSERT_TRUE(run.committed);
+  EXPECT_EQ(run.executed, 0);
+  EXPECT_EQ(run.elided, 6);
+  EXPECT_EQ((*beta)->session().step_cache().stats().shared_hits, 6);
 }
 
 }  // namespace

@@ -107,6 +107,41 @@ TEST_F(TaskManagerTest, MissingInputIsRefusedBeforeAnyStepRuns) {
   EXPECT_EQ(manager_.steps_executed(), 0);
 }
 
+TEST_F(TaskManagerTest, InvisibleInputIsRefusedBeforeAnyStepRuns) {
+  // Erased by rework: the version exists, but no step may read it.
+  ObjectId cell = MustCreate("cell", Layout{.num_cells = 5, .area = 900.0});
+  ASSERT_TRUE(db_.MarkInvisible(cell).ok());
+  TaskInvocation inv;
+  inv.template_name = "Padp";
+  inv.inputs = {cell};
+  inv.output_names = {"cell.padded"};
+  auto rec = manager_.Invoke(inv);
+  ASSERT_TRUE(rec.status().IsNotFound()) << rec.status().ToString();
+  EXPECT_NE(rec.status().message().find("object is not visible: cell@1"),
+            std::string::npos)
+      << rec.status().ToString();
+  EXPECT_EQ(clock_.NowMicros(), 0);
+  EXPECT_EQ(manager_.steps_executed(), 0);
+}
+
+TEST_F(TaskManagerTest, ReclaimedInputIsRefusedBeforeAnyStepRuns) {
+  // Reclamation frees the payload and hides the version; Get reports the
+  // latter first, so the refusal reads as the invisible case does.
+  ObjectId cell = MustCreate("cell", Layout{.num_cells = 5, .area = 900.0});
+  ASSERT_TRUE(db_.Reclaim(cell).ok());
+  TaskInvocation inv;
+  inv.template_name = "Padp";
+  inv.inputs = {cell};
+  inv.output_names = {"cell.padded"};
+  auto rec = manager_.Invoke(inv);
+  ASSERT_TRUE(rec.status().IsNotFound()) << rec.status().ToString();
+  EXPECT_NE(rec.status().message().find("object is not visible: cell@1"),
+            std::string::npos)
+      << rec.status().ToString();
+  EXPECT_EQ(clock_.NowMicros(), 0);
+  EXPECT_EQ(manager_.steps_executed(), 0);
+}
+
 TEST_F(TaskManagerTest, StructureSynthesisFullFlow) {
   ObjectId in = MustCreate("shifter", BehavioralSpec{8, 8, 12, 77});
   ObjectId cmds = MustCreate("sim.cmd", TextData{"run 100"});
