@@ -16,15 +16,23 @@
 // Two counts that do not depend on timing are gated too:
 // `wal_bytes_per_step`, the WAL bytes the deep end's commits wrote per
 // step (papyrus.wal.bytes_written: a new history node is journaled
-// without re-journaling its parent), and `extra_lints`, the pre-flight
-// lints beyond one per session (papyrus.lint.templates_linted: a
-// template is linted once per version, not once per invocation).
+// without re-journaling its parent, as its section lines), and
+// `extra_lints`, the pre-flight lints beyond one per session
+// (papyrus.lint.templates_linted: a template is linted once per version,
+// not once per invocation).
+//
+// `reopen_over_run` gates recovery against the work it recovers: the
+// process CPU of OpenStorage on the deep end's store (its whole history
+// replayed from the WAL) per history step, over the deep end's CPU per
+// step of Invoke + CommitWal. Both are CPU time of the same process, so
+// a shared host's load mostly cancels out of the ratio.
 //
 // Flags:
 //   --smoke    stop at 2x10^4 steps (before the paired ends); exit
-//              non-zero unless every invocation committed,
-//              deep_over_shallow <= 2.0, wal_bytes_per_step is within
-//              its floor and extra_lints is 0
+//              non-zero unless every invocation committed and the
+//              reopen succeeded, deep_over_shallow <= 2.0,
+//              wal_bytes_per_step and reopen_over_run are within their
+//              floors and extra_lints is 0
 //   --json F   write the per-invocation table to F (default
 //              BENCH_flow_scale.json; "" disables)
 
@@ -60,10 +68,17 @@ constexpr int kDiamonds = 120;
 constexpr int64_t kFullHistory = 100'000;
 constexpr int64_t kSmokeHistory = 20'000;
 constexpr double kMaxDeepOverShallow = 2.0;
-/// 5% above the 541.5 WAL bytes per step that journaling only the new
-/// node writes at 10^5 steps (525.5 at the smoke depth). Re-journaling
-/// each invocation's parent node as well writes about a third more.
-constexpr double kMaxWalBytesPerStep = 569.0;
+/// 5% above the 463.7 WAL bytes per step that journaling only the new
+/// node, as its section lines, writes at 10^5 steps (447.6 at the smoke
+/// depth). Percent-encoding those lines into one field wrote 541.6
+/// (525.6); re-journaling each invocation's parent node as well writes
+/// about a third more again.
+constexpr double kMaxWalBytesPerStep = 487.0;
+/// 1.5x the 0.33 (median of 7 runs, 0.23-0.39) that replay through one
+/// in-place line parser reads at 10^5 steps (0.21-0.36 at the smoke
+/// depth); splitting every record into strings and decoding each node
+/// block twice read 0.41-0.71 (median 0.62).
+constexpr double kMaxReopenOverRun = 0.5;
 constexpr int kEnds = 5;  // invocations per end of the ratio
 
 /// Uniform in [lo, hi]. A modulo of the raw draw, not a std::
@@ -238,7 +253,6 @@ class Driver {
     return session_.task_manager().templates_linted();
   }
 
- private:
   static SessionOptions Options() {
     SessionOptions options;
     options.num_workstations = 4;
@@ -246,6 +260,7 @@ class Driver {
     return options;
   }
 
+ private:
   Papyrus session_;
   obs::Counter* wal_bytes_ =
       session_.metrics().FindOrCreateCounter(obs::kWalBytesWritten);
@@ -296,6 +311,22 @@ Status Run(const std::string& flow, const std::string& dir,
   }
   *lints = deep_driver.templates_linted() + fresh_driver.templates_linted();
   return Status::OK();
+}
+
+/// Process CPU µs per history step of OpenStorage on `dir`, a store of
+/// `history_steps` steps that no session holds any more: the reopen
+/// replays the whole history from the WAL.
+Result<double> ReopenCpuPerStep(const std::string& flow,
+                                const std::string& dir,
+                                int64_t history_steps) {
+  Papyrus session(Driver::Options());
+  PAPYRUS_RETURN_IF_ERROR(session.AddTemplate(flow));
+  const int64_t cpu0 = CpuMicros();
+  PAPYRUS_RETURN_IF_ERROR(session.OpenStorage(dir));
+  const int64_t cpu = CpuMicros() - cpu0;
+  return history_steps > 0
+             ? static_cast<double>(cpu) / static_cast<double>(history_steps)
+             : 0.0;
 }
 
 /// Median µs/step of the fresh session's invocations (shallow) and of the
@@ -373,9 +404,17 @@ struct Counts {
   int64_t extra_lints() const { return lints - 2; }
 };
 
+/// The deep end's reopen: CPU µs per history step, and that over the deep
+/// end's CPU µs per step of Invoke + CommitWal.
+struct Reopen {
+  double cpu_us_per_step = 0.0;
+  double over_run = 0.0;
+};
+
 void WriteJson(const std::string& path, const std::vector<Invocation>& runs,
                const std::vector<Invocation>& reference, const Ends& cpu,
-               const Ends& wall, const Counts& counts, bool smoke) {
+               const Ends& wall, const Counts& counts, const Reopen& reopen,
+               bool smoke) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"flow_scale\",\n"
       << "  \"flow\": {\"steps\": " << kFlowSteps << ", \"seed\": " << kSeed
@@ -392,18 +431,23 @@ void WriteJson(const std::string& path, const std::vector<Invocation>& runs,
       << ",\n  \"deep_us_per_step\": " << wall.deep
       << ",\n  \"wall_deep_over_shallow\": " << wall.ratio
       << ",\n  \"wal_bytes_per_step\": " << counts.wal_bytes_per_step
+      << ",\n  \"reopen_cpu_us_per_step\": " << reopen.cpu_us_per_step
+      << ",\n  \"reopen_over_run\": " << reopen.over_run
       << ",\n  \"lints\": " << counts.lints << ", \"sessions\": 2"
       << ", \"extra_lints\": " << counts.extra_lints() << ",\n";
   WriteInvocations(out, "invocations", runs);
   WriteInvocations(out, "reference", reference);
   // Regression floors enforced by tools/check_bench.py: the engine's CPU
   // cost per step at the deep end stays within 2x the shallow end, a
-  // commit journals no more than the new node, each session lints the
+  // commit journals no more than the new node, a reopen replays a step
+  // in a bounded share of what running it cost, each session lints the
   // flow once, and every invocation of both sessions commits.
   out << "  \"floors\": {\n"
       << "    \"deep_over_shallow\": {\"max\": " << kMaxDeepOverShallow
       << "},\n"
       << "    \"wal_bytes_per_step\": {\"max\": " << kMaxWalBytesPerStep
+      << "},\n"
+      << "    \"reopen_over_run\": {\"max\": " << kMaxReopenOverRun
       << "},\n"
       << "    \"extra_lints\": {\"max\": 0},\n"
       << "    \"invocations/*/committed\": {\"eq\": true},\n"
@@ -447,14 +491,22 @@ int main(int argc, char** argv) {
   papyrus::Status st = Run(flow, dir, smoke ? kSmokeHistory : kFullHistory,
                            &runs, &reference, &counts.lints);
   counts.wal_bytes_per_step = WalBytesPerStep(runs);
+  const Ends cpu =
+      MeasureEnds(runs, reference, &Invocation::cpu_us_per_step);
+  const Ends wall = MeasureEnds(runs, reference, &Invocation::us_per_step);
+  Reopen reopen;
+  if (st.ok() && !runs.empty()) {
+    auto per_step =
+        ReopenCpuPerStep(flow, dir + "/deep", runs.back().history_steps);
+    st = per_step.status();
+    if (st.ok()) reopen.cpu_us_per_step = *per_step;
+    if (cpu.deep > 0.0) reopen.over_run = reopen.cpu_us_per_step / cpu.deep;
+  }
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   if (!st.ok()) {
     std::fprintf(stderr, "flow failed: %s\n", st.ToString().c_str());
   }
-  const Ends cpu =
-      MeasureEnds(runs, reference, &Invocation::cpu_us_per_step);
-  const Ends wall = MeasureEnds(runs, reference, &Invocation::us_per_step);
   const bool committed = st.ok() && !runs.empty();
   std::printf("\nwall us/step at 1k %.1f, 10k %.1f", UsPerStepAt(runs, 1'000),
               UsPerStepAt(runs, 10'000));
@@ -470,13 +522,19 @@ int main(int argc, char** argv) {
       " for 2 sessions (extra_lints %" PRId64 ", floor <= 0)\n",
       counts.wal_bytes_per_step, kMaxWalBytesPerStep, counts.lints,
       counts.extra_lints());
+  std::printf(
+      "reopen_over_run %.3f (%.2f reopen / %.1f run CPU us/step, floor <= "
+      "%.2f)\n",
+      reopen.over_run, reopen.cpu_us_per_step, cpu.deep, kMaxReopenOverRun);
   if (!json_path.empty()) {
-    WriteJson(json_path, runs, reference, cpu, wall, counts, smoke);
+    WriteJson(json_path, runs, reference, cpu, wall, counts, reopen, smoke);
   }
   const bool ok = committed && cpu.ratio > 0.0 &&
                   cpu.ratio <= kMaxDeepOverShallow &&
                   counts.wal_bytes_per_step > 0.0 &&
                   counts.wal_bytes_per_step <= kMaxWalBytesPerStep &&
+                  reopen.over_run > 0.0 &&
+                  reopen.over_run <= kMaxReopenOverRun &&
                   counts.extra_lints() <= 0;
   if (smoke) std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

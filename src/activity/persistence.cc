@@ -1,6 +1,7 @@
 #include "activity/persistence.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -22,13 +23,15 @@ void AppendPayload(const oct::DesignPayload& p, std::ostringstream* out) {
   *out << oct::EncodePayloadText(p);
 }
 
-Result<oct::DesignPayload> ParsePayload(
-    const std::vector<std::string>& f, size_t at) {
-  return oct::ParsePayloadFields(f, at);
-}
-
-std::vector<std::string> SplitLines(const std::string& text) {
-  return Split(text, '\n');
+/// Calls `visit` with each line of `text` (views, no copies); a last
+/// line without its newline counts too.
+template <typename Visit>
+void ForEachLine(std::string_view text, Visit visit) {
+  while (!text.empty()) {
+    const size_t nl = text.find('\n');
+    visit(text.substr(0, nl));
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  }
 }
 
 void AppendObjectList(const char* tag, int owner,
@@ -51,101 +54,109 @@ std::string AssembleV2(const std::string& header,
   out << header << '\n';
   std::string stream_text;
   int64_t count = 0;
-  for (const std::string& body : SplitLines(body_text)) {
-    if (body.empty()) continue;
+  ForEachLine(body_text, [&](std::string_view body) {
+    if (body.empty()) return;
     out << FrameLine(body) << '\n';
     stream_text += body;
     stream_text += '\n';
     ++count;
-  }
+  });
   out << "end " << count << ' ' << HexU64(Fnv1a(stream_text)) << '\n';
   return out.str();
 }
 
-/// Every '~'-prefixed (percent-encoded) field must decode strictly; a
-/// malformed escape in a line that passed its checksum is still damage.
-bool StrictFieldsOk(const std::vector<std::string>& f) {
-  for (const std::string& field : f) {
-    if (!field.empty() && field[0] == '~' && !DecodeFieldStrict(field).ok()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// A snapshot's records after the version check. Version 2 and later
-/// keep the longest valid prefix through the shared journal scan (strict
-/// field decoding is one more check a line must pass), then expect the
-/// unframed `end <count> <hex>` trailer; every other non-empty line left
-/// over counts as dropped. Version 1 (no checksums) has no recovery:
-/// every line but the trailer is a record.
+/// What a snapshot scan applied and dropped.
 struct SnapshotScan {
   int64_t version = 0;
-  /// Verified record bodies, already field-split.
-  std::vector<std::vector<std::string>> records;
+  int64_t records = 0;  // record lines applied
   bool clean = true;    // trailer present and it verified
   int64_t dropped = 0;  // record lines lost to damage
 
   void Report(RestoreStats* stats) const {
     if (stats == nullptr) return;
-    stats->records_restored += static_cast<int64_t>(records.size());
+    stats->records_restored += records;
     stats->records_dropped += dropped;
     stats->truncated |= !clean;
   }
 };
 
+/// Receives one record line of a snapshot of `version`, as it is read.
+using LineParser = std::function<Status(int64_t version, FieldCursor& line)>;
+
+/// Checks a snapshot's `<kind> <version>` header, then hands each record
+/// line to `apply` as it reads it. Version 2 and later keep the longest
+/// valid prefix through the shared journal scan: a line that fails its
+/// checksum ends it, and so does one with a field that fails its strict
+/// decode (FieldCursor::damaged). Then the unframed `end <count> <hex>`
+/// trailer is expected; every other non-empty line left over counts as
+/// dropped. An intact line that does not parse is a format error, and
+/// fails the restore rather than "recover". Version 1 (no checksums) has
+/// no recovery: every line but the trailer is a record.
 Result<SnapshotScan> ScanSnapshot(std::string_view text,
-                                  const std::string& kind,
-                                  int64_t max_version = 2) {
+                                  std::string_view kind,
+                                  int64_t max_version,
+                                  const LineParser& apply) {
   size_t header_end = std::min(text.find('\n'), text.size());
-  std::vector<std::string> head = SplitWhitespace(text.substr(0, header_end));
-  if (head.size() != 2 || head[0] != kind) {
-    return Status::InvalidArgument("not a " + kind + " snapshot");
+  FieldCursor head(text.substr(0, header_end));
+  const std::string_view tag = head.Next();
+  const std::string_view version = head.Next();
+  if (tag != kind || version.empty() || !head.AtEnd()) {
+    return Status::InvalidArgument("not a " + std::string(kind) +
+                                   " snapshot");
   }
   SnapshotScan scan;
-  scan.version = ParseI64(head[1]);
+  scan.version = ParseI64(version);
   if (scan.version < 1 || scan.version > max_version) {
-    return Status::InvalidArgument("unsupported " + kind + " version " +
-                                   head[1]);
+    return Status::InvalidArgument("unsupported " + std::string(kind) +
+                                   " version " + std::string(version));
   }
   std::string_view rest = text.substr(std::min(header_end + 1, text.size()));
+  Status error;
   if (scan.version == 1) {
-    for (const std::string& line : Split(rest, '\n')) {
-      std::vector<std::string> f = SplitWhitespace(line);
-      if (!f.empty() && f[0] != "end") scan.records.push_back(std::move(f));
-    }
+    ForEachLine(rest, [&](std::string_view line) {
+      FieldCursor f(line);
+      const std::string_view first = FieldCursor(line).Next();
+      if (!error.ok() || first.empty() || first == "end") return;
+      error = apply(scan.version, f);
+      ++scan.records;
+    });
+    PAPYRUS_RETURN_IF_ERROR(error);
     return scan;
   }
-  std::string stream_text;
+  uint64_t stream_hash = Fnv1a("");  // over every applied body + '\n'
   storage::JournalScan prefix =
       storage::ScanJournal(rest, 0, [&](std::string_view body) {
-        std::vector<std::string> f = SplitWhitespace(body);
-        if (f.empty() || !StrictFieldsOk(f)) return false;
-        stream_text.append(body);
-        stream_text += '\n';
-        scan.records.push_back(std::move(f));
+        FieldCursor f(body);
+        if (FieldCursor(body).AtEnd()) return false;
+        Status st = apply(scan.version, f);
+        if (!st.ok()) {
+          if (!f.damaged()) error = std::move(st);
+          return false;
+        }
+        stream_hash = Fnv1aAppend(Fnv1aAppend(stream_hash, body), "\n");
+        ++scan.records;
         return true;
       });
+  PAPYRUS_RETURN_IF_ERROR(error);
   rest.remove_prefix(prefix.valid_end);
   scan.clean = false;
   if (StartsWith(rest, "end ")) {
-    size_t nl = rest.find('\n');
-    std::vector<std::string> f = SplitWhitespace(rest.substr(0, nl));
+    const size_t nl = rest.find('\n');
+    FieldCursor f(rest.substr(0, nl));
+    f.Next();
+    const std::string_view count = f.Next();
     uint64_t want = 0;
-    scan.clean = f.size() == 3 && ParseHexU64(f[2], &want) &&
-                 ParseI64(f[1]) ==
-                     static_cast<int64_t>(scan.records.size()) &&
-                 want == Fnv1a(stream_text);
+    scan.clean = f.Hex(&want) && f.AtEnd() &&
+                 ParseI64(count) == scan.records && want == stream_hash;
     rest = nl == std::string_view::npos ? "" : rest.substr(nl + 1);
   }
-  for (const std::string& line : Split(rest, '\n')) {
+  ForEachLine(rest, [&](std::string_view line) {
     if (!line.empty() && !StartsWith(line, "end ")) ++scan.dropped;
-  }
+  });
   return scan;
 }
 
-Status ApplyDatabaseRecord(const std::vector<std::string>& f,
-                           oct::OctDatabase* db) {
+Status ApplyDatabaseRecord(FieldCursor& f, oct::OctDatabase* db) {
   base::AssertEngineThread("activity::ApplyDatabaseRecord");
   PAPYRUS_ASSIGN_OR_RETURN(oct::ObjectRecord rec, ParseObjectRecord(f));
   return db->RestoreRecord(std::move(rec));
@@ -160,92 +171,90 @@ void AppendObjectLine(const oct::ObjectRecord& rec,
   AppendPayload(rec.payload, out);
 }
 
-/// Applies one node-scoped thread-snapshot line (tags `node`, `parents`,
-/// `children`, `record`, `rin`, `rout`, `step`, `sin`, `sout`) into an
-/// accumulating node map; `*cur` tracks the node the last `node` line
-/// opened. Shared by the thread reader and the WAL node-block codec.
-Status ApplyNodeTag(const std::vector<std::string>& f,
-                    std::map<NodeId, HistoryNode>* nodes,
-                    HistoryNode** cur_slot) {
-  auto object_of = [](const std::vector<std::string>& g) {
-    return oct::ObjectId{DecodeField(g[2]),
-                         static_cast<int>(ParseI64(g[3]))};
-  };
-  const std::string& tag = f[0];
-  if (tag == "node") {
-    if (f.size() < 6) return Status::InvalidArgument("bad node line");
-    HistoryNode node;
-    node.id = static_cast<NodeId>(ParseI64(f[1]));
-    node.is_junction = f[2] == "1";
-    node.appended_micros = ParseI64(f[3]);
-    node.last_access_micros = ParseI64(f[4]);
-    node.annotation = DecodeField(f[5]);
-    NodeId id = node.id;
-    (*nodes)[id] = std::move(node);
-    *cur_slot = &(*nodes)[id];
-    return Status::OK();
+Status BadLine(std::string_view what, const FieldCursor& f) {
+  return Status::InvalidArgument("bad " + std::string(what) +
+                                 " line: " + std::string(f.line()));
+}
+
+/// Reads a `<owner> ~name version` object reference (rin/rout/sin/sout/
+/// ein/eout lines; the owner field is the node or entry the line is
+/// under, and is not read back).
+bool ParseObjectRef(FieldCursor& f, oct::ObjectId* id) {
+  f.Next();
+  return f.Field(&id->name) && f.Int(&id->version);
+}
+
+/// Parses the fields of a `node` line (its tag read): the line that opens
+/// a node in a thread section and in a `thr` WAL record.
+Result<HistoryNode> ParseNodeLine(FieldCursor& f) {
+  HistoryNode node;
+  if (!f.Int(&node.id)) return BadLine("node", f);
+  node.is_junction = f.Flag();
+  if (!f.Int64(&node.appended_micros) ||
+      !f.Int64(&node.last_access_micros) || !f.Field(&node.annotation)) {
+    return BadLine("node", f);
   }
-  HistoryNode* cur = *cur_slot;
-  if (cur == nullptr) {
-    return Status::InvalidArgument("field before any node: " +
-                                   Join(f, " "));
-  }
-  if (tag == "parents") {
-    for (size_t k = 2; k < f.size(); ++k) {
-      cur->parents.push_back(static_cast<NodeId>(ParseI64(f[k])));
+  return node;
+}
+
+/// Applies one of the lines that follow a node's `node` line (`parents`,
+/// `children`, `record`, `rin`, `rout`, `step`, `sin`, `sout`; `tag`
+/// already read) to `node`. A line that fails changes nothing. Shared by
+/// the thread section reader and the `thr` WAL record parser.
+Status ApplyNodeLine(std::string_view tag, FieldCursor& f,
+                     HistoryNode* node) {
+  task::TaskHistoryRecord& rec = node->record;
+  if (tag == "parents" || tag == "children") {
+    std::vector<NodeId> links;
+    f.Next();  // the node's own id
+    while (!f.AtEnd()) {
+      if (!f.Int(&links.emplace_back())) return BadLine(tag, f);
     }
-  } else if (tag == "children") {
-    for (size_t k = 2; k < f.size(); ++k) {
-      cur->children.push_back(static_cast<NodeId>(ParseI64(f[k])));
+    std::vector<NodeId>& list =
+        tag == "parents" ? node->parents : node->children;
+    list.insert(list.end(), links.begin(), links.end());
+  } else if (tag == "record") {
+    // Parsed into a copy (its lists are still empty) so that a line that
+    // fails changes nothing. Older writers stopped after the commit time,
+    // the restarts, or the retry counts.
+    task::TaskHistoryRecord parsed = rec;
+    f.Next();
+    bool ok = f.Field(&parsed.task_name) && f.Int64(&parsed.invoke_micros) &&
+              f.Int64(&parsed.commit_micros);
+    if (ok && !f.AtEnd()) ok = f.Int(&parsed.restarts);
+    if (ok && !f.AtEnd()) {
+      ok = f.Int64(&parsed.steps_lost) && f.Int64(&parsed.steps_retried) &&
+           f.Int64(&parsed.backoff_micros_total);
     }
-  } else if (tag == "record" && f.size() >= 5) {
-    cur->record.task_name = DecodeField(f[2]);
-    cur->record.invoke_micros = ParseI64(f[3]);
-    cur->record.commit_micros = ParseI64(f[4]);
-    if (f.size() >= 6) {
-      cur->record.restarts = static_cast<int>(ParseI64(f[5]));
-    }
-    if (f.size() >= 9) {
-      cur->record.steps_lost = ParseI64(f[6]);
-      cur->record.steps_retried = ParseI64(f[7]);
-      cur->record.backoff_micros_total = ParseI64(f[8]);
-    }
-    if (f.size() >= 10) {
-      cur->record.steps_elided = ParseI64(f[9]);
-    }
-  } else if (tag == "rin" && f.size() >= 4) {
-    cur->record.inputs.push_back(object_of(f));
-  } else if (tag == "rout" && f.size() >= 4) {
-    cur->record.outputs.push_back(object_of(f));
-  } else if (tag == "step" && f.size() >= 10) {
+    if (ok && !f.AtEnd()) ok = f.Int64(&parsed.steps_elided);
+    if (!ok) return BadLine(tag, f);
+    rec = std::move(parsed);
+  } else if (tag == "rin" || tag == "rout") {
+    oct::ObjectId id;
+    if (!ParseObjectRef(f, &id)) return BadLine(tag, f);
+    (tag == "rin" ? rec.inputs : rec.outputs).push_back(std::move(id));
+  } else if (tag == "step") {
     task::StepRecord step;
-    step.step_name = DecodeField(f[2]);
-    step.tool = DecodeField(f[3]);
-    step.invocation = DecodeField(f[4]);
-    step.dispatch_micros = ParseI64(f[5]);
-    step.completion_micros = ParseI64(f[6]);
-    step.host = static_cast<int>(ParseI64(f[7]));
-    step.exit_status = static_cast<int>(ParseI64(f[8]));
-    step.message = DecodeField(f[9]);
-    if (f.size() >= 11) {
-      step.internal_id = static_cast<int>(ParseI64(f[10]));
+    f.Next();
+    if (!f.Field(&step.step_name) || !f.Field(&step.tool) ||
+        !f.Field(&step.invocation) || !f.Int64(&step.dispatch_micros) ||
+        !f.Int64(&step.completion_micros) || !f.Int(&step.host) ||
+        !f.Int(&step.exit_status) || !f.Field(&step.message) ||
+        (!f.AtEnd() && !f.Int(&step.internal_id))) {
+      return BadLine(tag, f);
     }
-    if (f.size() >= 12) {
-      step.cache_hit = f[11] == "1";
+    step.cache_hit = f.Flag();
+    rec.steps.push_back(std::move(step));
+  } else if (tag == "sin" || tag == "sout") {
+    if (rec.steps.empty()) {
+      return Status::InvalidArgument(std::string(tag) + " before step");
     }
-    cur->record.steps.push_back(std::move(step));
-  } else if (tag == "sin" && f.size() >= 4) {
-    if (cur->record.steps.empty()) {
-      return Status::InvalidArgument("sin before step");
-    }
-    cur->record.steps.back().inputs.push_back(object_of(f));
-  } else if (tag == "sout" && f.size() >= 4) {
-    if (cur->record.steps.empty()) {
-      return Status::InvalidArgument("sout before step");
-    }
-    cur->record.steps.back().outputs.push_back(object_of(f));
+    oct::ObjectId id;
+    if (!ParseObjectRef(f, &id)) return BadLine(tag, f);
+    task::StepRecord& step = rec.steps.back();
+    (tag == "sin" ? step.inputs : step.outputs).push_back(std::move(id));
   } else {
-    return Status::InvalidArgument("bad thread line: " + Join(f, " "));
+    return BadLine("thread", f);
   }
   return Status::OK();
 }
@@ -311,35 +320,37 @@ void AppendCacheEntryLines(int64_t index, const cache::CacheEntry& entry,
   }
 }
 
-/// Parses one cache-snapshot line into `*entry`: an `entry` line starts a
-/// new entry (the caller has taken the previous one), `ein`/`eout`/`ckey`
-/// lines add to it. Shared by the cache section and WAL entry readers.
-Status ApplyCacheLine(const std::vector<std::string>& f,
-                      std::optional<cache::CacheEntry>* entry) {
-  const std::string& tag = f[0];
-  if (tag == "entry" && f.size() >= 8) {
-    cache::CacheEntry e;
-    e.tool = DecodeField(f[2]);
-    e.tool_version = DecodeField(f[3]);
-    e.canonical_options = DecodeField(f[4]);
-    if (!ParseHexU64(f[5], &e.seed_salt)) {
-      return Status::InvalidArgument("bad cache salt: " + f[5]);
-    }
-    e.cost_micros = ParseI64(f[6]);
-    e.recorded_micros = ParseI64(f[7]);
-    *entry = std::move(e);
-  } else if (entry->has_value() && (tag == "ein" || tag == "eout") &&
-             f.size() >= 4) {
-    oct::ObjectId id{DecodeField(f[2]), static_cast<int>(ParseI64(f[3]))};
+/// Parses the fields of an `entry` line (its tag read): the line that
+/// opens an entry in the cache section and in a `cput` WAL record.
+Result<cache::CacheEntry> ParseEntryLine(FieldCursor& f) {
+  cache::CacheEntry e;
+  f.Next();  // the entry's index
+  if (!f.Field(&e.tool) || !f.Field(&e.tool_version) ||
+      !f.Field(&e.canonical_options) || !f.Hex(&e.seed_salt) ||
+      !f.Int64(&e.cost_micros) || !f.Int64(&e.recorded_micros)) {
+    return BadLine("cache entry", f);
+  }
+  return e;
+}
+
+/// Applies an `ein`, `eout` or `ckey` line (`tag` already read) to the
+/// entry the last `entry` line opened. Shared by the cache section reader
+/// and the `cput` WAL record parser.
+Status ApplyEntryLine(std::string_view tag, FieldCursor& f,
+                      cache::CacheEntry* entry) {
+  if (tag == "ein" || tag == "eout") {
+    oct::ObjectId id;
+    if (!ParseObjectRef(f, &id)) return BadLine("cache", f);
     if (tag == "ein") {
-      (*entry)->inputs.push_back(std::move(id));
+      entry->inputs.push_back(std::move(id));
     } else {
-      (*entry)->outputs.push_back(cache::CachedOutput{std::move(id), true});
+      entry->outputs.push_back(cache::CachedOutput{std::move(id), true});
     }
-  } else if (entry->has_value() && tag == "ckey" && f.size() >= 3) {
-    (*entry)->content_key = DecodeField(f[2]);
-  } else {
-    return Status::InvalidArgument("bad cache line: " + Join(f, " "));
+    return Status::OK();
+  }
+  f.Next();
+  if (tag != "ckey" || !f.Field(&entry->content_key)) {
+    return BadLine("cache", f);
   }
   return Status::OK();
 }
@@ -354,26 +365,43 @@ struct ThreadBuilder {
   std::map<NodeId, HistoryNode> nodes;
   HistoryNode* cur = nullptr;
 
-  Status Apply(const std::vector<std::string>& f, Clock* clock) {
-    const std::string& tag = f[0];
+  Status Apply(FieldCursor& f, Clock* clock) {
+    const std::string_view tag = f.Next();
     if (tag == "meta") {
-      if (f.size() < 5) return Status::InvalidArgument("bad meta line");
-      thread = std::make_unique<DesignThread>(
-          static_cast<int>(ParseI64(f[1])), DecodeField(f[2]), clock);
-      cursor = static_cast<NodeId>(ParseI64(f[3]));
-      thread->set_cache_interval(static_cast<int>(ParseI64(f[4])));
-      if (f.size() >= 6) next_node_id = static_cast<NodeId>(ParseI64(f[5]));
+      int id = 0, interval = 0;
+      std::string name;
+      NodeId at = kInitialPoint;
+      if (!f.Int(&id) || !f.Field(&name) || !f.Int(&at) ||
+          !f.Int(&interval) || (!f.AtEnd() && !f.Int(&next_node_id))) {
+        return BadLine("meta", f);
+      }
+      thread = std::make_unique<DesignThread>(id, std::move(name), clock);
+      cursor = at;
+      thread->set_cache_interval(interval);
       return Status::OK();
     }
     if (thread == nullptr) {
       return Status::InvalidArgument("thread snapshot missing meta line");
     }
-    if (tag == "checkin" && f.size() >= 3) {
-      thread->CheckIn(oct::ObjectId{DecodeField(f[1]),
-                                    static_cast<int>(ParseI64(f[2]))});
+    if (tag == "checkin") {
+      oct::ObjectId id;
+      if (!f.Field(&id.name) || !f.Int(&id.version)) {
+        return BadLine(tag, f);
+      }
+      thread->CheckIn(id);
       return Status::OK();
     }
-    return ApplyNodeTag(f, &nodes, &cur);
+    if (tag == "node") {
+      PAPYRUS_ASSIGN_OR_RETURN(HistoryNode node, ParseNodeLine(f));
+      const NodeId id = node.id;
+      cur = &(nodes[id] = std::move(node));
+      return Status::OK();
+    }
+    if (cur == nullptr) {
+      return Status::InvalidArgument("field before any node: " +
+                                     std::string(f.line()));
+    }
+    return ApplyNodeLine(tag, f, cur);
   }
 
   /// Drops graph links to nodes that did not survive recovery and falls
@@ -428,13 +456,11 @@ std::string SerializeDatabase(const oct::OctDatabase& db) {
 
 Status RestoreDatabaseInto(const std::string& text, oct::OctDatabase* db,
                            RestoreStats* stats) {
-  PAPYRUS_ASSIGN_OR_RETURN(SnapshotScan scan,
-                           ScanSnapshot(text, "papyrus-db"));
-  for (const std::vector<std::string>& f : scan.records) {
-    // The line passed its checksum, so a parse failure here is a format
-    // error in intact data — fail loudly rather than "recover".
-    PAPYRUS_RETURN_IF_ERROR(ApplyDatabaseRecord(f, db));
-  }
+  PAPYRUS_ASSIGN_OR_RETURN(
+      SnapshotScan scan,
+      ScanSnapshot(text, "papyrus-db", 2, [&](int64_t, FieldCursor& f) {
+        return ApplyDatabaseRecord(f, db);
+      }));
   scan.Report(stats);
   return Status::OK();
 }
@@ -469,12 +495,12 @@ std::string SerializeThread(const DesignThread& thread) {
 
 Result<std::unique_ptr<DesignThread>> RestoreThread(
     const std::string& text, Clock* clock, RestoreStats* stats) {
-  PAPYRUS_ASSIGN_OR_RETURN(SnapshotScan scan,
-                           ScanSnapshot(text, "papyrus-thread"));
   ThreadBuilder builder;
-  for (const std::vector<std::string>& f : scan.records) {
-    PAPYRUS_RETURN_IF_ERROR(builder.Apply(f, clock));
-  }
+  PAPYRUS_ASSIGN_OR_RETURN(
+      SnapshotScan scan,
+      ScanSnapshot(text, "papyrus-thread", 2, [&](int64_t, FieldCursor& f) {
+        return builder.Apply(f, clock);
+      }));
   if (!scan.clean) {
     // A dropped suffix may be referenced by surviving nodes: prune those
     // links so the recovered stream is self-consistent.
@@ -499,21 +525,25 @@ std::string SerializeDerivationCache(const cache::DerivationCache& cache) {
 Status RestoreDerivationCache(const std::string& text,
                               cache::DerivationCache* cache,
                               RestoreStats* stats) {
-  PAPYRUS_ASSIGN_OR_RETURN(
-      SnapshotScan scan,
-      ScanSnapshot(text, "papyrus-cache", /*max_version=*/3));
   // v2 entries simply lack `ckey` lines: they restore with an empty
   // content key (usable locally, never republished to a shared store).
   std::optional<cache::CacheEntry> pending;
-  for (const std::vector<std::string>& f : scan.records) {
-    if (f[0] == "ckey" && scan.version < 3) {
-      return Status::InvalidArgument("bad cache line: " + Join(f, " "));
+  auto apply = [&](int64_t version, FieldCursor& f) -> Status {
+    const std::string_view tag = f.Next();
+    if (tag == "entry") {
+      PAPYRUS_ASSIGN_OR_RETURN(cache::CacheEntry entry, ParseEntryLine(f));
+      if (pending.has_value()) (void)cache->Restore(std::move(*pending));
+      pending = std::move(entry);
+      return Status::OK();
     }
-    if (f[0] == "entry" && pending.has_value()) {
-      (void)cache->Restore(std::move(*pending));
+    if (!pending.has_value() || (tag == "ckey" && version < 3)) {
+      return BadLine("cache", f);
     }
-    PAPYRUS_RETURN_IF_ERROR(ApplyCacheLine(f, &pending));
-  }
+    return ApplyEntryLine(tag, f, &*pending);
+  };
+  PAPYRUS_ASSIGN_OR_RETURN(
+      SnapshotScan scan,
+      ScanSnapshot(text, "papyrus-cache", /*max_version=*/3, apply));
   if (pending.has_value()) (void)cache->Restore(std::move(*pending));
   scan.Report(stats);
   return Status::OK();
@@ -521,27 +551,74 @@ Status RestoreDerivationCache(const std::string& text,
 
 // --- storage-engine record codecs ----------------------------------------
 
+namespace {
+
+/// `head` followed by the '\n'-ended `lines`, each behind
+/// kRecordLineSeparator: one line holding a whole record.
+std::string JoinRecordLines(std::string_view head, std::string_view lines) {
+  std::string body(head);
+  body.reserve(head.size() + lines.size() * 2);
+  ForEachLine(lines, [&](std::string_view line) {
+    body += kRecordLineSeparator;
+    body += line;
+  });
+  return body;
+}
+
+/// Hands each section line a `thr` or `cput` WAL record carries after its
+/// head fields (`lines`) to `apply`. Versions 1-3 carried the
+/// newline-ended line block as one `~` field: it is decoded strictly and
+/// split on newlines in front of the same line parser.
+template <typename Apply>
+Status ForEachRecordLine(std::string_view lines, int wal_version,
+                         Apply apply) {
+  Status st;
+  if (wal_version < 4) {
+    FieldCursor f(lines);
+    std::string block;
+    if (!f.Field(&block)) {
+      return Status::InvalidArgument("bad line block: " + std::string(lines));
+    }
+    ForEachLine(block, [&](std::string_view line) {
+      FieldCursor c(line);
+      if (st.ok() && !FieldCursor(line).AtEnd()) st = apply(c);
+    });
+    return st;
+  }
+  while (st.ok() && !lines.empty()) {
+    if (!StartsWith(lines, kRecordLineSeparator)) {
+      return Status::InvalidArgument("bad record line separator: " +
+                                     std::string(lines));
+    }
+    lines.remove_prefix(kRecordLineSeparator.size());
+    const size_t end = std::min(lines.find(kRecordLineSeparator),
+                                lines.size());
+    FieldCursor c(lines.substr(0, end));
+    lines.remove_prefix(end);
+    st = apply(c);
+  }
+  return st;
+}
+
+}  // namespace
+
 std::string EncodeObjectRecord(const oct::ObjectRecord& rec) {
   std::ostringstream out;
   AppendObjectLine(rec, &out);
   return out.str();
 }
 
-Result<oct::ObjectRecord> ParseObjectRecord(
-    const std::vector<std::string>& f) {
-  if (f.empty() || f[0] != "object" || f.size() < 9) {
-    return Status::InvalidArgument("bad database line: " + Join(f, " "));
-  }
+Result<oct::ObjectRecord> ParseObjectRecord(FieldCursor& f) {
   oct::ObjectRecord rec;
-  rec.id.name = DecodeField(f[1]);
-  rec.id.version = static_cast<int>(ParseI64(f[2]));
-  rec.creator_tool = DecodeField(f[3]);
-  rec.created_micros = ParseI64(f[4]);
-  rec.last_access_micros = ParseI64(f[5]);
-  rec.size_bytes = ParseI64(f[6]);
-  rec.visible = f[7] == "1";
-  rec.reclaimed = f[8] == "1";
-  PAPYRUS_ASSIGN_OR_RETURN(rec.payload, ParsePayload(f, 9));
+  if (f.Next() != "object" || !f.Field(&rec.id.name) ||
+      !f.Int(&rec.id.version) || !f.Field(&rec.creator_tool) ||
+      !f.Int64(&rec.created_micros) || !f.Int64(&rec.last_access_micros) ||
+      !f.Int64(&rec.size_bytes)) {
+    return BadLine("database", f);
+  }
+  rec.visible = f.Flag();
+  rec.reclaimed = f.Flag();
+  PAPYRUS_ASSIGN_OR_RETURN(rec.payload, oct::ParsePayloadFields(f));
   return rec;
 }
 
@@ -550,42 +627,61 @@ std::string SerializeDatabaseShard(const oct::OctDatabase& db, int shard) {
       [&](const auto& visit) { db.ForEachShard(shard, visit); });
 }
 
-std::string EncodeNodeBlock(const HistoryNode& node) {
-  std::ostringstream out;
-  AppendNodeLines(node, &out);
-  return out.str();
+std::string NodeRecord(std::string_view head, const HistoryNode& node) {
+  std::ostringstream lines;
+  AppendNodeLines(node, &lines);
+  return JoinRecordLines(head, lines.str());
 }
 
-Status ApplyNodeBlock(const std::string& block, DesignThread* thread) {
-  std::map<NodeId, HistoryNode> nodes;
-  HistoryNode* cur = nullptr;
-  for (const std::string& line : SplitLines(block)) {
-    std::vector<std::string> f = SplitWhitespace(line);
-    if (f.empty()) continue;
-    PAPYRUS_RETURN_IF_ERROR(ApplyNodeTag(f, &nodes, &cur));
+Result<HistoryNode> ParseNodeRecord(std::string_view lines,
+                                    int wal_version) {
+  std::optional<HistoryNode> node;
+  PAPYRUS_RETURN_IF_ERROR(
+      ForEachRecordLine(lines, wal_version, [&](FieldCursor& f) -> Status {
+        const std::string_view tag = f.Next();
+        if (tag == "node" && !node.has_value()) {
+          PAPYRUS_ASSIGN_OR_RETURN(node, ParseNodeLine(f));
+          return Status::OK();
+        }
+        if (!node.has_value()) {
+          return Status::InvalidArgument("field before any node: " +
+                                         std::string(f.line()));
+        }
+        if (tag == "node") {
+          return Status::InvalidArgument(
+              "node record must carry exactly one node");
+        }
+        return ApplyNodeLine(tag, f, &*node);
+      }));
+  if (!node.has_value()) {
+    return Status::InvalidArgument("node record must carry exactly one node");
   }
-  if (nodes.size() != 1) {
-    return Status::InvalidArgument("node block must carry exactly one node");
-  }
-  return thread->UpsertNode(std::move(nodes.begin()->second));
+  return std::move(*node);
 }
 
-std::string EncodeCacheEntry(const cache::CacheEntry& entry) {
-  std::ostringstream out;
-  AppendCacheEntryLines(0, entry, &out);
-  return out.str();
+std::string CacheEntryRecord(std::string_view head,
+                             const cache::CacheEntry& entry) {
+  std::ostringstream lines;
+  AppendCacheEntryLines(0, entry, &lines);
+  return JoinRecordLines(head, lines.str());
 }
 
-Result<cache::CacheEntry> DecodeCacheEntry(const std::string& block) {
+Result<cache::CacheEntry> ParseCacheEntryRecord(std::string_view lines,
+                                                int wal_version) {
   const Status one_entry = Status::InvalidArgument(
-      "cache-entry block must carry exactly one entry");
+      "cache-entry record must carry exactly one entry");
   std::optional<cache::CacheEntry> entry;
-  for (const std::string& line : SplitLines(block)) {
-    std::vector<std::string> f = SplitWhitespace(line);
-    if (f.empty()) continue;
-    if (f[0] == "entry" && entry.has_value()) return one_entry;
-    PAPYRUS_RETURN_IF_ERROR(ApplyCacheLine(f, &entry));
-  }
+  PAPYRUS_RETURN_IF_ERROR(
+      ForEachRecordLine(lines, wal_version, [&](FieldCursor& f) -> Status {
+        const std::string_view tag = f.Next();
+        if (tag == "entry") {
+          if (entry.has_value()) return one_entry;
+          PAPYRUS_ASSIGN_OR_RETURN(entry, ParseEntryLine(f));
+          return Status::OK();
+        }
+        if (!entry.has_value()) return BadLine("cache", f);
+        return ApplyEntryLine(tag, f, &*entry);
+      }));
   if (!entry.has_value()) return one_entry;
   return std::move(*entry);
 }

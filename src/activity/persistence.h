@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "activity/design_thread.h"
 #include "base/clock.h"
+#include "base/strings.h"
 #include "cache/derivation_cache.h"
 #include "oct/database.h"
 
@@ -28,9 +30,11 @@ namespace papyrus::activity {
 /// ` !<hex>` FNV-1a checksum of its body), and the file ends with a
 /// `end <count> <hex>` trailer covering the whole record stream. Restore
 /// recovers the longest valid prefix of a damaged snapshot with the same
-/// scan as every journal (storage::ScanJournal) — a truncated tail or a
-/// checksummed line that no longer matches drops that line and
-/// everything after it, reported through `RestoreStats`. Version-1
+/// scan as every journal (storage::ScanJournal) — a truncated tail, a
+/// checksummed line that no longer matches, or one whose `~` field fails
+/// its strict decode drops that line and everything after it, reported
+/// through `RestoreStats`. Each verified line is parsed as it is read,
+/// by the FieldCursor line parsers WAL replay uses too. Version-1
 /// snapshots (no checksums) remain readable.
 
 /// What restore had to do to a (possibly damaged) snapshot. The restore
@@ -82,18 +86,23 @@ Status RestoreDerivationCache(const std::string& text,
                               RestoreStats* stats = nullptr);
 
 // --- storage-engine record codecs ----------------------------------------
-// The write-ahead log journals self-describing *state* records — the same
-// byte formats the snapshot files use, one record at a time — so replay
-// applies exact serialized states instead of re-executing logic. That is
-// what keeps recovery byte-identical at any crash point.
+// The write-ahead log journals self-describing *state* records in the byte
+// formats the sections use, one record at a time, so replay applies exact
+// serialized states instead of re-executing logic. That is what keeps
+// recovery byte-identical at any crash point. A section line and a WAL
+// record are read by the same FieldCursor line parsers.
 
-/// One database record as its snapshot `object ...` body line (no
-/// checksum, no trailing newline).
+/// Joins the section lines of one history node or cache entry into a WAL
+/// record (WAL version 4). No line holds `|` as a field: tags and numbers
+/// never are, and every string field starts with `~`.
+inline constexpr std::string_view kRecordLineSeparator = " | ";
+
+/// One database record as its section `object ...` line (no checksum, no
+/// trailing newline): the body of an `object` WAL record.
 std::string EncodeObjectRecord(const oct::ObjectRecord& rec);
 
-/// Parses a whitespace-split `object ...` body back into a record.
-Result<oct::ObjectRecord> ParseObjectRecord(
-    const std::vector<std::string>& fields);
+/// Parses an `object ...` line, its tag included.
+Result<oct::ObjectRecord> ParseObjectRecord(FieldCursor& fields);
 
 /// Serializes one database shard as a standalone `papyrus-db 2` snapshot
 /// (the delta-snapshot section format).
@@ -105,19 +114,28 @@ std::string SerializeDatabaseShard(const oct::OctDatabase& db, int shard);
 Status RestoreDatabaseInto(const std::string& text, oct::OctDatabase* db,
                            RestoreStats* stats = nullptr);
 
-/// One history node as its snapshot line block (`node`/`parents`/
-/// `children`/`record`/`rin`/`rout`/`step`/`sin`/`sout` lines).
-std::string EncodeNodeBlock(const HistoryNode& node);
+/// `head` (`thr <thread id>`) followed by the node's thread-section lines
+/// (`node`/`parents`/`children`/`record`/`rin`/`rout`/`step`/`sin`/
+/// `sout`), each behind kRecordLineSeparator: the body of a `thr` record.
+std::string NodeRecord(std::string_view head, const HistoryNode& node);
 
-/// Applies a journaled node block through `DesignThread::UpsertNode`.
-Status ApplyNodeBlock(const std::string& block, DesignThread* thread);
+/// Parses the one node a `thr` record carries after its head fields
+/// (`lines`, the rest of the body) through the thread section's line
+/// parser. Logs of WAL versions 1-3 carried the lines as one `~` field
+/// holding the newline-ended block, which is decoded strictly and split
+/// on newlines first.
+Result<HistoryNode> ParseNodeRecord(std::string_view lines, int wal_version);
 
-/// One derivation-cache entry as its snapshot line block
-/// (`entry`/`ein`/`eout`/`ckey` lines, index 0).
-std::string EncodeCacheEntry(const cache::CacheEntry& entry);
+/// `head` (`cput`) followed by the entry's cache-section lines (`entry`/
+/// `ein`/`eout`/`ckey`, index 0), each behind kRecordLineSeparator: the
+/// body of a `cput` record.
+std::string CacheEntryRecord(std::string_view head,
+                             const cache::CacheEntry& entry);
 
-/// Parses a journaled cache-entry block back into an entry.
-Result<cache::CacheEntry> DecodeCacheEntry(const std::string& block);
+/// Parses the one entry a `cput` record carries after its tag, as
+/// ParseNodeRecord does a node.
+Result<cache::CacheEntry> ParseCacheEntryRecord(std::string_view lines,
+                                                int wal_version);
 
 }  // namespace papyrus::activity
 

@@ -1,9 +1,15 @@
 #include "base/strings.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
 
 namespace papyrus {
+
+namespace {
+
+/// The six bytes the C locale's isspace accepts.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
 
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> out;
@@ -23,13 +29,9 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
   std::vector<std::string> out;
   size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
+    while (i < s.size() && IsSpace(s[i])) ++i;
     size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
+    while (i < s.size() && !IsSpace(s[i])) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
   }
   return out;
@@ -47,9 +49,9 @@ std::string Join(const std::vector<std::string>& pieces,
 
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (b < s.size() && IsSpace(s[b])) ++b;
   size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (e > b && IsSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -64,13 +66,16 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 bool ParseInt64(std::string_view s, int64_t* out) {
   s = Trim(s);
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<int64_t>(v);
+  // strtoll's syntax: from_chars takes a '-' but no '+', so a '+' is
+  // dropped here when a digit follows it.
+  if (s.size() > 1 && s[0] == '+' && s[1] >= '0' && s[1] <= '9') {
+    s.remove_prefix(1);
+  }
+  int64_t v = 0;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || ptr != end) return false;
+  *out = v;
   return true;
 }
 
@@ -123,32 +128,34 @@ std::string PercentDecode(std::string_view s) {
   return out;
 }
 
+bool PercentDecodeStrictInto(std::string_view s, std::string* out) {
+  out->clear();
+  for (size_t i = 0;;) {
+    const size_t pct = s.find('%', i);
+    out->append(s.substr(i, pct - i));
+    if (pct == std::string_view::npos) return true;
+    const int hi = pct + 2 < s.size() ? HexValue(s[pct + 1]) : -1;
+    const int lo = pct + 2 < s.size() ? HexValue(s[pct + 2]) : -1;
+    if (hi < 0 || lo < 0) return false;
+    out->push_back(static_cast<char>(hi * 16 + lo));
+    i = pct + 3;
+  }
+}
+
 Result<std::string> PercentDecodeStrict(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      return Status::InvalidArgument("truncated percent escape in \"" +
-                                     std::string(s) + "\"");
-    }
-    int hi = HexValue(s[i + 1]);
-    int lo = HexValue(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("malformed percent escape \"" +
-                                     std::string(s.substr(i, 3)) + "\"");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
+  if (!PercentDecodeStrictInto(s, &out)) {
+    return Status::InvalidArgument("malformed percent escape in \"" +
+                                   std::string(s) + "\"");
   }
   return out;
 }
 
 uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
+  return Fnv1aAppend(1469598103934665603ull, s);
+}
+
+uint64_t Fnv1aAppend(uint64_t h, std::string_view s) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
@@ -220,9 +227,34 @@ std::string DecodeField(std::string_view token) {
   return PercentDecode(token);
 }
 
-Result<std::string> DecodeFieldStrict(std::string_view token) {
-  if (!token.empty() && token.front() == '~') token.remove_prefix(1);
-  return PercentDecodeStrict(token);
+std::string_view FieldCursor::Next() {
+  size_t b = 0;
+  while (b < rest_.size() && IsSpace(rest_[b])) ++b;
+  size_t e = b;
+  while (e < rest_.size() && !IsSpace(rest_[e])) ++e;
+  std::string_view field = rest_.substr(b, e - b);
+  rest_.remove_prefix(e);
+  return field;
+}
+
+bool FieldCursor::AtEnd() {
+  while (!rest_.empty() && IsSpace(rest_.front())) rest_.remove_prefix(1);
+  return rest_.empty();
+}
+
+bool FieldCursor::Int64(int64_t* out) { return ParseInt64(Next(), out); }
+
+bool FieldCursor::U64(uint64_t* out) { return ParseU64(Next(), out); }
+
+bool FieldCursor::Hex(uint64_t* out) { return ParseHexU64(Next(), out); }
+
+bool FieldCursor::Field(std::string* out) {
+  std::string_view token = Next();
+  if (token.empty()) return false;
+  if (token.front() == '~') token.remove_prefix(1);
+  if (PercentDecodeStrictInto(token, out)) return true;
+  damaged_ = true;
+  return false;
 }
 
 }  // namespace papyrus

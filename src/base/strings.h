@@ -13,7 +13,8 @@ namespace papyrus {
 /// Splits `s` at every occurrence of `sep`, keeping empty pieces.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Splits `s` on runs of ASCII whitespace, dropping empty pieces.
+/// Splits `s` on runs of ASCII whitespace (the six bytes the C locale's
+/// isspace accepts: ' ', \t, \n, \v, \f, \r), dropping empty pieces.
 std::vector<std::string> SplitWhitespace(std::string_view s);
 
 /// Joins `pieces` with `sep` between consecutive elements.
@@ -26,7 +27,9 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Parses a base-10 signed integer; rejects trailing garbage.
+/// Parses a base-10 signed integer with an optional '+' or '-' sign and
+/// optional surrounding whitespace; rejects overflow and trailing
+/// garbage, and leaves `*out` alone when it does.
 bool ParseInt64(std::string_view s, int64_t* out);
 /// ParseInt64's value, or 0 when `s` is malformed.
 int64_t ParseI64(std::string_view s);
@@ -34,6 +37,9 @@ int64_t ParseI64(std::string_view s);
 /// 64-bit FNV-1a hash; used by the mock CAD tools for deterministic
 /// pseudo-random transformations.
 uint64_t Fnv1a(std::string_view s);
+/// Continues an FNV-1a hash over more bytes:
+/// Fnv1aAppend(Fnv1a(a), b) == Fnv1a(a + b).
+uint64_t Fnv1aAppend(uint64_t hash, std::string_view s);
 
 /// Percent-encodes whitespace, '%' and control characters so arbitrary
 /// strings survive the line/field-oriented persistence format.
@@ -47,6 +53,9 @@ std::string PercentDecode(std::string_view s);
 /// uses this so corrupted snapshots are detected rather than silently
 /// mis-decoded.
 Result<std::string> PercentDecodeStrict(std::string_view s);
+/// PercentDecodeStrict into `*out` (replacing its content); false on a
+/// malformed escape.
+bool PercentDecodeStrictInto(std::string_view s, std::string* out);
 
 // --- durable line codec ----------------------------------------------------
 // Every line-oriented durable file (write-ahead log, generation manifest,
@@ -71,8 +80,54 @@ bool UnframeLine(std::string_view line, std::string_view* body);
 std::string EncodeField(std::string_view s);
 /// Inverse of EncodeField; the '~' is optional, invalid escapes pass.
 std::string DecodeField(std::string_view token);
-/// Like DecodeField, but a malformed escape is InvalidArgument.
-Result<std::string> DecodeFieldStrict(std::string_view token);
+/// Reads the whitespace-separated fields of one record line in place: the
+/// one field parser under WAL replay and every section reader. Nothing is
+/// copied but the decoded strings, which land straight in their
+/// destination; integers parse as ParseInt64 does (std::from_chars), and
+/// `~` fields decode strictly. Each reader returns false when the field
+/// is missing or does not parse.
+class FieldCursor {
+ public:
+  explicit FieldCursor(std::string_view line) : line_(line), rest_(line) {}
+
+  /// The next field; empty once the line is used up.
+  std::string_view Next();
+  /// True when no field is left.
+  bool AtEnd();
+  /// The unread rest of the line, as it stands (leading whitespace too).
+  std::string_view rest() const { return rest_; }
+  /// The whole line (error messages).
+  std::string_view line() const { return line_; }
+
+  bool Int64(int64_t* out);
+  /// Int64, narrowed to `T` as a static_cast would.
+  template <typename T>
+  bool Int(T* out) {
+    int64_t v = 0;
+    if (!Int64(&v)) return false;
+    *out = static_cast<T>(v);
+    return true;
+  }
+  /// ParseU64's syntax.
+  bool U64(uint64_t* out);
+  /// ParseHexU64's syntax.
+  bool Hex(uint64_t* out);
+  /// True when the next field is "1" (a written bool); any other field,
+  /// or none, reads false.
+  bool Flag() { return Next() == "1"; }
+  /// An EncodeField field (the '~' is optional), decoded strictly into
+  /// `*out`. A malformed escape also marks the line damaged().
+  bool Field(std::string* out);
+
+  /// Whether a field failed its strict decode: the line's bytes are
+  /// damaged, as opposed to well-formed but not understood.
+  bool damaged() const { return damaged_; }
+
+ private:
+  std::string_view line_;
+  std::string_view rest_;
+  bool damaged_ = false;
+};
 
 }  // namespace papyrus
 

@@ -32,10 +32,6 @@ constexpr char kLegacyStateFile[] = "state.pss";
 /// applied.
 constexpr char kCommitRecord[] = "commit";
 
-int ParseIntField(const std::string& s) {
-  return static_cast<int>(ParseI64(s));
-}
-
 /// The state line (section line and WAL record body) of one ledger entry.
 std::string AppliedLine(int64_t request_id,
                         const Papyrus::AppliedRequest& where) {
@@ -309,7 +305,12 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
     }
   }
   for (size_t i = 0; i < whole; ++i) {
-    PAPYRUS_RETURN_IF_ERROR(ApplyWalRecord(opened.wal[i].body));
+    const storage::WalRecord& rec = opened.wal[i];
+    Status applied = ApplyWalRecord(rec.body, opened.wal_version);
+    if (!applied.ok()) {
+      return Status(applied.code(), "WAL record " + std::to_string(rec.seq) +
+                                        ": " + applied.message());
+    }
   }
   const int64_t torn = static_cast<int64_t>(opened.wal.size() - whole);
   // Restore and replay applied already-durable state: nothing here needs
@@ -369,12 +370,16 @@ Status Papyrus::RestoreEngineSections(
   }
   auto state_it = sections.find(kStateSection);
   if (state_it != sections.end()) {
-    const std::vector<std::string> lines = Split(state_it->second, '\n');
-    if (lines[0] != kStateHeader) {
+    std::string_view text = state_it->second;
+    size_t nl = text.find('\n');
+    if (text.substr(0, nl) != kStateHeader) {
       return Status::Internal("bad session state header");
     }
-    for (size_t i = 1; i < lines.size(); ++i) {
-      PAPYRUS_RETURN_IF_ERROR(ApplyStateFields(SplitWhitespace(lines[i])));
+    while (nl != std::string_view::npos) {
+      text.remove_prefix(nl + 1);
+      nl = text.find('\n');
+      FieldCursor line(text.substr(0, nl));
+      PAPYRUS_RETURN_IF_ERROR(ApplyStateFields(line));
     }
   }
   return Status::OK();
@@ -391,25 +396,28 @@ std::string Papyrus::StateSectionText() const {
   return out;
 }
 
-Status Papyrus::ApplyStateFields(const std::vector<std::string>& f) {
-  auto is = [&f](const char* keyword, size_t arity) {
-    return f.size() == arity + 1 && f[0] == keyword;
-  };
-  // Unknown lines are skipped for forward compatibility.
-  if (!is("clock", 1) && !is("nextexec", 1) && !is("applied", 3)) {
-    return Status::OK();
-  }
+Status Papyrus::ApplyStateFields(FieldCursor& f) {
+  const std::string_view keyword = f.Next();
+  const size_t arity = keyword == "clock" || keyword == "nextexec" ? 1
+                       : keyword == "applied"                      ? 3
+                                                                   : 0;
   int64_t v[3] = {0, 0, 0};
-  for (size_t i = 1; i < f.size(); ++i) {
-    if (!ParseInt64(f[i], &v[i - 1])) {
-      return Status::Internal("bad " + f[0] + " line in session state");
-    }
+  size_t n = 0;
+  bool parsed = true;
+  for (std::string_view arg = f.Next(); !arg.empty(); arg = f.Next(), ++n) {
+    if (n < arity) parsed &= ParseInt64(arg, &v[n]);
   }
-  if (f[0] == "clock") {
+  // Unknown lines are skipped for forward compatibility.
+  if (arity == 0 || n != arity) return Status::OK();
+  if (!parsed) {
+    return Status::Internal("bad " + std::string(keyword) +
+                            " line in session state");
+  }
+  if (keyword == "clock") {
     // The restored history's timestamps end here; new work must
     // continue from the same virtual instant for byte-identity.
     clock_.SetMicros(v[0]);
-  } else if (f[0] == "nextexec") {
+  } else if (keyword == "nextexec") {
     task_manager_->set_next_execution_id(static_cast<int>(v[0]));
   } else {
     applied_[v[0]] = {static_cast<int>(v[1]),
@@ -418,72 +426,92 @@ Status Papyrus::ApplyStateFields(const std::vector<std::string>& f) {
   return Status::OK();
 }
 
-Status Papyrus::ApplyWalRecord(const std::string& body) {
-  std::vector<std::string> f = SplitWhitespace(body);
-  if (f.empty()) {
+Status Papyrus::ApplyWalRecord(std::string_view body, int wal_version) {
+  FieldCursor f(body);
+  const std::string_view tag = f.Next();
+  auto bad = [&] {
+    return Status::InvalidArgument("bad WAL record: " + std::string(body));
+  };
+  if (tag.empty()) {
     return Status::InvalidArgument("empty WAL record");
   }
-  const std::string& tag = f[0];
   if (tag == kCommitRecord) return Status::OK();
   if (tag == "object") {
+    FieldCursor line(body);
     PAPYRUS_ASSIGN_OR_RETURN(oct::ObjectRecord rec,
-                             activity::ParseObjectRecord(f));
+                             activity::ParseObjectRecord(line));
     journaled_.NoteObject(rec.id.name);
     return db_->UpsertRecord(std::move(rec));
   }
   if (tag == "state") {
     journaled_.state = true;
-    return ApplyStateFields({f.begin() + 1, f.end()});
+    return ApplyStateFields(f);
   }
-  if (tag == "cput" && f.size() >= 2) {
-    PAPYRUS_ASSIGN_OR_RETURN(cache::CacheEntry entry,
-                             activity::DecodeCacheEntry(DecodeField(f[1])));
+  if (tag == "cput") {
+    PAPYRUS_ASSIGN_OR_RETURN(
+        cache::CacheEntry entry,
+        activity::ParseCacheEntryRecord(f.rest(), wal_version));
     journaled_.cache = true;
     // Like snapshot restore, entries whose output versions did not
     // survive are skipped — they could only have missed.
     (void)step_cache_->Restore(std::move(entry));
     return Status::OK();
   }
-  if (tag == "cdel" && f.size() >= 2) {
+  if (tag == "cdel") {
+    std::string key;
+    if (!f.Field(&key)) return bad();
     journaled_.cache = true;
-    step_cache_->ForgetEntry(DecodeField(f[1]));
+    step_cache_->ForgetEntry(key);
     return Status::OK();
   }
-  if (tag == "thrnew" && f.size() >= 4) {
-    const int id = ParseIntField(f[1]);
+  int id = 0;
+  if (!StartsWith(tag, "thr") || !f.Int(&id)) {
+    return Status::InvalidArgument("unrecognized WAL record: " +
+                                   std::string(tag));
+  }
+  if (tag == "thrnew") {
+    std::string name;
+    int interval = 0;
+    if (!f.Field(&name) || !f.Int(&interval)) return bad();
     journaled_.threads.insert(id);
-    auto thread = std::make_unique<activity::DesignThread>(
-        id, DecodeField(f[2]), &clock_);
-    thread->set_cache_interval(ParseIntField(f[3]));
+    auto thread =
+        std::make_unique<activity::DesignThread>(id, std::move(name), &clock_);
+    thread->set_cache_interval(interval);
     return activity_->AdoptThread(std::move(thread));
   }
-  if (tag == "thrrm" && f.size() >= 2) {
-    return activity_->RemoveThread(ParseIntField(f[1]));
+  if (tag == "thrrm") return activity_->RemoveThread(id);
+  if (tag != "thr" && tag != "thrdel" && tag != "thrchk" &&
+      tag != "thrmeta") {
+    return Status::InvalidArgument("unrecognized WAL record: " +
+                                   std::string(tag));
   }
-  if ((tag == "thr" || tag == "thrdel" || tag == "thrchk" ||
-       tag == "thrmeta") &&
-      f.size() >= 3) {
-    const int id = ParseIntField(f[1]);
-    journaled_.threads.insert(id);
-    PAPYRUS_ASSIGN_OR_RETURN(activity::DesignThread * thread,
-                             activity_->GetThread(id));
-    if (tag == "thr") {
-      return activity::ApplyNodeBlock(DecodeField(f[2]), thread);
-    }
-    if (tag == "thrdel") {
-      return thread->ForgetNode(ParseIntField(f[2]));
-    }
-    if (tag == "thrchk" && f.size() >= 4) {
-      thread->CheckIn(
-          oct::ObjectId{DecodeField(f[2]), ParseIntField(f[3])});
-      return Status::OK();
-    }
-    if (tag == "thrmeta" && f.size() >= 5) {
-      thread->set_cache_interval(ParseIntField(f[3]));
-      return thread->ReplayMeta(ParseIntField(f[2]), ParseIntField(f[4]));
-    }
+  journaled_.threads.insert(id);
+  PAPYRUS_ASSIGN_OR_RETURN(activity::DesignThread * thread,
+                           activity_->GetThread(id));
+  if (tag == "thr") {
+    PAPYRUS_ASSIGN_OR_RETURN(
+        activity::HistoryNode node,
+        activity::ParseNodeRecord(f.rest(), wal_version));
+    return thread->UpsertNode(std::move(node));
   }
-  return Status::InvalidArgument("unrecognized WAL record: " + tag);
+  if (tag == "thrdel") {
+    activity::NodeId node = 0;
+    if (!f.Int(&node)) return bad();
+    return thread->ForgetNode(node);
+  }
+  if (tag == "thrchk") {
+    oct::ObjectId obj;
+    if (!f.Field(&obj.name) || !f.Int(&obj.version)) return bad();
+    thread->CheckIn(obj);
+    return Status::OK();
+  }
+  activity::NodeId cursor = 0, next_node_id = 0;
+  int interval = 0;
+  if (!f.Int(&cursor) || !f.Int(&interval) || !f.Int(&next_node_id)) {
+    return bad();
+  }
+  thread->set_cache_interval(interval);
+  return thread->ReplayMeta(cursor, next_node_id);
 }
 
 Status Papyrus::CommitWal() {
@@ -521,8 +549,7 @@ Status Papyrus::CommitWal() {
     activity::DesignThread* t = *thread_or;
     const std::string tid = std::to_string(id);
     auto journal_node = [&](const activity::HistoryNode& node) {
-      journal("thr " + tid + " " +
-              EncodeField(activity::EncodeNodeBlock(node)));
+      journal(activity::NodeRecord("thr " + tid, node));
     };
     auto journal_checkin = [&](const oct::ObjectId& obj) {
       journal("thrchk " + tid + " " + EncodeField(obj.name) + " " +
@@ -566,7 +593,7 @@ Status Papyrus::CommitWal() {
       },
       [&](const std::string& key, const cache::CacheEntry& entry) {
         (void)key;  // replay recomputes it from the entry's components
-        journal("cput " + EncodeField(activity::EncodeCacheEntry(entry)));
+        journal(activity::CacheEntryRecord("cput", entry));
         journaled_.cache = true;
       });
   // State records carry only what moved since the last commit.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -259,13 +260,14 @@ class Papyrus {
   Status WriteGeneration();
   Status RestoreEngineSections(
       const std::map<std::string, std::string>& sections);
-  /// Applies one replayed WAL record and notes its section.
-  Status ApplyWalRecord(const std::string& body);
+  /// Applies one replayed WAL record of a log with header `wal_version`
+  /// and notes its section.
+  Status ApplyWalRecord(std::string_view body, int wal_version);
   /// The `state` section: a header, then the clock, nextexec and applied
   /// lines, each one a `state` WAL record's body.
   std::string StateSectionText() const;
   /// Applies the fields of one such line.
-  Status ApplyStateFields(const std::vector<std::string>& f);
+  Status ApplyStateFields(FieldCursor& f);
   /// Marks everything in memory as journaled (restored state is durable).
   void DiscardAllWalDirt();
   /// Observes what metadata() has not yet seen of the history.

@@ -1,7 +1,7 @@
 #include "oct/design_data.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "base/hash.h"
@@ -105,13 +105,20 @@ std::string FormatDouble(double v) {
 /// A seed the field cannot hold is a load error, never a silent 0:
 /// restoring a different seed would make every derived artifact
 /// diverge from the history that produced it.
-Result<uint64_t> FieldU64(const std::string& s) {
+Result<uint64_t> FieldU64(std::string_view s) {
   uint64_t v = 0;
   if (!ParseU64(s, &v)) {
-    return Status::InvalidArgument("payload seed is not a uint64: '" + s +
-                                   "'");
+    return Status::InvalidArgument("payload seed is not a uint64: '" +
+                                   std::string(s) + "'");
   }
   return v;
+}
+
+/// A %.17g double, read back to the same bits.
+bool FieldDouble(FieldCursor& f, double* out) {
+  const std::string_view s = f.Next();
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return !s.empty() && ec == std::errc() && ptr == s.data() + s.size();
 }
 
 }  // namespace
@@ -140,59 +147,59 @@ std::string EncodePayloadText(const DesignPayload& p) {
   return out.str();
 }
 
-Result<DesignPayload> ParsePayloadFields(const std::vector<std::string>& f,
-                                         size_t at) {
-  auto need = [&](size_t n) { return f.size() >= at + 1 + n; };
-  if (at >= f.size()) return Status::InvalidArgument("missing payload");
-  const std::string& tag = f[at];
+Result<DesignPayload> ParsePayloadFields(FieldCursor& f) {
+  const std::string_view tag = f.Next();
+  if (tag.empty()) return Status::InvalidArgument("missing payload");
   if (tag == "none") return DesignPayload{};
+  auto bad = [&] {
+    return Status::InvalidArgument("bad " + std::string(tag) +
+                                   " payload: " + std::string(f.line()));
+  };
   if (tag == "behavioral") {
-    if (!need(4)) return Status::InvalidArgument("short behavioral");
     BehavioralSpec b;
-    b.num_inputs = static_cast<int>(ParseI64(f[at + 1]));
-    b.num_outputs = static_cast<int>(ParseI64(f[at + 2]));
-    b.complexity = static_cast<int>(ParseI64(f[at + 3]));
-    PAPYRUS_ASSIGN_OR_RETURN(b.seed, FieldU64(f[at + 4]));
+    if (!f.Int(&b.num_inputs) || !f.Int(&b.num_outputs) ||
+        !f.Int(&b.complexity)) {
+      return bad();
+    }
+    PAPYRUS_ASSIGN_OR_RETURN(b.seed, FieldU64(f.Next()));
     return DesignPayload{b};
   }
   if (tag == "logic") {
-    if (!need(7)) return Status::InvalidArgument("short logic");
     LogicNetwork n;
-    n.num_inputs = static_cast<int>(ParseI64(f[at + 1]));
-    n.num_outputs = static_cast<int>(ParseI64(f[at + 2]));
-    n.minterms = static_cast<int>(ParseI64(f[at + 3]));
-    n.literals = static_cast<int>(ParseI64(f[at + 4]));
-    n.levels = static_cast<int>(ParseI64(f[at + 5]));
-    n.format = static_cast<DesignFormat>(ParseI64(f[at + 6]));
-    PAPYRUS_ASSIGN_OR_RETURN(n.seed, FieldU64(f[at + 7]));
+    if (!f.Int(&n.num_inputs) || !f.Int(&n.num_outputs) ||
+        !f.Int(&n.minterms) || !f.Int(&n.literals) || !f.Int(&n.levels) ||
+        !f.Int(&n.format)) {
+      return bad();
+    }
+    PAPYRUS_ASSIGN_OR_RETURN(n.seed, FieldU64(f.Next()));
     return DesignPayload{n};
   }
   if (tag == "layout") {
-    if (!need(12)) return Status::InvalidArgument("short layout");
     Layout l;
-    l.num_cells = static_cast<int>(ParseI64(f[at + 1]));
-    l.area = std::strtod(f[at + 2].c_str(), nullptr);
-    l.delay_ns = std::strtod(f[at + 3].c_str(), nullptr);
-    l.power_mw = std::strtod(f[at + 4].c_str(), nullptr);
-    l.wire_length = std::strtod(f[at + 5].c_str(), nullptr);
-    l.has_pads = f[at + 6] == "1";
-    l.routed = f[at + 7] == "1";
-    l.compacted = f[at + 8] == "1";
-    l.has_abstraction = f[at + 9] == "1";
-    l.style = DecodeField(f[at + 10]);
-    l.format = static_cast<DesignFormat>(ParseI64(f[at + 11]));
-    PAPYRUS_ASSIGN_OR_RETURN(l.seed, FieldU64(f[at + 12]));
+    if (!f.Int(&l.num_cells) || !FieldDouble(f, &l.area) ||
+        !FieldDouble(f, &l.delay_ns) || !FieldDouble(f, &l.power_mw) ||
+        !FieldDouble(f, &l.wire_length)) {
+      return bad();
+    }
+    l.has_pads = f.Flag();
+    l.routed = f.Flag();
+    l.compacted = f.Flag();
+    l.has_abstraction = f.Flag();
+    if (!f.Field(&l.style) || !f.Int(&l.format)) return bad();
+    PAPYRUS_ASSIGN_OR_RETURN(l.seed, FieldU64(f.Next()));
     return DesignPayload{l};
   }
   if (tag == "text") {
-    if (!need(1)) return Status::InvalidArgument("short text");
-    return DesignPayload{TextData{DecodeField(f[at + 1])}};
+    TextData t;
+    if (!f.Field(&t.text)) return bad();
+    return DesignPayload{std::move(t)};
   }
-  return Status::InvalidArgument("unknown payload tag: " + tag);
+  return Status::InvalidArgument("unknown payload tag: " + std::string(tag));
 }
 
 Result<DesignPayload> DecodePayloadText(std::string_view text) {
-  return ParsePayloadFields(SplitWhitespace(text), 0);
+  FieldCursor f(text);
+  return ParsePayloadFields(f);
 }
 
 std::string PayloadContentHash(const DesignPayload& p) {

@@ -9,6 +9,10 @@
 
 #include "base/result.h"
 
+namespace papyrus {
+class FieldCursor;
+}  // namespace papyrus
+
 namespace papyrus::oct {
 
 /// The three semantic domains of VLSI design data, used by the metadata
@@ -107,10 +111,10 @@ std::string PayloadToString(const DesignPayload& p);
 /// PayloadContentHash() hashes it.
 std::string EncodePayloadText(const DesignPayload& p);
 
-/// Parses `f[at..]` as written by EncodePayloadText (shared with the
-/// snapshot payload codec, which embeds payload fields in wider records).
-Result<DesignPayload> ParsePayloadFields(const std::vector<std::string>& f,
-                                         size_t at);
+/// Reads the payload fields EncodePayloadText wrote from `f` (shared with
+/// the database record parser, which reads them at the end of an `object`
+/// line).
+Result<DesignPayload> ParsePayloadFields(FieldCursor& f);
 
 /// Inverse of EncodePayloadText.
 Result<DesignPayload> DecodePayloadText(std::string_view text);

@@ -3,13 +3,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
+
+#include <cerrno>
 
 namespace papyrus::storage {
 
@@ -126,10 +128,25 @@ Status AtomicWriteFiles(const std::vector<PendingWrite>& files) {
 }
 
 Result<std::string> ReadFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot read " + path.string());
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st;
+  if (fd < 0 || ::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    if (fd >= 0) ::close(fd);
+    return Status::NotFound("cannot read " + path.string());
+  }
+  // Sized from the file and filled by one read (more only when a read
+  // comes back short).
+  std::string text(static_cast<size_t>(st.st_size), '\0');
+  size_t have = 0;
+  while (have < text.size()) {
+    const ssize_t n = ::read(fd, text.data() + have, text.size() - have);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    have += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  text.resize(have);
+  return text;
 }
 
 }  // namespace papyrus::storage

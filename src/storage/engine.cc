@@ -127,10 +127,11 @@ Result<SessionStore::OpenResult> SessionStore::Open(
   out.wal_version = replay.version;
   out.wal_truncated = replay.truncated;
   out.wal_dropped_bytes = replay.dropped_bytes;
-  for (WalRecord& rec : replay.records) {
+  out.wal_text = std::move(replay.text);
+  for (const WalRecord& rec : replay.records) {
     // Records at or below the manifest's base were compacted into the
     // current generation before the crash that left them behind.
-    if (rec.seq > wal_base_) out.wal.push_back(std::move(rec));
+    if (rec.seq > wal_base_) out.wal.push_back(rec);
   }
   return out;
 }

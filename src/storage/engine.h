@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,8 +76,10 @@ class SessionStore {
     /// Section name -> text, verified against the manifest checksums
     /// (kEngine only).
     std::map<std::string, std::string> sections;
-    /// WAL tail to replay on top of the sections, in sequence order.
+    /// WAL tail to replay on top of the sections, in sequence order; the
+    /// bodies view `wal_text`.
     std::vector<WalRecord> wal;
+    std::shared_ptr<const std::string> wal_text;
     /// Header version of the log found (kWalVersion for a new one). An
     /// older log must be folded into a generation before it is appended
     /// to: SaveGeneration restarts the log under the current header.

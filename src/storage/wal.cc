@@ -20,17 +20,17 @@ Result<WalReplay> WriteAheadLog::Scan(const std::string& path) {
   WalReplay replay;
   Result<std::string> read = ReadFile(path);
   if (!read.ok()) return replay;  // missing log = empty log
-  const std::string& text = *read;
+  replay.text = std::make_shared<const std::string>(std::move(*read));
+  const std::string& text = *replay.text;
   bool saw_header = false;
   uint64_t last_seq = 0;
   JournalScan scan = ScanJournal(text, 0, [&](std::string_view body) {
     if (!saw_header) {
-      std::vector<std::string> f = SplitWhitespace(body);
+      FieldCursor f(body);
       uint64_t version = 0;
-      saw_header = f.size() == 3 && f[0] == "papyrus-wal" &&
-                   ParseU64(f[1], &version) && version >= 1 &&
-                   version <= kWalVersion &&
-                   ParseU64(f[2], &replay.base_seq);
+      saw_header = f.Next() == "papyrus-wal" && f.U64(&version) &&
+                   version >= 1 && version <= kWalVersion &&
+                   f.U64(&replay.base_seq) && f.AtEnd();
       if (saw_header) replay.version = static_cast<int>(version);
       last_seq = replay.base_seq;
       return saw_header;
@@ -45,8 +45,7 @@ Result<WalReplay> WriteAheadLog::Scan(const std::string& path) {
       return false;
     }
     replay.records.push_back(
-        {seq, std::string(sp == std::string_view::npos ? ""
-                                                       : body.substr(sp + 1))});
+        {seq, sp == std::string_view::npos ? "" : body.substr(sp + 1)});
     last_seq = seq;
     return true;
   });

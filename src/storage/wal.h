@@ -2,6 +2,7 @@
 #define PAPYRUS_STORAGE_WAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,26 +15,32 @@ namespace papyrus::storage {
 
 /// One journaled mutation: an opaque single-line body under a
 /// monotonically increasing sequence number. Bodies are written by the
-/// session glue (src/core) and carry their own scope tag ("oct ...",
-/// "thr ...", "cput ...", "state ...").
+/// session glue (src/core) and carry their own scope tag ("object ...",
+/// "thr ...", "cput ...", "state ..."). A scanned record's body views the
+/// log text its WalReplay holds.
 struct WalRecord {
   uint64_t seq = 0;
-  std::string body;
+  std::string_view body;
 };
 
-/// The header version new logs are written with. Version 3 ends every
-/// group commit with a `commit` record, and replay applies records only
-/// through the last one, so a torn batch is dropped whole. Version 2
-/// journals a new history node without re-journaling its parent: the
-/// node's record carries the edge, and replay re-links the parent.
-/// Version 1 logs (which re-journaled the parent) and version-2 logs (no
-/// commit records) replay every record, as they always did; an older
-/// reader refuses a newer log instead of misreading it.
-inline constexpr int kWalVersion = 3;
+/// The header version new logs are written with. Version 4 journals a
+/// history node (`thr`) or a cache entry (`cput`) as the very lines its
+/// section holds, joined on one line by a ` | ` separator, where
+/// versions 1-3 percent-encoded the whole line block into one field.
+/// Version 3 ends every group commit with a `commit` record, and replay
+/// applies records only through the last one, so a torn batch is dropped
+/// whole. Version 2 journals a new history node without re-journaling its
+/// parent: the node's record carries the edge, and replay re-links the
+/// parent. Logs of versions 1-3 still replay, as they always did, and
+/// the session folds them into a generation at open; an older reader
+/// refuses a newer log instead of misreading it.
+inline constexpr int kWalVersion = 4;
 
 /// What scanning a (possibly damaged) log recovered.
 struct WalReplay {
-  int version = kWalVersion;       // header version; a missing log is new
+  int version = kWalVersion;  // header version; a missing log is new
+  /// The log's bytes, which the records' bodies view.
+  std::shared_ptr<const std::string> text;
   std::vector<WalRecord> records;  // longest valid prefix, seq ascending
   uint64_t base_seq = 0;           // header base: seqs <= base are gone
   uint64_t next_seq = 1;           // 1 + last valid seq
@@ -61,7 +68,8 @@ struct WalReplay {
 class WriteAheadLog {
  public:
   /// Scans `path` without opening it for writing. A missing file is an
-  /// empty replay. Never modifies the file.
+  /// empty replay. Never modifies the file. The log is read once, into
+  /// WalReplay::text, and the records view their bodies there.
   static Result<WalReplay> Scan(const std::string& path);
 
   /// Opens `path` for appending: scans it, truncates any torn tail, and
@@ -71,7 +79,8 @@ class WriteAheadLog {
   bool is_open() const { return log_.is_open(); }
 
   /// Buffers one record; returns its sequence number. Bodies must be
-  /// single-line.
+  /// single-line: a record of several section lines joins them (see
+  /// activity::kRecordLineSeparator).
   uint64_t Append(std::string_view body);
 
   /// Writes everything buffered since the last Commit and fsyncs once.

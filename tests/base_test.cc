@@ -125,6 +125,47 @@ TEST(StringsTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("abc", &v));
 }
 
+// The whitespace the line parsers split on is exactly the C locale's six
+// bytes; anything else (NUL, DEL, the 0x85 and 0xA0 bytes) is field text.
+TEST(StringsTest, WhitespaceIsTheSixCBytes) {
+  auto v = SplitWhitespace(" a\tb\nc\vd\fe\rf ");
+  ASSERT_EQ(v.size(), 6u);
+  EXPECT_EQ(Join(v, ","), "a,b,c,d,e,f");
+  const std::string others = std::string("x\0y", 3) + "\x7f" + "z\x85" +
+                             "w\xa0" + "v";
+  ASSERT_EQ(SplitWhitespace(others).size(), 1u);
+  EXPECT_EQ(SplitWhitespace(others)[0], others);
+  EXPECT_TRUE(SplitWhitespace(" \t\n\v\f\r").empty());
+  EXPECT_EQ(Trim("\v\f\r x \t\n"), "x");
+  EXPECT_EQ(Trim("\x7fx\xa0"), "\x7fx\xa0");
+}
+
+TEST(StringsTest, ParseInt64AcceptsSignsAndSurroundingWhitespace) {
+  int64_t v = 1;
+  EXPECT_TRUE(ParseInt64("+5", &v));
+  EXPECT_EQ(v, 5);
+  EXPECT_TRUE(ParseInt64("-0", &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseInt64("\t\n 17\r\v\f", &v));
+  EXPECT_EQ(v, 17);
+  EXPECT_TRUE(ParseInt64("007", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &v));
+  EXPECT_EQ(v, INT64_MIN);
+  v = 3;
+  for (const char* bad :
+       {"9223372036854775808", "-9223372036854775809", "99999999999999999999",
+        "+", "-", "+-1", "-+1", "--1", "++1", "+ 1", "- 1", "1 2", "1-",
+        "0x10", "1e3", "1.0", "5x", " 5 x", "\x7f" "5"}) {
+    EXPECT_FALSE(ParseInt64(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 3);  // a rejected parse leaves the output alone
+  EXPECT_EQ(ParseI64("12x"), 0);
+  EXPECT_EQ(ParseI64(" -12 "), -12);
+}
+
 TEST(StringsTest, Fnv1aIsDeterministicAndSpreads) {
   EXPECT_EQ(Fnv1a("espresso"), Fnv1a("espresso"));
   EXPECT_NE(Fnv1a("espresso"), Fnv1a("espressp"));

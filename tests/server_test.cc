@@ -743,7 +743,8 @@ TEST(ManagedSessionTest, ReopensAStoreWithTheV1StateFormat) {
   auto opened = ManagedSession::Open(dir, "fixture", config);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   ManagedSession& session = **opened;
-  EXPECT_EQ(session.generation(), 1);
+  // The version-3 log replays, and is folded into generation 2 at open.
+  EXPECT_EQ(session.generation(), 2);
   for (int64_t task : {11, 12, 13}) {
     SCOPED_TRACE("task " + std::to_string(task));
     EXPECT_TRUE(session.HasApplied(task));
@@ -757,7 +758,7 @@ TEST(ManagedSessionTest, ReopensAStoreWithTheV1StateFormat) {
   EXPECT_EQ(session.session().task_manager().next_execution_id(), 4);
 
   ASSERT_TRUE(session.Checkpoint().ok());
-  EXPECT_EQ(session.generation(), 2);
+  EXPECT_EQ(session.generation(), 3);
   auto state = session.session().store()->ReadSection("state");
   ASSERT_TRUE(state.ok()) << state.status().message();
   EXPECT_EQ(*state, ReadAll(data / "state.golden"));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -42,6 +43,39 @@ std::string ReadAll(const fs::path& path) {
 void WriteAll(const fs::path& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
+}
+
+/// Version-4 record bodies of the multi-line kinds, a history node (`thr`)
+/// and a cache entry (`cput`), with a one-line record between them.
+std::vector<std::string> MultiLineRecords() {
+  std::vector<std::string> bodies;
+  for (int k = 1; k <= 2; ++k) {
+    activity::HistoryNode node;
+    node.id = k + 1;
+    node.parents = {k};
+    node.appended_micros = 1000 * k;
+    node.record.task_name = "Place and route";
+    node.record.inputs = {oct::ObjectId{"in 100%", k}};
+    task::StepRecord step;
+    step.step_name = "Route";
+    step.tool = "wolfe";
+    step.invocation = "wolfe -r 2 -o out.sc in.logic";
+    step.inputs = {oct::ObjectId{"in 100%", k}};
+    step.outputs = {oct::ObjectId{"out.sc", k}};
+    node.record.steps.push_back(step);
+    bodies.push_back(activity::NodeRecord("thr 1", node));
+    cache::CacheEntry entry;
+    entry.tool = "wolfe";
+    entry.tool_version = "1";
+    entry.canonical_options = "-r 2 -o $o0 $i0";
+    entry.seed_salt = 0xfeed + k;
+    entry.inputs = {oct::ObjectId{"in 100%", k}};
+    entry.outputs = {cache::CachedOutput{oct::ObjectId{"out.sc", k}, true}};
+    entry.content_key = "c0ffee" + std::to_string(k);
+    bodies.push_back(activity::CacheEntryRecord("cput", entry));
+    if (k == 1) bodies.push_back("state clock 5");
+  }
+  return bodies;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,12 +137,13 @@ TEST(WalTest, UncommittedAppendsAreNotDurable) {
 TEST(WalTest, TornTailRecoversLongestValidPrefixAtEveryByteOffset) {
   std::string dir = FreshDir("wal_torn");
   std::string path = (fs::path(dir) / "wal.log").string();
+  // Multi-line node and cache-entry records, each one framed line.
+  const std::vector<std::string> bodies = MultiLineRecords();
+  ASSERT_EQ(bodies.size(), 5u);
   {
     WriteAheadLog wal;
     ASSERT_TRUE(wal.Open(path).ok());
-    for (int i = 0; i < 5; ++i) {
-      wal.Append("record number " + std::to_string(i) + " with payload");
-    }
+    for (const std::string& body : bodies) wal.Append(body);
     ASSERT_TRUE(wal.Commit().ok());
   }
   const std::string bytes = ReadAll(path);
@@ -178,8 +213,7 @@ TEST(WalTest, TornTailRecoversLongestValidPrefixAtEveryByteOffset) {
     ASSERT_TRUE(replay.ok()) << "cut=" << cut;
     ASSERT_EQ(replay->records.size(), expected) << "cut=" << cut;
     for (size_t i = 0; i < expected; ++i) {
-      EXPECT_EQ(replay->records[i].body,
-                "record number " + std::to_string(i) + " with payload");
+      EXPECT_EQ(replay->records[i].body, bodies[i]);
     }
     const bool at_boundary = boundaries[expected] == cut;
     EXPECT_EQ(replay->truncated, !at_boundary) << "cut=" << cut;
@@ -552,7 +586,7 @@ std::string ThreadGraph(const DesignThread& t) {
   for (NodeId r : roots) out << ' ' << r;
   out << '\n';
   for (const auto& [id, node] : t.nodes()) {
-    out << activity::EncodeNodeBlock(node);
+    out << activity::NodeRecord("", node) << '\n';
   }
   return out.str();
 }
@@ -728,14 +762,15 @@ TEST(EdgeCarryingWalTest, PlainAppendJournalsOnlyTheNewNode) {
   EXPECT_EQ(after->version, kWalVersion);
   std::vector<std::string> thr;
   for (size_t i = before->records.size(); i < after->records.size(); ++i) {
-    const std::string& body = after->records[i].body;
-    if (StartsWith(body, "thr ")) thr.push_back(body);
+    const std::string_view body = after->records[i].body;
+    if (StartsWith(body, "thr ")) thr.emplace_back(body);
   }
   // Node 2 alone; node 1 gained a child but is not re-journaled.
   ASSERT_EQ(thr.size(), 1u);
-  std::vector<std::string> f = SplitWhitespace(thr[0]);
-  ASSERT_EQ(f.size(), 3u);
-  EXPECT_TRUE(StartsWith(DecodeField(f[2]), "node 2 ")) << thr[0];
+  EXPECT_TRUE(StartsWith(thr[0], "thr 1 | node 2 ")) << thr[0];
+  const size_t node_line = thr[0].find(" | node ");
+  EXPECT_EQ(thr[0].find(" | node ", node_line + 1), std::string::npos)
+      << thr[0];
 }
 
 TEST(EdgeCarryingWalTest, EveryRecordBoundaryReplaysConsistentLinks) {
@@ -754,7 +789,14 @@ TEST(EdgeCarryingWalTest, EveryRecordBoundaryReplaysConsistentLinks) {
     DesignThread* t = *thread;
     for (int k = 1; k <= 24; ++k) {
       session.clock().AdvanceMicros(1000);
-      if (k % 5 == 0) {
+      if (k % 6 == 3) {
+        // A real invocation: its node and its steps' cache entries
+        // journal as multi-line `thr` and `cput` records.
+        ASSERT_TRUE(session
+                        .Invoke(id, "Create_Logic_Description", {},
+                                {"l" + std::to_string(k) + ".logic"})
+                        .ok());
+      } else if (k % 5 == 0) {
         NodeId at = AnyNode(*t, &rng);
         ASSERT_TRUE(t->MoveCursor(at).ok());
         ASSERT_TRUE(session.CommitWal().ok());  // the rework is its own act
@@ -765,6 +807,17 @@ TEST(EdgeCarryingWalTest, EveryRecordBoundaryReplaysConsistentLinks) {
       ASSERT_TRUE(session.CommitWal().ok());
     }
   }
+  auto scanned = WriteAheadLog::Scan((fs::path(dir) / "wal.log").string());
+  ASSERT_TRUE(scanned.ok());
+  int multi_line_thr = 0, multi_line_cput = 0;
+  for (const WalRecord& rec : scanned->records) {
+    multi_line_thr += StartsWith(rec.body, "thr 1 | node ") &&
+                      rec.body.find(" | record ") != std::string::npos;
+    multi_line_cput += StartsWith(rec.body, "cput | entry ") &&
+                       rec.body.find(" | eout ") != std::string::npos;
+  }
+  EXPECT_GT(multi_line_thr, 20);
+  EXPECT_GE(multi_line_cput, 2);
   const std::string bytes = ReadAll(fs::path(dir) / "wal.log");
   std::vector<size_t> boundaries;
   for (size_t i = 0; i < bytes.size(); ++i) {
@@ -862,6 +915,144 @@ TEST(StorageEngineSessionTest, VersionOneWalReplaysAndIsFoldedAtOpen) {
       EXPECT_FALSE(StartsWith(std::string(body), "papyrus-wal 1 "))
           << entry.path();
     }
+  }
+}
+
+TEST(StorageEngineSessionTest, VersionThreeWalReplaysAndIsFoldedAtOpen) {
+  const fs::path data = fs::path(PAPYRUS_SOURCE_DIR) / "tests/data/v3_wal";
+  const std::string dir = FreshDir("v3_wal");
+  fs::copy(data / "session", dir, fs::copy_options::recursive);
+  const fs::path wal = fs::path(dir) / "wal.log";
+  auto scanned = WriteAheadLog::Scan(wal.string());
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_EQ(scanned->version, 3);
+  ASSERT_GT(scanned->records.size(), 0u);
+
+  Papyrus session;
+  Status opened = session.OpenStorage(dir);
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  auto thread = session.activity().GetThread(1);
+  ASSERT_TRUE(thread.ok());
+  // The percent-encoded line blocks replay to what the code that wrote
+  // them restored: the forked, reworked thread with its check-in, the
+  // cache with its content keys, the database and the session state.
+  EXPECT_EQ(activity::SerializeThread(**thread),
+            ReadAll(data / "thread.golden"));
+  EXPECT_EQ(activity::SerializeDerivationCache(session.step_cache()),
+            ReadAll(data / "cache.golden"));
+  EXPECT_EQ(activity::SerializeDatabase(session.database()),
+            ReadAll(data / "db.golden"));
+  const Papyrus::AppliedRequest* applied = session.FindApplied(41);
+  ASSERT_NE(applied, nullptr);
+  EXPECT_EQ("clock " + std::to_string(session.clock().NowMicros()) +
+                "\nnextexec " +
+                std::to_string(session.task_manager().next_execution_id()) +
+                "\napplied 41 " + std::to_string(applied->thread_id) + " " +
+                std::to_string(applied->node) + "\n",
+            ReadAll(data / "state.golden"));
+  EXPECT_EQ(LinkMismatches(**thread), "");
+
+  // Folded at open: a generation holds the replayed state and the log
+  // restarted, empty, under the current header.
+  EXPECT_EQ(session.store()->generation(), 1u);
+  auto folded = WriteAheadLog::Scan(wal.string());
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->version, kWalVersion);
+  EXPECT_EQ(folded->records.size(), 0u);
+
+  // The next commit lands under the current header, in its record form.
+  ASSERT_TRUE(session
+                  .Invoke(1, "PLA_Generation", {"shifter.logic"},
+                          {"shifter.pla2"})
+                  .ok());
+  ASSERT_TRUE(session.CommitWal().ok());
+  auto grown = WriteAheadLog::Scan(wal.string());
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(grown->version, kWalVersion);
+  int thr = 0, cput = 0;
+  for (const WalRecord& rec : grown->records) {
+    thr += StartsWith(rec.body, "thr 1 | node 8 ");
+    cput += StartsWith(rec.body, "cput | entry 0 ");
+  }
+  EXPECT_EQ(thr, 1);
+  EXPECT_GT(cput, 0);
+  EXPECT_EQ(ReopenedGraph(dir, dir + ".copy", 1), ThreadGraph(**thread));
+}
+
+/// Rewrites the body of record `seq` in the WAL of `dir` and frames its
+/// line again, so the frame verifies whatever the new body holds.
+void RewriteWalRecord(const std::string& dir, uint64_t seq,
+                      const std::function<std::string(std::string)>& edit) {
+  const fs::path path = fs::path(dir) / "wal.log";
+  const std::string prefix = "w " + std::to_string(seq) + " ";
+  std::string out;
+  for (const std::string& line : Split(ReadAll(path), '\n')) {
+    std::string_view body;
+    if (!line.empty() && UnframeLine(line, &body) &&
+        StartsWith(body, prefix)) {
+      out += FrameLine(prefix + edit(std::string(body.substr(prefix.size()))));
+    } else {
+      out += line;
+    }
+    out += '\n';
+  }
+  out.pop_back();
+  WriteAll(path, out);
+}
+
+TEST(StorageEngineSessionTest, UnparsableRecordFailsOpenNamingItsSequence) {
+  const std::string dir = FreshDir("strict_replay");
+  {
+    Papyrus session;
+    ASSERT_TRUE(session.OpenStorage(dir).ok());
+    const int id = session.CreateThread("strict");
+    ASSERT_TRUE(
+        session.Invoke(id, "Create_Logic_Description", {}, {"s.logic"}).ok());
+    ASSERT_TRUE(session.CommitWal().ok());
+  }
+  auto scanned = WriteAheadLog::Scan((fs::path(dir) / "wal.log").string());
+  ASSERT_TRUE(scanned.ok());
+  uint64_t thr_seq = 0, cput_seq = 0;
+  for (const WalRecord& rec : scanned->records) {
+    if (StartsWith(rec.body, "thr ")) thr_seq = rec.seq;
+    if (StartsWith(rec.body, "cput ")) cput_seq = rec.seq;
+  }
+  ASSERT_GT(thr_seq, 0u);
+  ASSERT_GT(cput_seq, 0u);
+  // A '%' that starts no escape, put at the front of the first `~` field.
+  auto bad_escape = [](std::string body) {
+    return body.insert(body.find(" ~") + 2, "%G");
+  };
+  // The same node with a `step` line ahead of its `node` line.
+  auto step_first = [](std::string body) {
+    const size_t node = body.find(" | node ");
+    return body.substr(0, node) + " | step 1 ~s ~t ~i 0 0 0 0 ~" +
+           body.substr(node);
+  };
+  struct Case {
+    const char* what;
+    uint64_t seq;
+    std::function<std::string(std::string)> edit;
+  };
+  for (const Case& c : {Case{"thr escape", thr_seq, bad_escape},
+                        Case{"thr step before node", thr_seq, step_first},
+                        Case{"cput escape", cput_seq, bad_escape}}) {
+    SCOPED_TRACE(c.what);
+    const std::string copy = FreshDir("strict_replay_case");
+    fs::copy(dir, copy, fs::copy_options::recursive |
+                            fs::copy_options::overwrite_existing);
+    RewriteWalRecord(copy, c.seq, c.edit);
+    auto rescanned =
+        WriteAheadLog::Scan((fs::path(copy) / "wal.log").string());
+    ASSERT_TRUE(rescanned.ok());
+    ASSERT_FALSE(rescanned->truncated);  // every frame still verifies
+    ASSERT_EQ(rescanned->records.size(), scanned->records.size());
+    Papyrus reopened;
+    Status st = reopened.OpenStorage(copy);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("WAL record " + std::to_string(c.seq) + ":"),
+              std::string::npos)
+        << st.ToString();
   }
 }
 

@@ -482,24 +482,21 @@ TEST(SeedRestoreTest, OverflowingSeedIsALoadErrorNotZero) {
   // 2^64 + 1: strtoull saturates with ERANGE. Before the fix this
   // decoded as seed 0, silently diverging every artifact derived from
   // the restored design.
-  auto overflowed = oct::ParsePayloadFields(
-      {"behavioral", "8", "8", "12", "18446744073709551617"}, 0);
+  auto overflowed =
+      oct::DecodePayloadText("behavioral 8 8 12 18446744073709551617");
   EXPECT_FALSE(overflowed.ok());
   EXPECT_TRUE(overflowed.status().IsInvalidArgument())
       << overflowed.status().ToString();
 
-  auto garbage = oct::ParsePayloadFields(
-      {"logic", "8", "8", "40", "90", "5", "0", "12x"}, 0);
+  auto garbage = oct::DecodePayloadText("logic 8 8 40 90 5 0 12x");
   EXPECT_FALSE(garbage.ok());
 
-  auto negative = oct::ParsePayloadFields(
-      {"behavioral", "8", "8", "12", "-3"}, 0);
+  auto negative = oct::DecodePayloadText("behavioral 8 8 12 -3");
   EXPECT_FALSE(negative.ok());
 
   // Full-range values up to UINT64_MAX still round-trip: tool-derived
   // hash seeds routinely exceed INT64_MAX.
-  auto max = oct::ParsePayloadFields(
-      {"behavioral", "8", "8", "12", "18446744073709551615"}, 0);
+  auto max = oct::DecodePayloadText("behavioral 8 8 12 18446744073709551615");
   ASSERT_TRUE(max.ok()) << max.status().ToString();
   const auto* spec = std::get_if<oct::BehavioralSpec>(&*max);
   ASSERT_NE(spec, nullptr);
